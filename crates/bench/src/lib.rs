@@ -9,7 +9,8 @@
 //!
 //! [`examples`] holds the `.g` sources the benches and the `tables`
 //! binary share; [`tables`] collects and renders the Tables 1/2
-//! report (text and machine-readable JSON via [`json`]).
+//! report (text, and machine-readable JSON via
+//! [`reshuffle::obs::json`]).
 
 #![warn(missing_docs)]
 
@@ -17,7 +18,6 @@ use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 pub mod examples;
-pub mod json;
 pub mod tables;
 
 /// One measured benchmark.

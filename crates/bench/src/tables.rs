@@ -26,7 +26,7 @@ use reshuffle_synth::literal_estimate;
 use reshuffle_timing::{simulate, DelayModel, SimOptions};
 
 use crate::examples;
-use crate::json::Json;
+use reshuffle::obs::json::Json;
 
 /// One synthesized path of a row: literals, cycle time, state signals
 /// inserted, serializing moves applied, expansion choices committed.
@@ -650,7 +650,7 @@ pub fn render_json(report: &TablesReport, with_timings: bool) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
+    use reshuffle::obs::json;
 
     #[test]
     fn report_collects_renders_and_reparses() {

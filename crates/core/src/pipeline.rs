@@ -253,8 +253,8 @@ fn enforce_live<T>(cands: &[Result<T>]) -> Result<()> {
     }
 }
 
-/// Rejects specifications that are not speed-independent, with the
-/// violation-witness count the legacy facade reported.
+/// Rejects specifications that are not speed-independent, reporting
+/// the violation-witness count.
 fn gate_speed_independence(sg: &StateGraph) -> Result<()> {
     let si = speed_independence(sg);
     if si.is_speed_independent() {
@@ -564,11 +564,10 @@ impl Parsed {
     }
 
     /// The one-call shortcut: runs the whole chain under a flat
-    /// [`PipelineOptions`], reproducing the legacy free functions —
-    /// `expand` set routes through [`Parsed::expand`], `reduce` set
-    /// through [`Expanded::reduce`], and an attached [`SynthCache`] is
-    /// consulted *before* any stage runs (a hit records no stage
-    /// timings).
+    /// [`PipelineOptions`] — `expand` set routes through
+    /// [`Parsed::expand`], `reduce` set through [`Expanded::reduce`],
+    /// and an attached [`SynthCache`] is consulted *before* any stage
+    /// runs (a hit records no stage timings).
     ///
     /// # Errors
     ///

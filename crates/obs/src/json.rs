@@ -1,13 +1,12 @@
-//! Minimal JSON support for machine-readable bench reports.
+//! Minimal JSON: the service's request and `/stats` documents, the
+//! span lines, and the machine-readable bench reports.
 //!
-//! The build container has no network access, so no serde: [`Json`] is
-//! a small value tree with a spec-compliant renderer and a validating
-//! recursive-descent [`parse`]r (used by the tests and the CI smoke
-//! step to assert `tables --json` emits well-formed output). Numbers
-//! are kept as `f64`, which covers every count and cycle metric the
-//! reports emit.
+//! No serde (the workspace takes no external dependencies): [`Json`]
+//! is a small value tree with a spec-compliant renderer and a
+//! validating recursive-descent [`parse`]r. Numbers are kept as `f64`,
+//! which covers every count, timing and cycle metric emitted.
 
-use std::fmt;
+use std::fmt::Write as _;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -77,7 +76,6 @@ impl Json {
     }
 
     fn write(&self, out: &mut String) {
-        use fmt::Write as _;
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -90,23 +88,7 @@ impl Json {
                     let _ = write!(out, "{n}");
                 }
             }
-            Json::Str(s) => {
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\r' => out.push_str("\\r"),
-                        '\t' => out.push_str("\\t"),
-                        c if (c as u32) < 0x20 => {
-                            let _ = write!(out, "\\u{:04x}", c as u32);
-                        }
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-            }
+            Json::Str(s) => push_escaped(out, s),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -123,7 +105,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    Json::Str(k.clone()).write(out);
+                    push_escaped(out, k);
                     out.push(':');
                     v.write(out);
                 }
@@ -131,6 +113,26 @@ impl Json {
             }
         }
     }
+}
+
+/// Appends `s` to `out` as a JSON string literal, escaping quotes,
+/// backslashes and control characters.
+pub(crate) fn push_escaped(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
 }
 
 /// Parses JSON text into a [`Json`] value.

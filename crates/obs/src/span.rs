@@ -28,6 +28,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use crate::json::push_escaped;
+
 /// A 128-bit request trace identifier, rendered as 32 lowercase hex chars.
 ///
 /// The high half identifies *what* is being synthesized (the fingerprint ×
@@ -388,41 +390,21 @@ fn emit_span(live: &Live, fields: &[(&str, FieldVal<'_>)]) {
         "\",\"span\":{},\"parent\":{},\"name\":",
         live.id, live.parent
     );
-    push_json_str(&mut line, live.name);
+    push_escaped(&mut line, live.name);
     let _ = write!(line, ",\"t_us\":{},\"dur_us\":{}", live.t_us, dur_us);
     for (k, v) in fields {
         line.push(',');
-        push_json_str(&mut line, k);
+        push_escaped(&mut line, k);
         line.push(':');
         match v {
             FieldVal::U64(n) => {
                 let _ = write!(line, "{n}");
             }
-            FieldVal::Str(s) => push_json_str(&mut line, s),
+            FieldVal::Str(s) => push_escaped(&mut line, s),
         }
     }
     line.push('}');
     live.tracer.inner.sink.0.emit(&line);
-}
-
-/// Append `s` as a JSON string literal (with escaping) to `out`.
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                use fmt::Write as _;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]

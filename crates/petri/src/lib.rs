@@ -10,8 +10,7 @@
 //! * [`ReachabilityGraph`] — explicit reachability exploration;
 //! * [`Stg`] — signal transition graphs (nets labelled with signal
 //!   edges `a+`, `a-`, `a~`), with interface roles per signal;
-//! * astg (`.g`) [parsing](parse_g) and [writing](write_g), plus
-//!   Graphviz [dot export](write_dot);
+//! * astg (`.g`) [parsing](parse_g) and [writing](write_g);
 //! * [structural transformations](structural) used by handshake
 //!   expansion and concurrency reduction;
 //! * [`canonical_fingerprint`] — declaration-order-invariant hashing of
@@ -58,4 +57,4 @@ pub use parse::parse_g;
 pub use reach::{ReachabilityGraph, DEFAULT_STATE_BUDGET};
 pub use stg::{Handshake, Polarity, Signal, SignalEdge, SignalKind, Stg, TransLabel};
 pub use structural::{prereduce, PrereduceStats};
-pub use write::{write_dot, write_g};
+pub use write::write_g;

@@ -1,16 +1,29 @@
-//! Writers: astg (`.g`) output and Graphviz dot export.
+//! The astg (`.g`) writer.
 
 use std::fmt::Write as _;
 
-use crate::ids::PlaceId;
+use crate::ids::{PlaceId, TransitionId};
 use crate::stg::{SignalKind, Stg, TransLabel};
 
-/// True if `p` can be printed as an implicit arc between two transitions
-/// (single producer, single consumer, conventional `<..>` name).
-fn is_implicit(stg: &Stg, p: PlaceId) -> bool {
-    stg.net().producers(p).len() == 1
-        && stg.net().consumers(p).len() == 1
-        && stg.net().place_name(p).starts_with('<')
+/// The producer and consumer of `p` when it can be printed as an
+/// implicit arc between two transitions (single producer, single
+/// consumer, conventional `<..>` name).
+fn implicit_ends(stg: &Stg, p: PlaceId) -> Option<(TransitionId, TransitionId)> {
+    let net = stg.net();
+    match (net.producers(p), net.consumers(p)) {
+        (&[a], &[b]) if net.place_name(p).starts_with('<') => Some((a, b)),
+        _ => None,
+    }
+}
+
+/// How `p` is written: an implicit place by its actual endpoints (a
+/// rewiring such as CSC insertion can leave a stale `<..>` name behind,
+/// which the parser could not resolve), any other place by its name.
+fn place_ref(stg: &Stg, p: PlaceId) -> String {
+    match implicit_ends(stg, p) {
+        Some((a, b)) => format!("<{},{}>", stg.transition_name(a), stg.transition_name(b)),
+        None => stg.net().place_name(p).to_string(),
+    }
 }
 
 /// Renders an [`Stg`] in astg (`.g`) format, parseable by
@@ -54,11 +67,9 @@ pub fn write_g(stg: &Stg) -> String {
     for t in stg.transitions() {
         let mut targets: Vec<String> = Vec::new();
         for &p in stg.net().postset(t) {
-            if is_implicit(stg, p) {
-                let u = stg.net().consumers(p)[0];
-                targets.push(stg.transition_name(u).to_string());
-            } else {
-                targets.push(stg.net().place_name(p).to_string());
+            match implicit_ends(stg, p) {
+                Some((_, u)) => targets.push(stg.transition_name(u).to_string()),
+                None => targets.push(stg.net().place_name(p).to_string()),
             }
         }
         if !targets.is_empty() {
@@ -67,7 +78,7 @@ pub fn write_g(stg: &Stg) -> String {
     }
     // Explicit place lines.
     for p in stg.places() {
-        if is_implicit(stg, p) || stg.net().is_isolated_place(p) {
+        if implicit_ends(stg, p).is_some() || stg.net().is_isolated_place(p) {
             continue;
         }
         let targets: Vec<&str> = stg
@@ -84,69 +95,10 @@ pub fn write_g(stg: &Stg) -> String {
     let marked: Vec<String> = stg
         .initial_marking()
         .iter()
-        .map(|p| stg.net().place_name(p).to_string())
+        .map(|p| place_ref(stg, p))
         .collect();
     let _ = writeln!(out, ".marking {{ {} }}", marked.join(" "));
     let _ = writeln!(out, ".end");
-    out
-}
-
-/// Renders an [`Stg`] as a Graphviz digraph for visual inspection.
-/// Transitions are boxes (inputs dashed), places are circles; implicit
-/// places are elided into direct edges as is conventional for STGs.
-pub fn write_dot(stg: &Stg) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "digraph \"{}\" {{", stg.name);
-    let _ = writeln!(out, "  rankdir=TB;");
-    for t in stg.transitions() {
-        let style = if stg.is_input_transition(t) {
-            ",style=dashed"
-        } else {
-            ""
-        };
-        let _ = writeln!(out, "  \"{}\" [shape=box{style}];", stg.transition_name(t));
-    }
-    let m0 = stg.initial_marking();
-    for p in stg.places() {
-        if stg.net().is_isolated_place(p) {
-            continue;
-        }
-        if is_implicit(stg, p) && !m0.contains(p) {
-            let a = stg.net().producers(p)[0];
-            let b = stg.net().consumers(p)[0];
-            let _ = writeln!(
-                out,
-                "  \"{}\" -> \"{}\";",
-                stg.transition_name(a),
-                stg.transition_name(b)
-            );
-        } else {
-            let label = if m0.contains(p) { "&bull;" } else { "" };
-            let _ = writeln!(
-                out,
-                "  \"{}\" [shape=circle,label=\"{label}\",xlabel=\"{}\"];",
-                stg.net().place_name(p),
-                stg.net().place_name(p)
-            );
-            for &a in stg.net().producers(p) {
-                let _ = writeln!(
-                    out,
-                    "  \"{}\" -> \"{}\";",
-                    stg.transition_name(a),
-                    stg.net().place_name(p)
-                );
-            }
-            for &b in stg.net().consumers(p) {
-                let _ = writeln!(
-                    out,
-                    "  \"{}\" -> \"{}\";",
-                    stg.net().place_name(p),
-                    stg.transition_name(b)
-                );
-            }
-        }
-    }
-    let _ = writeln!(out, "}}");
     out
 }
 
@@ -203,15 +155,5 @@ Req+ Ack+
         let g2 = parse_g(&text).unwrap();
         assert_eq!(g2.handshakes(), g1.handshakes());
         assert!(g2.is_partial());
-    }
-
-    #[test]
-    fn dot_output_mentions_all_transitions() {
-        let g = parse_g(FIG1).unwrap();
-        let dot = write_dot(&g);
-        for t in g.transitions() {
-            assert!(dot.contains(g.transition_name(t)));
-        }
-        assert!(dot.starts_with("digraph"));
     }
 }

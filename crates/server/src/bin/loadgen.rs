@@ -49,7 +49,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use reshuffle_bench::examples::{self, scaled_pipeline};
-use reshuffle_bench::json::Json;
+use reshuffle_obs::Json;
 use reshuffle_obs::{validate, HistSnapshot, Histogram};
 use reshuffle_server::client::{exchange_once, exchange_with_retry, ClientConn, ClientResponse};
 use reshuffle_server::{Server, ServerConfig};

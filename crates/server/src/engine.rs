@@ -1,47 +1,32 @@
 //! The connection-serving engine shared by the synthesis backend and
 //! the router tier: bounded accept queue, worker pool, keep-alive
-//! serving under absolute read deadlines, 503 load shedding, and the
+//! serving under absolute read deadlines, 503 load shedding, the
 //! shutdown choreography (half-close every parked connection so idle
-//! workers wake immediately). The only thing that differs between
-//! tiers is how a parsed [`Request`] becomes a [`Response`] — the
-//! [`Service`] trait.
+//! workers wake immediately), the endpoints both tiers answer alike
+//! (`/healthz`, `/shutdown`, 404, 405), and the transport half of the
+//! ops surface. What differs between tiers — `POST /synthesize` and
+//! the tier's own counters — is the [`Service`] trait.
 
 use std::collections::{HashMap, VecDeque};
-use std::io;
+use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use reshuffle_bench::json::Json;
-use reshuffle_obs::{Histogram, TraceId};
+use reshuffle::PipelineOptions;
+use reshuffle_obs::{Histogram, Json, PromWriter, TraceId};
 
 use crate::http::{write_response_with, Conn, HttpError, Request};
+use crate::{decode_request, ServerConfig};
 
-/// How one tier's engine binds, pools and bounds — the transport slice
-/// of `ServerConfig`/`RouterConfig`.
-#[derive(Debug, Clone)]
-pub(crate) struct EngineConfig {
-    pub addr: String,
-    pub threads: usize,
-    pub queue_depth: usize,
-    pub request_timeout: Duration,
-    pub idle_timeout: Duration,
-    pub max_requests_per_conn: usize,
-    pub max_body_bytes: usize,
-    /// `X-Role` header stamped on engine-originated responses (shed
-    /// 503s, 400/408/413). `None` omits the header — the single-tier
-    /// server's wire format, byte-identical to before the router
-    /// existed.
-    pub role: Option<&'static str>,
-}
-
-/// Counters the engine owns (services layer their own on top).
+/// Counters the engine owns: the same on both tiers.
 #[derive(Debug, Default)]
 pub(crate) struct EngineStats {
     pub connections: AtomicU64,
     pub requests: AtomicU64,
+    pub synth_requests: AtomicU64,
     pub shed: AtomicU64,
     pub request_timeouts: AtomicU64,
     pub bad_requests: AtomicU64,
@@ -50,14 +35,14 @@ pub(crate) struct EngineStats {
 
 /// Everything the accept loop, workers and the service share.
 pub(crate) struct EngineState {
-    pub cfg: EngineConfig,
+    pub cfg: ServerConfig,
     pub stats: EngineStats,
     /// Whole-request service time: request parsed off the socket to
     /// response written (or write failure).
-    pub request_hist: Histogram,
+    request_hist: Histogram,
     /// Accepted-connection wait from accept-queue enqueue to worker
     /// pickup — the queueing delay the shed bound protects.
-    pub queue_wait_hist: Histogram,
+    queue_wait_hist: Histogram,
     /// Accepted sockets waiting for a worker, each stamped with its
     /// enqueue instant so pickup records the queue-wait histogram.
     queue: Mutex<VecDeque<(TcpStream, Instant)>>,
@@ -72,12 +57,12 @@ pub(crate) struct EngineState {
     conn_seq: AtomicU64,
     /// Per-request nonce feeding [`TraceId::derive`], so concurrent
     /// requests for the same spec stay distinguishable.
-    pub req_seq: AtomicU64,
-    pub started: Instant,
+    req_seq: AtomicU64,
+    started: Instant,
 }
 
 impl EngineState {
-    pub fn new(cfg: EngineConfig) -> EngineState {
+    pub fn new(cfg: ServerConfig) -> EngineState {
         EngineState {
             cfg,
             stats: EngineStats::default(),
@@ -92,6 +77,11 @@ impl EngineState {
             req_seq: AtomicU64::new(0),
             started: Instant::now(),
         }
+    }
+
+    /// Whether this tier routes to backends instead of synthesizing.
+    fn routing(&self) -> bool {
+        self.cfg.route.is_some()
     }
 
     /// Blocks until a client posts `/shutdown` (or `begin_shutdown`
@@ -121,7 +111,7 @@ impl EngineState {
         }
     }
 
-    pub fn begin_shutdown(&self, addr: SocketAddr) {
+    fn begin_shutdown(&self, addr: SocketAddr) {
         self.stop.store(true, Ordering::SeqCst);
         self.queue_cv.notify_all();
         // Unblock the acceptor with a throwaway connection.
@@ -136,22 +126,122 @@ impl EngineState {
         *lock.lock().unwrap() = true;
         cv.notify_all();
     }
+
+    /// A counted bad request: `status` with an error body.
+    pub fn reject(&self, status: u16, msg: &str, trace: TraceId) -> Response {
+        self.stats.bad_requests.fetch_add(1, Ordering::Relaxed);
+        Response::json(status, error_body(msg), trace)
+    }
+
+    /// Metric family prefix: bare on a backend, `router_` on a router
+    /// (whose `/metrics` also carries its backends' families under
+    /// their own names).
+    fn family_prefix(&self) -> &'static str {
+        if self.routing() {
+            "reshuffle_router_"
+        } else {
+            "reshuffle_"
+        }
+    }
+
+    /// The transport counters as `(member, help, value)`: each one's
+    /// `/stats` member, and its `/metrics` counter named the tier
+    /// prefix + member + `_total`.
+    fn transport(&self) -> [(&'static str, &'static str, u64); 7] {
+        let s = &self.stats;
+        let n = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        [
+            ("connections", "Connections accepted.", n(&s.connections)),
+            (
+                "requests",
+                "HTTP requests parsed off connections.",
+                n(&s.requests),
+            ),
+            (
+                "synth_requests",
+                "POST /synthesize requests.",
+                n(&s.synth_requests),
+            ),
+            (
+                "shed",
+                "Connections shed with 503 at the accept queue.",
+                n(&s.shed),
+            ),
+            (
+                "request_timeouts",
+                "Requests that lapsed the read deadline (408).",
+                n(&s.request_timeouts),
+            ),
+            (
+                "bad_requests",
+                "Malformed, oversized or unroutable requests.",
+                n(&s.bad_requests),
+            ),
+            (
+                "write_errors",
+                "Responses that failed to write (client gone).",
+                n(&s.write_errors),
+            ),
+        ]
+    }
 }
 
-/// How a tier turns a parsed request into a response.
+/// One scalar of a tier's ops surface, read by both renderers:
+/// `(member, family, help, value)`. The `/stats` member may be a dotted
+/// path (`cache.hits` is the `hits` member of the `cache` object); the
+/// `/metrics` family is a counter when it ends in `_total`, the
+/// Prometheus convention, and a gauge otherwise.
+pub(crate) type Stat = (&'static str, &'static str, &'static str, f64);
+
+/// A decoded `POST /synthesize`.
+pub(crate) struct SynthRequest<'a> {
+    /// The `.g` source.
+    pub g: String,
+    pub opts: PipelineOptions,
+    /// The body as the client sent it.
+    pub body: &'a [u8],
+    /// The client's `X-Trace-Id`, when it parses.
+    client: Option<TraceId>,
+    nonce: u64,
+}
+
+impl SynthRequest<'_> {
+    /// The request's trace id: the client's, or one derived from the
+    /// run cache key (`0` until there is one) and the request nonce.
+    pub fn trace(&self, key: u64) -> TraceId {
+        self.client
+            .unwrap_or_else(|| TraceId::derive(key, self.nonce))
+    }
+}
+
+/// What a tier adds to the engine: `POST /synthesize` and its own
+/// share of the ops surface.
 pub(crate) trait Service: Send + Sync + 'static {
-    fn route(&self, request: &Request) -> Response;
+    /// Answers a well-formed `POST /synthesize`.
+    fn synthesize(&self, request: &SynthRequest<'_>) -> Response;
+
+    /// The tier's scalar counters and gauges.
+    fn stats(&self) -> Vec<Stat>;
+
+    /// `/stats` members beyond the scalars (dotted paths nest).
+    fn stats_doc(&self) -> Vec<(&'static str, Json)>;
+
+    /// `/metrics` families beyond the scalars.
+    fn metrics(&self, w: &mut PromWriter);
 }
 
-/// One routed response: status, payload, its content type, the trace
-/// id to echo back as `X-Trace-Id`, and any extra headers (the router
-/// stamps `X-Backend`/`X-Role`).
+/// One response: status, payload, its content type, the trace id to
+/// echo back as `X-Trace-Id`, and — when a router proxied it — the
+/// backend shard it came from.
 pub(crate) struct Response {
     pub status: u16,
     pub content_type: String,
     pub body: Vec<u8>,
     pub trace: TraceId,
-    pub headers: Vec<(String, String)>,
+    /// `Some(shard)` on a proxied response (sent as `X-Backend`);
+    /// `None` on one this tier answered itself (a router stamps those
+    /// `X-Role: router`).
+    pub backend: Option<usize>,
 }
 
 impl Response {
@@ -161,13 +251,8 @@ impl Response {
             content_type: "application/json".to_string(),
             body: body.into_bytes(),
             trace,
-            headers: Vec::new(),
+            backend: None,
         }
-    }
-
-    pub fn with_header(mut self, name: &str, value: &str) -> Response {
-        self.headers.push((name.to_string(), value.to_string()));
-        self
     }
 }
 
@@ -175,15 +260,129 @@ pub(crate) fn error_body(msg: &str) -> String {
     Json::obj(vec![("error", Json::Str(msg.to_string()))]).render()
 }
 
-/// An engine-originated error response: derived trace id, role header
-/// when the tier has one.
+/// An engine-originated error response under a derived trace id.
 fn engine_error(state: &EngineState, status: u16, msg: &str) -> Response {
     let trace = TraceId::derive(0, state.req_seq.fetch_add(1, Ordering::Relaxed));
-    let response = Response::json(status, error_body(msg), trace);
-    match state.cfg.role {
-        Some(role) => response.with_header("X-Role", role),
-        None => response,
+    Response::json(status, error_body(msg), trace)
+}
+
+/// Answers one request: a well-formed `POST /synthesize` goes to the
+/// service, everything else is the same on both tiers.
+fn route(state: &EngineState, svc: &dyn Service, request: &Request) -> Response {
+    // Propagate a parseable client-supplied trace id; otherwise derive
+    // one from a fresh nonce (`/synthesize` upgrades its derived id to
+    // carry the run cache key once it has computed one).
+    let nonce = state.req_seq.fetch_add(1, Ordering::Relaxed);
+    let client = request.trace_id.as_deref().and_then(TraceId::parse);
+    let trace = client.unwrap_or_else(|| TraceId::derive(0, nonce));
+    match (request.method.as_str(), request.path.as_str()) {
+        ("POST", "/synthesize") => {
+            state.stats.synth_requests.fetch_add(1, Ordering::Relaxed);
+            match decode_request(&request.body) {
+                Ok((g, opts)) => svc.synthesize(&SynthRequest {
+                    g,
+                    opts,
+                    body: &request.body,
+                    client,
+                    nonce,
+                }),
+                Err(msg) => state.reject(400, &msg, trace),
+            }
+        }
+        ("GET", "/stats") => Response::json(200, render_stats(state, svc), trace),
+        ("GET", "/metrics") => Response {
+            status: 200,
+            content_type: "text/plain; version=0.0.4".to_string(),
+            body: render_metrics(state, svc).into_bytes(),
+            trace,
+            backend: None,
+        },
+        ("GET", "/healthz") | ("POST", "/shutdown") => {
+            Response::json(200, Json::Str("ok".into()).render(), trace)
+        }
+        (_, "/synthesize" | "/stats" | "/metrics" | "/healthz" | "/shutdown") => {
+            state.reject(405, &format!("{} not allowed here", request.method), trace)
+        }
+        (_, path) => state.reject(404, &format!("no such endpoint: {path}"), trace),
     }
+}
+
+/// Sets the dotted member `path` of an object's member list, creating
+/// intermediate objects on the way.
+fn insert_member(members: &mut Vec<(String, Json)>, path: &str, value: Json) {
+    let Some((head, rest)) = path.split_once('.') else {
+        members.push((path.to_string(), value));
+        return;
+    };
+    let at = match members.iter().position(|(key, _)| key == head) {
+        Some(at) => at,
+        None => {
+            members.push((head.to_string(), Json::Obj(Vec::new())));
+            members.len() - 1
+        }
+    };
+    if let Json::Obj(inner) = &mut members[at].1 {
+        insert_member(inner, rest, value);
+    }
+}
+
+/// The `GET /stats` document: the tier's role and uptime, every scalar
+/// of the engine and the service, then the service's own members.
+fn render_stats(state: &EngineState, svc: &dyn Service) -> String {
+    let role = if state.routing() { "router" } else { "backend" };
+    let mut doc = vec![
+        ("role".to_string(), Json::Str(role.to_string())),
+        (
+            "uptime_ms".to_string(),
+            Json::Num(state.started.elapsed().as_secs_f64() * 1e3),
+        ),
+    ];
+    for (member, _, value) in state.transport() {
+        insert_member(&mut doc, member, Json::Num(value as f64));
+    }
+    for (member, _, _, value) in svc.stats() {
+        insert_member(&mut doc, member, Json::Num(value));
+    }
+    for (member, value) in svc.stats_doc() {
+        insert_member(&mut doc, member, value);
+    }
+    Json::Obj(doc).render()
+}
+
+/// The `GET /metrics` document: the same scalars as `/stats` as
+/// Prometheus counters and gauges, the uptime and the transport latency
+/// histograms (`_bucket`/`_sum`/`_count`, bounds in seconds), then the
+/// service's own families.
+fn render_metrics(state: &EngineState, svc: &dyn Service) -> String {
+    let mut w = PromWriter::new();
+    let prefix = state.family_prefix();
+    for (member, help, value) in state.transport() {
+        w.counter(&format!("{prefix}{member}_total"), help, value);
+    }
+    for (_, family, help, value) in svc.stats() {
+        if family.ends_with("_total") {
+            w.counter(family, help, value as u64);
+        } else {
+            w.gauge(family, help, value);
+        }
+    }
+    w.gauge(
+        &format!("{prefix}uptime_seconds"),
+        "Seconds since the server started.",
+        state.started.elapsed().as_secs_f64(),
+    );
+    w.histogram(
+        &format!("{prefix}request_duration_seconds"),
+        "Request service time, request parsed to response written.",
+        &state.request_hist.snapshot(),
+    );
+    w.histogram(
+        &format!("{prefix}queue_wait_seconds"),
+        "Accepted-connection wait from accept-queue enqueue to worker pickup.",
+        &state.queue_wait_hist.snapshot(),
+    );
+    svc.metrics(&mut w);
+    w.finish()
 }
 
 /// A running engine: accept thread plus worker pool, serving `svc`.
@@ -249,9 +448,36 @@ impl Engine {
     }
 }
 
+/// Writes `response` with its `X-Trace-Id` and, on a router, the
+/// header that tells a proxied response (`X-Backend`) from one the
+/// router answered itself (`X-Role: router`).
+fn write_to(
+    state: &EngineState,
+    out: &mut impl Write,
+    response: &Response,
+    close: bool,
+) -> io::Result<()> {
+    let trace = response.trace.to_string();
+    let shard = response.backend.map(|shard| shard.to_string());
+    let mut headers = vec![("X-Trace-Id", trace.as_str())];
+    match &shard {
+        Some(shard) => headers.push(("X-Backend", shard)),
+        None if state.routing() => headers.push(("X-Role", "router")),
+        None => {}
+    }
+    write_response_with(
+        out,
+        response.status,
+        &response.content_type,
+        &headers,
+        &response.body,
+        close,
+    )
+}
+
 fn accept_loop(state: &EngineState, listener: &TcpListener) {
     loop {
-        let Ok((conn, _)) = listener.accept() else {
+        let Ok((mut conn, _)) = listener.accept() else {
             continue;
         };
         if state.stop.load(Ordering::SeqCst) {
@@ -262,20 +488,7 @@ fn accept_loop(state: &EngineState, listener: &TcpListener) {
             drop(queue);
             state.stats.shed.fetch_add(1, Ordering::Relaxed);
             let response = engine_error(state, 503, "server overloaded; retry later");
-            let trace_s = response.trace.to_string();
-            let mut extra: Vec<(&str, &str)> = vec![("X-Trace-Id", &trace_s)];
-            for (name, value) in &response.headers {
-                extra.push((name, value));
-            }
-            let mut conn = conn;
-            let _ = write_response_with(
-                &mut conn,
-                response.status,
-                &response.content_type,
-                &extra,
-                &response.body,
-                true,
-            );
+            let _ = write_to(state, &mut conn, &response, true);
         } else {
             queue.push_back((conn, Instant::now()));
             drop(queue);
@@ -323,20 +536,8 @@ fn handle_connection(state: &EngineState, svc: &dyn Service, stream: TcpStream) 
 /// Writes one response, counting (and reporting) a vanished client as
 /// a write failure instead of a served request. Returns whether the
 /// connection is still usable.
-fn respond(state: &EngineState, conn: &mut Conn, response: &Response, close: bool) -> bool {
-    let trace_s = response.trace.to_string();
-    let mut extra: Vec<(&str, &str)> = vec![("X-Trace-Id", &trace_s)];
-    for (name, value) in &response.headers {
-        extra.push((name, value));
-    }
-    let written = conn.write_response_with(
-        response.status,
-        &response.content_type,
-        &extra,
-        &response.body,
-        close,
-    );
-    match written {
+fn respond(state: &EngineState, conn: &Conn, response: &Response, close: bool) -> bool {
+    match write_to(state, &mut conn.stream(), response, close) {
         Ok(()) => true,
         Err(_) => {
             state.stats.write_errors.fetch_add(1, Ordering::Relaxed);
@@ -365,14 +566,14 @@ fn serve_connection(state: &EngineState, svc: &dyn Service, stream: TcpStream) {
                     "request not received within {:?}",
                     state.cfg.request_timeout
                 );
-                respond(state, &mut conn, &engine_error(state, 408, &msg), true);
+                respond(state, &conn, &engine_error(state, 408, &msg), true);
                 return;
             }
             Err(HttpError::Malformed(msg)) => {
                 state.stats.bad_requests.fetch_add(1, Ordering::Relaxed);
                 // Framing is lost after a protocol violation: close.
                 let msg = format!("malformed request: {msg}");
-                respond(state, &mut conn, &engine_error(state, 400, &msg), true);
+                respond(state, &conn, &engine_error(state, 400, &msg), true);
                 return;
             }
             Err(HttpError::BodyTooLarge) => {
@@ -380,20 +581,20 @@ fn serve_connection(state: &EngineState, svc: &dyn Service, stream: TcpStream) {
                 // The oversized body was never read off the socket, so
                 // the next request cannot be framed: close.
                 let msg = format!("body exceeds the {} byte limit", state.cfg.max_body_bytes);
-                respond(state, &mut conn, &engine_error(state, 413, &msg), true);
+                respond(state, &conn, &engine_error(state, 413, &msg), true);
                 return;
             }
-            Err(HttpError::Io(_)) => return, // peer gone; nothing to answer
+            Err(HttpError::Io) => return, // peer gone; nothing to answer
         };
         state.stats.requests.fetch_add(1, Ordering::Relaxed);
         let t_serve = Instant::now();
-        let response = svc.route(&request);
+        let response = route(state, svc, &request);
         let shutdown_requested = request.method == "POST" && request.path == "/shutdown";
         let close = request.close
             || served == max
             || shutdown_requested
             || state.stop.load(Ordering::SeqCst);
-        let usable = respond(state, &mut conn, &response, close);
+        let usable = respond(state, &conn, &response, close);
         state.request_hist.record(t_serve.elapsed());
         if !usable {
             return;

@@ -1,5 +1,5 @@
-//! Hand-rolled HTTP/1.1, the way the bench crate hand-rolls JSON: the
-//! build container has no network, so no hyper — a blocking
+//! Hand-rolled HTTP/1.1, the way `reshuffle-obs` hand-rolls JSON: the
+//! workspace takes no external dependencies, so no hyper — a blocking
 //! request reader and response writer over [`std::net::TcpStream`] is
 //! all the service needs. Bodies are sized by `Content-Length` and
 //! bounded by the server's limit.
@@ -55,7 +55,7 @@ pub enum HttpError {
     Closed,
     /// The socket failed mid-read (peer vanished) — nothing to
     /// respond to.
-    Io(io::Error),
+    Io,
 }
 
 impl From<io::Error> for HttpError {
@@ -63,7 +63,7 @@ impl From<io::Error> for HttpError {
         if e.kind() == io::ErrorKind::TimedOut {
             HttpError::Timeout
         } else {
-            HttpError::Io(e)
+            HttpError::Io
         }
     }
 }
@@ -168,7 +168,7 @@ impl Conn {
             Err(e) if line.is_empty() => {
                 return Err(match e.kind() {
                     io::ErrorKind::TimedOut | io::ErrorKind::ConnectionReset => HttpError::Closed,
-                    _ => HttpError::Io(e),
+                    _ => HttpError::Io,
                 })
             }
             Err(e) => return Err(e.into()),
@@ -248,39 +248,9 @@ impl Conn {
         })
     }
 
-    /// Writes one response on this connection, advertising
-    /// `Connection: keep-alive` unless `close` is set.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket write failures (including a vanished peer —
-    /// `EPIPE` surfaces as an error because Rust ignores `SIGPIPE`).
-    pub fn write_response(
-        &mut self,
-        status: u16,
-        content_type: &str,
-        body: &[u8],
-        close: bool,
-    ) -> io::Result<()> {
-        self.write_response_with(status, content_type, &[], body, close)
-    }
-
-    /// Like [`Conn::write_response`], with extra response headers
-    /// (`(name, value)` pairs, e.g. `X-Trace-Id`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket write failures.
-    pub fn write_response_with(
-        &mut self,
-        status: u16,
-        content_type: &str,
-        extra: &[(&str, &str)],
-        body: &[u8],
-        close: bool,
-    ) -> io::Result<()> {
-        let mut stream = &self.reader.get_ref().stream;
-        write_response_with(&mut stream, status, content_type, extra, body, close)
+    /// The socket, for writing the response.
+    pub fn stream(&self) -> &TcpStream {
+        &self.reader.get_ref().stream
     }
 }
 
@@ -300,28 +270,14 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes one response to any sink (a [`Conn`] wraps this for its own
-/// stream; the acceptor uses it directly to shed load with 503).
+/// Writes one response — the status line, the standard headers plus
+/// `extra` (`(name, value)` pairs, e.g. `X-Trace-Id`), then the body —
+/// advertising `Connection: keep-alive` unless `close` is set.
 ///
 /// # Errors
 ///
-/// Propagates write failures.
-pub fn write_response(
-    stream: &mut impl Write,
-    status: u16,
-    content_type: &str,
-    body: &[u8],
-    close: bool,
-) -> io::Result<()> {
-    write_response_with(stream, status, content_type, &[], body, close)
-}
-
-/// [`write_response`] with extra response headers appended to the
-/// standard set.
-///
-/// # Errors
-///
-/// Propagates write failures.
+/// Propagates write failures (including a vanished peer — `EPIPE`
+/// surfaces as an error because Rust ignores `SIGPIPE`).
 pub fn write_response_with(
     stream: &mut impl Write,
     status: u16,

@@ -44,10 +44,14 @@
 //!    request, its pipeline stages and (at level 2) the per-shard BFS
 //!    work are emitted as JSON span lines sharing that id.
 //!
-//! For horizontal deployment the same binary also runs as a
+//! For horizontal deployment the same server also runs as a
 //! **fingerprint-sharded router** in front of N of these backends —
-//! see [`router`] — reusing the connection-serving engine, and
-//! exposing the same endpoint surface.
+//! [`ServerConfig::with_route`] — on the same connection-serving
+//! engine and endpoint surface: it parses each request, computes the
+//! backends' own cache key, forwards it to backend `key % N` over
+//! pooled keep-alive connections, fails over to a bounded `503`
+//! stamped `X-Role: router` when that backend is down, and answers
+//! `/stats` and `/metrics` with fleet rollups.
 //!
 //! # Endpoints
 //!
@@ -72,7 +76,7 @@ pub mod client;
 mod engine;
 mod flight;
 mod http;
-pub mod router;
+mod router;
 pub mod shard;
 
 use std::io;
@@ -80,26 +84,28 @@ use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use reshuffle::{
     run_cache_key, CscOptions, ExpansionOptions, FileStore, ImplStyle, Pipeline, PipelineOptions,
     ReduceOptions, Stage, SynthCache,
 };
-use reshuffle_bench::json::{self, Json};
+use reshuffle_obs::json::{self, Json};
 use reshuffle_obs::{FieldVal, HistSnapshot, Histogram, PromWriter, Tracer};
 use reshuffle_petri::parse_g;
 use reshuffle_sg::BuildOptions;
 
-use engine::{Engine, EngineConfig, EngineState, Response, Service};
+use engine::{error_body, Engine, EngineState, Response, Service, Stat, SynthRequest};
+use router::RouteService;
+use shard::ShardTable;
 
 pub use client::{ClientConn, ClientResponse};
 pub use flight::{FlightResult, Follower, Join, LeaderGuard, SingleFlight};
-pub use http::{write_response, write_response_with, Conn, HttpError, Request};
 pub use reshuffle_obs::{RingSink, SinkHandle, TraceId};
-pub use router::{Router, RouterConfig};
 
-/// How the service binds, pools, bounds and persists.
+/// How the service binds, pools, bounds and persists — or, with
+/// [`ServerConfig::with_route`], which backends it routes to.
 ///
 /// `#[non_exhaustive]`: build it with [`ServerConfig::new`] and the
 /// `with_*` setters.
@@ -141,8 +147,9 @@ pub struct ServerConfig {
     /// the service sheds with `503`.
     pub queue_depth: usize,
     /// Per-request budget: the absolute deadline for reading one
-    /// request (head + body — a trickling client gets `408`) and the
-    /// wait bound for coalesced followers.
+    /// request (head + body — a trickling client gets `408`), the wait
+    /// bound for coalesced followers, and a router's read timeout on
+    /// forwarded backend exchanges.
     pub request_timeout: Duration,
     /// How long a keep-alive connection may sit idle between requests
     /// before the server closes it.
@@ -152,14 +159,15 @@ pub struct ServerConfig {
     pub max_requests_per_conn: usize,
     /// Largest accepted request body.
     pub max_body_bytes: usize,
-    /// LRU bound on the synthesis cache (`None` = unbounded).
+    /// LRU bound on the synthesis cache (`None` = unbounded). Serve
+    /// mode only.
     pub cache_capacity: Option<usize>,
     /// Snapshot file the cache is loaded from at startup and saved to
-    /// at shutdown (`None` = in-memory only).
+    /// at shutdown (`None` = in-memory only). Serve mode only.
     pub cache_path: Option<PathBuf>,
     /// This backend's shard index in a sharded deployment, reported in
     /// `GET /stats` so a rollup can attribute numbers to backends
-    /// (`None` = standalone).
+    /// (`None` = standalone). Serve mode only.
     pub shard_id: Option<u64>,
     /// Trace verbosity: `0` disables tracing (one relaxed atomic load
     /// per would-be span), `1` traces requests and pipeline stages,
@@ -168,6 +176,19 @@ pub struct ServerConfig {
     pub trace_level: u8,
     /// Where span JSON lines go when tracing is on (`None` = stderr).
     pub trace_sink: Option<SinkHandle>,
+    /// Backend addresses in shard order: `Some` runs the router tier
+    /// in front of them (`key % N` indexes the list, so its order is
+    /// part of the routing contract); `None` (the default) serves
+    /// synthesis itself.
+    pub route: Option<Vec<String>>,
+    /// Route mode: total exchange attempts per forward (≥ 1);
+    /// exhausting them answers `503` with `X-Role: router`.
+    pub retries: usize,
+    /// Route mode: dial deadline for backend connections and health
+    /// probes.
+    pub connect_timeout: Duration,
+    /// Route mode: cadence of the background `/healthz` probe loop.
+    pub health_interval: Duration,
 }
 
 impl Default for ServerConfig {
@@ -188,6 +209,10 @@ impl Default for ServerConfig {
                 .and_then(|v| v.trim().parse().ok())
                 .unwrap_or(0),
             trace_sink: None,
+            route: None,
+            retries: 2,
+            connect_timeout: Duration::from_secs(1),
+            health_interval: Duration::from_millis(500),
         }
     }
 }
@@ -196,7 +221,8 @@ impl ServerConfig {
     /// The default configuration (ephemeral localhost port, pool sized
     /// by available parallelism, 64-deep queue, 30 s request timeout,
     /// 5 s keep-alive idle deadline, 128 requests per connection,
-    /// 1 MiB bodies, unbounded in-memory cache).
+    /// 1 MiB bodies, unbounded in-memory cache; in route mode 2
+    /// forward attempts, 1 s dials and 500 ms health probes).
     pub fn new() -> ServerConfig {
         ServerConfig::default()
     }
@@ -273,6 +299,35 @@ impl ServerConfig {
         self.trace_sink = Some(sink);
         self
     }
+
+    /// Runs the router tier in front of `backends` (in shard order)
+    /// instead of serving synthesis: each `POST /synthesize` is parsed
+    /// only far enough to compute the backends' own cache key
+    /// ([`reshuffle::source_cache_key`]) and forwarded to backend
+    /// `key % N`, so identical requests always meet in one backend's
+    /// flight table and cache.
+    pub fn with_route(mut self, backends: Vec<String>) -> ServerConfig {
+        self.route = Some(backends);
+        self
+    }
+
+    /// Route mode: sets the forward attempt budget (min 1).
+    pub fn with_retries(mut self, attempts: usize) -> ServerConfig {
+        self.retries = attempts.max(1);
+        self
+    }
+
+    /// Route mode: sets the backend dial deadline.
+    pub fn with_connect_timeout(mut self, timeout: Duration) -> ServerConfig {
+        self.connect_timeout = timeout;
+        self
+    }
+
+    /// Route mode: sets the health-probe cadence.
+    pub fn with_health_interval(mut self, interval: Duration) -> ServerConfig {
+        self.health_interval = interval;
+        self
+    }
 }
 
 /// Counters owned by the synthesis service (the transport counters —
@@ -280,7 +335,6 @@ impl ServerConfig {
 /// the engine).
 #[derive(Debug, Default)]
 struct SynthStats {
-    synth_requests: AtomicU64,
     executed: AtomicU64,
     coalesced: AtomicU64,
     timeouts: AtomicU64,
@@ -296,12 +350,6 @@ struct SynthStats {
 /// Number of reportable pipeline stages (the five real stages plus the
 /// `cache_hit` pseudo-stage).
 const NUM_STAGES: usize = 6;
-
-/// Accumulated wall time and run count per pipeline stage.
-#[derive(Debug, Default)]
-struct StageTotals {
-    totals: Mutex<[(u64, Duration); NUM_STAGES]>,
-}
 
 fn stage_index(stage: Stage) -> usize {
     match stage {
@@ -330,12 +378,13 @@ type SynthOutcome = Result<String, (u16, String)>;
 /// The synthesis backend: everything above the transport — the cache,
 /// the single-flight registry, the pipeline, and the ops surface.
 struct SynthService {
-    cfg: ServerConfig,
     engine: Arc<EngineState>,
     cache: SynthCache,
     flights: SingleFlight<SynthOutcome>,
     stats: SynthStats,
-    stage_totals: StageTotals,
+    /// Run count and accumulated wall time per pipeline stage,
+    /// indexed by [`stage_index`].
+    stage_totals: Mutex<[(u64, Duration); NUM_STAGES]>,
     /// Coalesced-follower wait on the in-flight leader's publication.
     flight_wait: Histogram,
     /// Per-stage pipeline wall time, indexed by [`stage_index`].
@@ -345,7 +394,7 @@ struct SynthService {
 
 impl SynthService {
     fn accumulate_stages(&self, diag: &reshuffle::Diagnostics) {
-        let mut totals = self.stage_totals.totals.lock().unwrap();
+        let mut totals = self.stage_totals.lock().expect("stage totals poisoned");
         for report in &diag.stages {
             let i = stage_index(report.stage);
             let slot = &mut totals[i];
@@ -366,11 +415,25 @@ impl SynthService {
     }
 }
 
+/// Decodes a `POST /synthesize` body into its `.g` source and
+/// [`PipelineOptions`]. Both tiers decode through this, so a router's
+/// routing key agrees with the backend's cache key. The error is the
+/// `400` message.
+pub(crate) fn decode_request(body: &[u8]) -> Result<(String, PipelineOptions), String> {
+    let request = std::str::from_utf8(body)
+        .map_err(|_| "body is not UTF-8".to_string())
+        .and_then(json::parse)
+        .map_err(|e| format!("bad JSON: {e}"))?;
+    let g = request
+        .get("g")
+        .and_then(Json::as_str)
+        .ok_or("missing string member \"g\"")?;
+    Ok((g.to_string(), options_from_json(request.get("options"))?))
+}
+
 /// Maps a request's `options` member onto [`PipelineOptions`] — the
-/// same vocabulary as the builder setters. The router parses options
-/// with this too, so its routing key agrees with the backend's cache
-/// key.
-pub(crate) fn options_from_json(spec: Option<&Json>) -> Result<PipelineOptions, String> {
+/// same vocabulary as the builder setters.
+fn options_from_json(spec: Option<&Json>) -> Result<PipelineOptions, String> {
     let mut opts = PipelineOptions::new();
     let Some(spec) = spec else {
         return Ok(opts);
@@ -456,103 +519,24 @@ fn num_field(value: &Json, what: &str) -> Result<f64, String> {
         .ok_or_else(|| format!("{what} must be a non-negative number"))
 }
 
-fn error_body(msg: &str) -> String {
-    engine::error_body(msg)
-}
-
 impl Service for SynthService {
-    fn route(&self, request: &Request) -> Response {
-        // Propagate a parseable client-supplied trace id; otherwise
-        // derive one from a fresh nonce (`/synthesize` upgrades its
-        // derived id to carry the run cache key once it has computed
-        // one).
-        let nonce = self.engine.req_seq.fetch_add(1, Ordering::Relaxed);
-        let client = request.trace_id.as_deref().and_then(TraceId::parse);
-        let trace = client.unwrap_or_else(|| TraceId::derive(0, nonce));
-        match (request.method.as_str(), request.path.as_str()) {
-            ("POST", "/synthesize") => self.handle_synthesize(&request.body, client, nonce),
-            ("GET", "/stats") => Response::json(200, self.render_stats(), trace),
-            ("GET", "/metrics") => Response {
-                status: 200,
-                content_type: "text/plain; version=0.0.4".to_string(),
-                body: self.render_metrics().into_bytes(),
-                trace,
-                headers: Vec::new(),
-            },
-            ("GET", "/healthz") => Response::json(200, Json::Str("ok".into()).render(), trace),
-            ("POST", "/shutdown") => Response::json(200, Json::Str("ok".into()).render(), trace),
-            (_, "/synthesize" | "/stats" | "/metrics" | "/healthz" | "/shutdown") => {
-                self.engine
-                    .stats
-                    .bad_requests
-                    .fetch_add(1, Ordering::Relaxed);
-                Response::json(
-                    405,
-                    error_body(&format!("{} not allowed here", request.method)),
-                    trace,
-                )
-            }
-            (_, path) => {
-                self.engine
-                    .stats
-                    .bad_requests
-                    .fetch_add(1, Ordering::Relaxed);
-                Response::json(404, error_body(&format!("no such endpoint: {path}")), trace)
-            }
-        }
-    }
-}
-
-impl SynthService {
-    fn handle_synthesize(
-        &self,
-        body: &[u8],
-        client_trace: Option<TraceId>,
-        nonce: u64,
-    ) -> Response {
-        self.stats.synth_requests.fetch_add(1, Ordering::Relaxed);
-        let bad_request = || {
-            self.engine
-                .stats
-                .bad_requests
-                .fetch_add(1, Ordering::Relaxed);
-        };
-        // Until the cache key exists, errors answer under a nonce-only
-        // id.
-        let early = client_trace.unwrap_or_else(|| TraceId::derive(0, nonce));
-        let parsed = std::str::from_utf8(body)
-            .map_err(|_| "body is not UTF-8".to_string())
-            .and_then(json::parse);
-        let request = match parsed {
-            Ok(v) => v,
-            Err(e) => {
-                bad_request();
-                return Response::json(400, error_body(&format!("bad JSON: {e}")), early);
-            }
-        };
-        let Some(g) = request.get("g").and_then(Json::as_str) else {
-            bad_request();
-            return Response::json(400, error_body("missing string member \"g\""), early);
-        };
-        let opts = match options_from_json(request.get("options")) {
-            Ok(opts) => opts,
-            Err(e) => {
-                bad_request();
-                return Response::json(400, error_body(&e), early);
-            }
-        };
-        let stg = match parse_g(g) {
+    fn synthesize(&self, request: &SynthRequest<'_>) -> Response {
+        let stg = match parse_g(&request.g) {
             Ok(stg) => stg,
-            Err(e) => return Response::json(422, error_body(&format!("parse: {e}")), early),
+            Err(e) => {
+                let body = error_body(&format!("parse: {e}"));
+                return Response::json(422, body, request.trace(0));
+            }
         };
-        let key = run_cache_key(&stg, &opts);
-        let trace = client_trace.unwrap_or_else(|| TraceId::derive(key, nonce));
+        let opts = &request.opts;
+        let key = run_cache_key(&stg, opts);
+        let trace = request.trace(key);
         let root = self.tracer.root(trace);
         let sp = root.span("request");
 
         let (status, body, coalesced) = match self.flights.join(key) {
             Join::Leader(guard) => {
-                let outcome = self.run_pipeline(key, &stg, &opts, sp.ctx());
+                let outcome = self.run_pipeline(key, &stg, opts, sp.ctx());
                 guard.publish(outcome.clone().map(|(stable, _)| stable));
                 match outcome {
                     Ok((stable, cache_hit)) => {
@@ -563,7 +547,7 @@ impl SynthService {
             }
             Join::Follower(follower) => {
                 let t_wait = Instant::now();
-                let result = follower.wait(self.cfg.request_timeout);
+                let result = follower.wait(self.engine.cfg.request_timeout);
                 self.flight_wait.record(t_wait.elapsed());
                 match result {
                     FlightResult::Done(Ok(stable)) => {
@@ -595,6 +579,157 @@ impl SynthService {
         Response::json(status, body, trace)
     }
 
+    fn stats(&self) -> Vec<Stat> {
+        let count = |c: &AtomicU64| c.load(Ordering::Relaxed) as f64;
+        let (s, cache) = (&self.stats, &self.cache);
+        vec![
+            (
+                "executed",
+                "reshuffle_synth_executed_total",
+                "Synthesize runs that executed the pipeline (cache misses).",
+                count(&s.executed),
+            ),
+            (
+                "coalesced",
+                "reshuffle_synth_coalesced_total",
+                "Synthesize requests served by another request's in-flight run.",
+                count(&s.coalesced),
+            ),
+            (
+                "timeouts",
+                "reshuffle_follower_timeouts_total",
+                "Coalesced waits that lapsed the request timeout (504).",
+                count(&s.timeouts),
+            ),
+            (
+                "in_flight",
+                "reshuffle_in_flight",
+                "Synthesize flights currently executing.",
+                self.flights.in_flight() as f64,
+            ),
+            (
+                "prereduce_places_removed",
+                "reshuffle_prereduce_places_removed_total",
+                "Places removed by structural pre-reduction before state-graph builds.",
+                count(&s.prereduce_places),
+            ),
+            (
+                "prereduce_transitions_removed",
+                "reshuffle_prereduce_transitions_removed_total",
+                "Transitions removed by structural pre-reduction (series dummy merges).",
+                count(&s.prereduce_transitions),
+            ),
+            (
+                "lattice_prefix_hits",
+                "reshuffle_lattice_prefix_hits_total",
+                "Lattice restriction products served from the shared-prefix cache.",
+                count(&s.lattice_prefix_hits),
+            ),
+            (
+                "cache.entries",
+                "reshuffle_cache_entries",
+                "Entries resident in the synthesis cache.",
+                cache.len() as f64,
+            ),
+            (
+                "cache.hits",
+                "reshuffle_cache_hits_total",
+                "Synthesis-cache hits.",
+                cache.hits() as f64,
+            ),
+            (
+                "cache.misses",
+                "reshuffle_cache_misses_total",
+                "Synthesis-cache misses.",
+                cache.misses() as f64,
+            ),
+            (
+                "cache.shared_hits",
+                "reshuffle_cache_shared_hits_total",
+                "Expansion candidates served from the shared cache.",
+                cache.shared_hits() as f64,
+            ),
+            (
+                "cache.evictions",
+                "reshuffle_cache_evictions_total",
+                "LRU evictions from the bounded cache.",
+                cache.evictions() as f64,
+            ),
+            (
+                "cache.journal_appends",
+                "reshuffle_cache_journal_appends_total",
+                "Syntheses appended to the crash journal.",
+                cache.journal_appends() as f64,
+            ),
+            (
+                "cache.journal_errors",
+                "reshuffle_cache_journal_errors_total",
+                "Failed journal appends.",
+                cache.journal_errors() as f64,
+            ),
+        ]
+    }
+
+    /// The shard id, the cache bound, and accumulated wall time per
+    /// pipeline stage.
+    fn stats_doc(&self) -> Vec<(&'static str, Json)> {
+        let totals = self.stage_totals.lock().expect("stage totals poisoned");
+        let stages = Json::Arr(
+            STAGE_NAMES
+                .iter()
+                .zip(totals.iter())
+                .filter(|(_, (runs, _))| *runs > 0)
+                .map(|(name, (runs, wall))| {
+                    Json::obj(vec![
+                        ("stage", Json::Str(name.to_string())),
+                        ("runs", Json::Num(*runs as f64)),
+                        ("wall_ms", Json::Num(wall.as_secs_f64() * 1e3)),
+                    ])
+                })
+                .collect(),
+        );
+        let num = |n: Option<u64>| n.map_or(Json::Null, |n| Json::Num(n as f64));
+        vec![
+            ("shard_id", num(self.engine.cfg.shard_id)),
+            (
+                "cache.capacity",
+                num(self.cache.capacity().map(|c| c as u64)),
+            ),
+            ("stages", stages),
+        ]
+    }
+
+    /// The shard id, the coalesced-follower wait, and per-stage
+    /// pipeline wall time.
+    fn metrics(&self, w: &mut PromWriter) {
+        if let Some(id) = self.engine.cfg.shard_id {
+            w.gauge(
+                "reshuffle_shard_id",
+                "This backend's shard index in the sharded deployment.",
+                id as f64,
+            );
+        }
+        w.histogram(
+            "reshuffle_flight_wait_seconds",
+            "Coalesced follower wait on the in-flight leader.",
+            &self.flight_wait.snapshot(),
+        );
+        let snaps: Vec<HistSnapshot> = self.stage_hists.iter().map(Histogram::snapshot).collect();
+        let labels: Vec<[(&str, &str); 1]> = STAGE_NAMES.iter().map(|n| [("stage", *n)]).collect();
+        let series: Vec<(&[(&str, &str)], &HistSnapshot)> = labels
+            .iter()
+            .zip(snaps.iter())
+            .map(|(l, snap)| (l.as_slice(), snap))
+            .collect();
+        w.histogram_family(
+            "reshuffle_stage_duration_seconds",
+            "Per-stage pipeline wall time (cache_hit is the hit path's lookup latency).",
+            &series,
+        );
+    }
+}
+
+impl SynthService {
     /// Runs the pipeline under the shared cache, returning the stable
     /// result JSON (identical for every coalesced waiter) plus whether
     /// the run was a cache hit.
@@ -643,234 +778,6 @@ impl SynthService {
         ]);
         Ok((result.render(), cache_hit))
     }
-
-    fn render_stats(&self) -> String {
-        let totals = self.stage_totals.totals.lock().unwrap();
-        let stages = Json::Arr(
-            STAGE_NAMES
-                .iter()
-                .zip(totals.iter())
-                .filter(|(_, (runs, _))| *runs > 0)
-                .map(|(name, (runs, wall))| {
-                    Json::obj(vec![
-                        ("stage", Json::Str(name.to_string())),
-                        ("runs", Json::Num(*runs as f64)),
-                        ("wall_ms", Json::Num(wall.as_secs_f64() * 1e3)),
-                    ])
-                })
-                .collect(),
-        );
-        drop(totals);
-        let stat = |counter: &AtomicU64| Json::Num(counter.load(Ordering::Relaxed) as f64);
-        let cache = &self.cache;
-        let e = &self.engine.stats;
-        Json::obj(vec![
-            ("role", Json::Str("backend".to_string())),
-            (
-                "shard_id",
-                self.cfg
-                    .shard_id
-                    .map_or(Json::Null, |id| Json::Num(id as f64)),
-            ),
-            (
-                "uptime_ms",
-                Json::Num(self.engine.started.elapsed().as_secs_f64() * 1e3),
-            ),
-            ("connections", stat(&e.connections)),
-            ("requests", stat(&e.requests)),
-            ("synth_requests", stat(&self.stats.synth_requests)),
-            ("executed", stat(&self.stats.executed)),
-            ("coalesced", stat(&self.stats.coalesced)),
-            ("shed", stat(&e.shed)),
-            ("timeouts", stat(&self.stats.timeouts)),
-            ("request_timeouts", stat(&e.request_timeouts)),
-            ("bad_requests", stat(&e.bad_requests)),
-            ("write_errors", stat(&e.write_errors)),
-            ("in_flight", Json::Num(self.flights.in_flight() as f64)),
-            (
-                "prereduce_places_removed",
-                stat(&self.stats.prereduce_places),
-            ),
-            (
-                "prereduce_transitions_removed",
-                stat(&self.stats.prereduce_transitions),
-            ),
-            ("lattice_prefix_hits", stat(&self.stats.lattice_prefix_hits)),
-            (
-                "cache",
-                Json::obj(vec![
-                    ("entries", Json::Num(cache.len() as f64)),
-                    (
-                        "capacity",
-                        cache.capacity().map_or(Json::Null, |c| Json::Num(c as f64)),
-                    ),
-                    ("hits", Json::Num(cache.hits() as f64)),
-                    ("misses", Json::Num(cache.misses() as f64)),
-                    ("shared_hits", Json::Num(cache.shared_hits() as f64)),
-                    ("evictions", Json::Num(cache.evictions() as f64)),
-                    ("journal_appends", Json::Num(cache.journal_appends() as f64)),
-                    ("journal_errors", Json::Num(cache.journal_errors() as f64)),
-                ]),
-            ),
-            ("stages", stages),
-        ])
-        .render()
-    }
-
-    /// The `GET /metrics` document: every `/stats` counter as a
-    /// Prometheus counter/gauge, plus the latency histograms
-    /// (`_bucket`/`_sum`/`_count`, bounds in seconds).
-    fn render_metrics(&self) -> String {
-        let mut w = PromWriter::new();
-        let stat = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        let e = &self.engine.stats;
-        w.counter(
-            "reshuffle_connections_total",
-            "Connections accepted.",
-            stat(&e.connections),
-        );
-        w.counter(
-            "reshuffle_requests_total",
-            "HTTP requests parsed off connections.",
-            stat(&e.requests),
-        );
-        w.counter(
-            "reshuffle_synth_requests_total",
-            "POST /synthesize requests.",
-            stat(&self.stats.synth_requests),
-        );
-        w.counter(
-            "reshuffle_synth_executed_total",
-            "Synthesize runs that executed the pipeline (cache misses).",
-            stat(&self.stats.executed),
-        );
-        w.counter(
-            "reshuffle_synth_coalesced_total",
-            "Synthesize requests served by another request's in-flight run.",
-            stat(&self.stats.coalesced),
-        );
-        w.counter(
-            "reshuffle_shed_total",
-            "Connections shed with 503 at the accept queue.",
-            stat(&e.shed),
-        );
-        w.counter(
-            "reshuffle_follower_timeouts_total",
-            "Coalesced waits that lapsed the request timeout (504).",
-            stat(&self.stats.timeouts),
-        );
-        w.counter(
-            "reshuffle_request_timeouts_total",
-            "Requests that lapsed the read deadline (408).",
-            stat(&e.request_timeouts),
-        );
-        w.counter(
-            "reshuffle_bad_requests_total",
-            "Malformed, oversized or unroutable requests.",
-            stat(&e.bad_requests),
-        );
-        w.counter(
-            "reshuffle_write_errors_total",
-            "Responses that failed to write (client gone).",
-            stat(&e.write_errors),
-        );
-        w.counter(
-            "reshuffle_prereduce_places_removed_total",
-            "Places removed by structural pre-reduction before state-graph builds.",
-            stat(&self.stats.prereduce_places),
-        );
-        w.counter(
-            "reshuffle_prereduce_transitions_removed_total",
-            "Transitions removed by structural pre-reduction (series dummy merges).",
-            stat(&self.stats.prereduce_transitions),
-        );
-        w.counter(
-            "reshuffle_lattice_prefix_hits_total",
-            "Lattice restriction products served from the shared-prefix cache.",
-            stat(&self.stats.lattice_prefix_hits),
-        );
-        let cache = &self.cache;
-        w.counter(
-            "reshuffle_cache_hits_total",
-            "Synthesis-cache hits.",
-            cache.hits(),
-        );
-        w.counter(
-            "reshuffle_cache_misses_total",
-            "Synthesis-cache misses.",
-            cache.misses(),
-        );
-        w.counter(
-            "reshuffle_cache_shared_hits_total",
-            "Expansion candidates served from the shared cache.",
-            cache.shared_hits(),
-        );
-        w.counter(
-            "reshuffle_cache_evictions_total",
-            "LRU evictions from the bounded cache.",
-            cache.evictions(),
-        );
-        w.counter(
-            "reshuffle_cache_journal_appends_total",
-            "Syntheses appended to the crash journal.",
-            cache.journal_appends(),
-        );
-        w.counter(
-            "reshuffle_cache_journal_errors_total",
-            "Failed journal appends.",
-            cache.journal_errors(),
-        );
-        w.gauge(
-            "reshuffle_cache_entries",
-            "Entries resident in the synthesis cache.",
-            cache.len() as f64,
-        );
-        w.gauge(
-            "reshuffle_in_flight",
-            "Synthesize flights currently executing.",
-            self.flights.in_flight() as f64,
-        );
-        if let Some(id) = self.cfg.shard_id {
-            w.gauge(
-                "reshuffle_shard_id",
-                "This backend's shard index in the sharded deployment.",
-                id as f64,
-            );
-        }
-        w.gauge(
-            "reshuffle_uptime_seconds",
-            "Seconds since the server started.",
-            self.engine.started.elapsed().as_secs_f64(),
-        );
-        w.histogram(
-            "reshuffle_request_duration_seconds",
-            "Request service time, request parsed to response written.",
-            &self.engine.request_hist.snapshot(),
-        );
-        w.histogram(
-            "reshuffle_queue_wait_seconds",
-            "Accepted-connection wait from accept-queue enqueue to worker pickup.",
-            &self.engine.queue_wait_hist.snapshot(),
-        );
-        w.histogram(
-            "reshuffle_flight_wait_seconds",
-            "Coalesced follower wait on the in-flight leader.",
-            &self.flight_wait.snapshot(),
-        );
-        let snaps: Vec<HistSnapshot> = self.stage_hists.iter().map(Histogram::snapshot).collect();
-        let labels: Vec<[(&str, &str); 1]> = STAGE_NAMES.iter().map(|n| [("stage", *n)]).collect();
-        let series: Vec<(&[(&str, &str)], &HistSnapshot)> = labels
-            .iter()
-            .zip(snaps.iter())
-            .map(|(l, snap)| (l.as_slice(), snap))
-            .collect();
-        w.histogram_family(
-            "reshuffle_stage_duration_seconds",
-            "Per-stage pipeline wall time (cache_hit is the hit path's lookup latency).",
-            &series,
-        );
-        w.finish()
-    }
 }
 
 fn synth_response(cache_hit: bool, coalesced: bool, stable: &str) -> String {
@@ -880,28 +787,46 @@ fn synth_response(cache_hit: bool, coalesced: bool, stable: &str) -> String {
     format!("{{\"cache_hit\":{cache_hit},\"coalesced\":{coalesced},\"result\":{stable}}}")
 }
 
-/// A running service: accept thread plus worker pool.
+/// A running server — a synthesis backend, or with
+/// [`ServerConfig::with_route`] a router: accept thread plus worker
+/// pool (and a router's health-probe loop).
 ///
 /// Start with [`Server::start`]; take the service down with
 /// [`Server::stop`] (or let a client `POST /shutdown` and pair it with
 /// [`Server::wait_for_shutdown`] + `stop`, the binary's lifecycle).
 pub struct Server {
-    svc: Arc<SynthService>,
     engine: Engine,
+    tier: Tier,
+}
+
+/// What a running server holds beyond its engine.
+enum Tier {
+    Serve(Arc<SynthService>),
+    Route(Arc<RouteService>, Option<JoinHandle<()>>),
 }
 
 impl Server {
-    /// Binds, recovers the cache (snapshot + journal replay, when a
-    /// path is configured), arms the fsync'd journal so every executed
-    /// synthesis is immediately crash-durable, and spawns the accept
-    /// thread plus worker pool.
+    /// Binds and spawns the accept thread plus worker pool. A backend
+    /// first recovers its cache (snapshot + journal replay, when a path
+    /// is configured) and arms the fsync'd journal so every executed
+    /// synthesis is immediately crash-durable; a router also starts
+    /// its background `/healthz` probe loop.
     ///
     /// # Errors
     ///
     /// Bind failures and unreadable/corrupt cache snapshots or
     /// journals (a torn final journal record — a crash mid-append —
-    /// is recovered from, not an error).
+    /// is recovered from, not an error). In route mode, an empty
+    /// backend list or a serve-only setting (cache path, cache
+    /// capacity, shard id) is [`io::ErrorKind::InvalidInput`].
     pub fn start(cfg: ServerConfig) -> io::Result<Server> {
+        let tracer = Tracer::new(
+            cfg.trace_level,
+            cfg.trace_sink.clone().unwrap_or_else(SinkHandle::stderr),
+        );
+        if cfg.route.is_some() {
+            return router::start(cfg, tracer);
+        }
         let cache = match &cfg.cache_path {
             Some(path) => {
                 let store = FileStore::new(path);
@@ -912,33 +837,22 @@ impl Server {
             None => SynthCache::new(),
         };
         cache.set_capacity(cfg.cache_capacity);
-        let tracer = Tracer::new(
-            cfg.trace_level,
-            cfg.trace_sink.clone().unwrap_or_else(SinkHandle::stderr),
-        );
-        let state = Arc::new(EngineState::new(EngineConfig {
-            addr: cfg.addr.clone(),
-            threads: cfg.threads,
-            queue_depth: cfg.queue_depth,
-            request_timeout: cfg.request_timeout,
-            idle_timeout: cfg.idle_timeout,
-            max_requests_per_conn: cfg.max_requests_per_conn,
-            max_body_bytes: cfg.max_body_bytes,
-            role: None,
-        }));
+        let state = Arc::new(EngineState::new(cfg));
         let svc = Arc::new(SynthService {
-            cfg,
             engine: state.clone(),
             cache,
             flights: SingleFlight::new(),
             stats: SynthStats::default(),
-            stage_totals: StageTotals::default(),
+            stage_totals: Mutex::default(),
             flight_wait: Histogram::new(),
             stage_hists: std::array::from_fn(|_| Histogram::new()),
             tracer,
         });
         let engine = Engine::start(state, svc.clone())?;
-        Ok(Server { svc, engine })
+        Ok(Server {
+            engine,
+            tier: Tier::Serve(svc),
+        })
     }
 
     /// The bound address (resolves `:0` to the real port).
@@ -946,9 +860,13 @@ impl Server {
         self.engine.addr()
     }
 
-    /// The service's synthesis cache.
-    pub fn cache(&self) -> &SynthCache {
-        &self.svc.cache
+    /// A router's routing table (health and per-backend counters);
+    /// `None` in serve mode.
+    pub fn shards(&self) -> Option<&ShardTable> {
+        match &self.tier {
+            Tier::Route(svc, _) => Some(&svc.table),
+            Tier::Serve(_) => None,
+        }
     }
 
     /// Blocks until a client posts `/shutdown`.
@@ -956,8 +874,8 @@ impl Server {
         self.engine.wait_for_shutdown();
     }
 
-    /// Stops accepting, drains the pool, and compacts the cache — a
-    /// fresh snapshot replacing the journal — when a path is
+    /// Stops accepting, drains the pool, and compacts a backend's
+    /// cache — a fresh snapshot replacing the journal — when a path is
     /// configured.
     ///
     /// # Errors
@@ -966,9 +884,11 @@ impl Server {
     /// (and the journal is left in place, so even a failed compaction
     /// loses nothing).
     pub fn stop(mut self) -> io::Result<()> {
-        self.engine.join();
-        if let Some(path) = &self.svc.cfg.cache_path {
-            self.svc.cache.compact_to(&FileStore::new(path))?;
+        self.join();
+        if let Tier::Serve(svc) = &self.tier {
+            if let Some(path) = &svc.engine.cfg.cache_path {
+                svc.cache.compact_to(&FileStore::new(path))?;
+            }
         }
         Ok(())
     }
@@ -978,6 +898,15 @@ impl Server {
     /// minus leaked threads): only the append-only journal survives,
     /// which is exactly what [`Server::start`] recovers from.
     pub fn abort(mut self) {
+        self.join();
+    }
+
+    fn join(&mut self) {
         self.engine.join();
+        if let Tier::Route(_, health) = &mut self.tier {
+            if let Some(health) = health.take() {
+                let _ = health.join();
+            }
+        }
     }
 }

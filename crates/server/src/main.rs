@@ -18,7 +18,7 @@ use std::process::ExitCode;
 use std::str::FromStr;
 use std::time::Duration;
 
-use reshuffle_server::{Router, RouterConfig, Server, ServerConfig};
+use reshuffle_server::{Server, ServerConfig, SinkHandle};
 
 fn usage() -> &'static str {
     "usage: reshuffle-server [--addr HOST:PORT] [--threads N] [--queue-depth N]\n\
@@ -31,12 +31,6 @@ fn usage() -> &'static str {
      \x20                       [--health-interval-ms N]"
 }
 
-/// Which tier the binary runs as, fully configured.
-enum Mode {
-    Serve(Box<ServerConfig>),
-    Route(Box<RouterConfig>),
-}
-
 fn num<T: FromStr>(flag: &str, value: &str) -> Result<T, String>
 where
     T::Err: std::fmt::Display,
@@ -44,71 +38,18 @@ where
     value.parse().map_err(|e| format!("{flag}: {e}"))
 }
 
-fn trace_sink(path: &str) -> Result<reshuffle_server::SinkHandle, String> {
-    reshuffle_server::SinkHandle::file(std::path::Path::new(path))
-        .map_err(|e| format!("--trace-file {path}: {e}"))
-}
-
-fn parse_args(args: &[String]) -> Result<Mode, String> {
-    // Every flag takes exactly one value; pair them up first so the
-    // mode switch (`--route`) can be found before dispatching.
-    let mut pairs: Vec<(&str, &str)> = Vec::new();
+/// Every flag takes exactly one value. Serve-only flags in route mode
+/// are rejected by [`Server::start`]; router-only flags without
+/// `--route` are rejected here.
+fn parse_args(args: &[String]) -> Result<ServerConfig, String> {
+    let mut cfg = ServerConfig::new();
+    let mut router_only = None;
     let mut it = args.iter();
     while let Some(flag) = it.next() {
-        let value = it
+        let v = it
             .next()
             .ok_or_else(|| format!("{flag} needs a value\n{}", usage()))?;
-        pairs.push((flag.as_str(), value.as_str()));
-    }
-    let route = pairs.iter().find(|(f, _)| *f == "--route").map(|(_, v)| *v);
-
-    if let Some(list) = route {
-        let backends: Vec<String> = list
-            .split(',')
-            .map(|s| s.trim().to_string())
-            .filter(|s| !s.is_empty())
-            .collect();
-        if backends.is_empty() {
-            return Err("--route needs a comma-separated backend list".to_string());
-        }
-        let mut cfg = RouterConfig::new(backends);
-        for (flag, v) in pairs {
-            match flag {
-                "--route" => {}
-                "--addr" => cfg = cfg.with_addr(v),
-                "--threads" => cfg = cfg.with_threads(num(flag, v)?),
-                "--queue-depth" => cfg = cfg.with_queue_depth(num(flag, v)?),
-                "--timeout-secs" => {
-                    cfg = cfg.with_request_timeout(Duration::from_secs(num(flag, v)?));
-                }
-                "--idle-timeout-secs" => {
-                    cfg = cfg.with_idle_timeout(Duration::from_secs(num(flag, v)?));
-                }
-                "--max-requests-per-conn" => cfg = cfg.with_max_requests_per_conn(num(flag, v)?),
-                "--max-body-bytes" => cfg = cfg.with_max_body_bytes(num(flag, v)?),
-                "--backend-retries" => cfg = cfg.with_retries(num(flag, v)?),
-                "--connect-timeout-ms" => {
-                    cfg = cfg.with_connect_timeout(Duration::from_millis(num(flag, v)?));
-                }
-                "--health-interval-ms" => {
-                    cfg = cfg.with_health_interval(Duration::from_millis(num(flag, v)?));
-                }
-                "--trace-level" => cfg = cfg.with_trace_level(num(flag, v)?),
-                "--trace-file" => cfg = cfg.with_trace_sink(trace_sink(v)?),
-                "--cache" | "--cache-capacity" | "--shard-id" => {
-                    return Err(format!(
-                        "`{flag}` applies to serve mode — the router holds no cache\n{}",
-                        usage()
-                    ));
-                }
-                other => return Err(format!("unknown flag `{other}`\n{}", usage())),
-            }
-        }
-        return Ok(Mode::Route(Box::new(cfg)));
-    }
-
-    let mut cfg = ServerConfig::new();
-    for (flag, v) in pairs {
+        let flag = flag.as_str();
         match flag {
             "--addr" => cfg = cfg.with_addr(v),
             "--threads" => cfg = cfg.with_threads(num(flag, v)?),
@@ -121,74 +62,79 @@ fn parse_args(args: &[String]) -> Result<Mode, String> {
             }
             "--max-requests-per-conn" => cfg = cfg.with_max_requests_per_conn(num(flag, v)?),
             "--max-body-bytes" => cfg = cfg.with_max_body_bytes(num(flag, v)?),
+            "--trace-level" => cfg = cfg.with_trace_level(num(flag, v)?),
+            "--trace-file" => {
+                let sink = SinkHandle::file(std::path::Path::new(v))
+                    .map_err(|e| format!("--trace-file {v}: {e}"))?;
+                cfg = cfg.with_trace_sink(sink);
+            }
             "--cache" => cfg = cfg.with_cache_path(v),
             "--cache-capacity" => cfg = cfg.with_cache_capacity(Some(num(flag, v)?)),
             "--shard-id" => cfg = cfg.with_shard_id(num(flag, v)?),
-            "--trace-level" => cfg = cfg.with_trace_level(num(flag, v)?),
-            "--trace-file" => cfg = cfg.with_trace_sink(trace_sink(v)?),
-            "--backend-retries" | "--connect-timeout-ms" | "--health-interval-ms" => {
-                return Err(format!(
-                    "`{flag}` applies to router mode (--route)\n{}",
-                    usage()
-                ));
+            "--route" => {
+                let backends: Vec<String> = v
+                    .split(',')
+                    .map(|s| s.trim().to_string())
+                    .filter(|s| !s.is_empty())
+                    .collect();
+                if backends.is_empty() {
+                    return Err("--route needs a comma-separated backend list".to_string());
+                }
+                cfg = cfg.with_route(backends);
+            }
+            "--backend-retries" => {
+                cfg = cfg.with_retries(num(flag, v)?);
+                router_only = Some(flag);
+            }
+            "--connect-timeout-ms" => {
+                cfg = cfg.with_connect_timeout(Duration::from_millis(num(flag, v)?));
+                router_only = Some(flag);
+            }
+            "--health-interval-ms" => {
+                cfg = cfg.with_health_interval(Duration::from_millis(num(flag, v)?));
+                router_only = Some(flag);
             }
             other => return Err(format!("unknown flag `{other}`\n{}", usage())),
         }
     }
-    Ok(Mode::Serve(Box::new(cfg)))
+    match router_only {
+        Some(flag) if cfg.route.is_none() => Err(format!(
+            "`{flag}` applies to router mode (--route)\n{}",
+            usage()
+        )),
+        _ => Ok(cfg),
+    }
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match parse_args(&args) {
-        Ok(Mode::Serve(cfg)) => {
-            let server = match Server::start(*cfg) {
-                Ok(server) => server,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            println!("reshuffle-server listening on {}", server.addr());
-            server.wait_for_shutdown();
-            match server.stop() {
-                Ok(()) => {
-                    println!("reshuffle-server: clean shutdown");
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("error during shutdown: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Ok(Mode::Route(cfg)) => {
-            let backends = cfg.backends.len();
-            let router = match Router::start(*cfg) {
-                Ok(router) => router,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            println!(
-                "reshuffle-server listening on {} (router, {backends} backends)",
-                router.addr()
-            );
-            router.wait_for_shutdown();
-            match router.stop() {
-                Ok(()) => {
-                    println!("reshuffle-server: clean shutdown");
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("error during shutdown: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
+    let cfg = match parse_args(&args) {
+        Ok(cfg) => cfg,
         Err(e) => {
             eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let mode = match &cfg.route {
+        Some(backends) => format!(" (router, {} backends)", backends.len()),
+        None => String::new(),
+    };
+    let server = match Server::start(cfg) {
+        Ok(server) => server,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    println!("reshuffle-server listening on {}{mode}", server.addr());
+    server.wait_for_shutdown();
+    match server.stop() {
+        Ok(()) => {
+            println!("reshuffle-server: clean shutdown");
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("error during shutdown: {e}");
             ExitCode::FAILURE
         }
     }

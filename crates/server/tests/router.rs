@@ -10,9 +10,9 @@ use std::time::{Duration, Instant};
 
 use reshuffle::{source_cache_key, PipelineOptions};
 use reshuffle_bench::examples::{scaled_pipeline, TOGGLE_G, XYZ_G};
-use reshuffle_bench::json::{self, Json};
+use reshuffle_obs::json::{self, Json};
 use reshuffle_server::client::{exchange_once, ClientResponse};
-use reshuffle_server::{Router, RouterConfig, Server, ServerConfig};
+use reshuffle_server::{Server, ServerConfig};
 
 fn synth_body(g: &str) -> String {
     Json::obj(vec![("g", Json::Str(g.to_string()))]).render()
@@ -58,16 +58,16 @@ fn temp_path(tag: &str) -> std::path::PathBuf {
     ))
 }
 
-fn start_fleet(n: usize) -> (Vec<Server>, Router) {
+fn start_fleet(n: usize) -> (Vec<Server>, Server) {
     let backends: Vec<Server> = (0..n)
         .map(|i| Server::start(ServerConfig::new().with_shard_id(i as u64)).unwrap())
         .collect();
     let addrs: Vec<String> = backends.iter().map(|b| b.addr().to_string()).collect();
-    let router = Router::start(RouterConfig::new(addrs)).unwrap();
+    let router = Server::start(ServerConfig::new().with_route(addrs)).unwrap();
     (backends, router)
 }
 
-fn stop_fleet(backends: Vec<Server>, router: Router) {
+fn stop_fleet(backends: Vec<Server>, router: Server) {
     router.stop().unwrap();
     for backend in backends {
         backend.stop().unwrap();
@@ -239,8 +239,9 @@ fn a_client_trace_id_spans_router_and_backend() {
     )
     .unwrap();
     let router_ring = Arc::new(RingSink::new(4096));
-    let router = Router::start(
-        RouterConfig::new(vec![backend.addr().to_string()])
+    let router = Server::start(
+        ServerConfig::new()
+            .with_route(vec![backend.addr().to_string()])
             .with_trace_level(1)
             .with_trace_sink(SinkHandle::new(router_ring.clone())),
     )
@@ -278,6 +279,20 @@ fn a_client_trace_id_spans_router_and_backend() {
 }
 
 #[test]
+fn route_mode_refuses_serve_only_settings() {
+    let route = || ServerConfig::new().with_route(vec!["127.0.0.1:9".to_string()]);
+    for cfg in [
+        ServerConfig::new().with_route(Vec::new()),
+        route().with_cache_path(temp_path("route")),
+        route().with_cache_capacity(Some(8)),
+        route().with_shard_id(0),
+    ] {
+        let err = Server::start(cfg).err().expect("route mode accepted it");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+    }
+}
+
+#[test]
 fn a_dead_backend_fails_over_to_a_bounded_503() {
     // Reserve an address that is guaranteed dead: bind, read the port,
     // drop the listener.
@@ -286,8 +301,9 @@ fn a_dead_backend_fails_over_to_a_bounded_503() {
         listener.local_addr().unwrap().to_string()
     };
     let live = Server::start(ServerConfig::new()).unwrap();
-    let router = Router::start(
-        RouterConfig::new(vec![live.addr().to_string(), dead])
+    let router = Server::start(
+        ServerConfig::new()
+            .with_route(vec![live.addr().to_string(), dead])
             .with_connect_timeout(Duration::from_millis(200))
             .with_health_interval(Duration::from_millis(100)),
     )
@@ -335,17 +351,17 @@ fn a_dead_backend_fails_over_to_a_bounded_503() {
     // The probe loop has marked the backend down by now; the routing
     // table reports it and the gauge exposes it.
     std::thread::sleep(Duration::from_millis(300));
-    assert!(router.shards().backend(0).is_up());
-    assert!(!router.shards().backend(1).is_up());
+    assert!(router.shards().unwrap().backend(0).is_up());
+    assert!(!router.shards().unwrap().backend(1).is_up());
     let text = get(&addr, "/metrics").body_str();
     assert!(
         text.contains(&format!(
             "reshuffle_backend_up{{backend=\"{}\"}} 0",
-            router.shards().backend(1).addr()
+            router.shards().unwrap().backend(1).addr()
         )),
         "{text}"
     );
-    assert_eq!(router.shards().backend(1).errors(), 1);
+    assert_eq!(router.shards().unwrap().backend(1).errors(), 1);
     router.stop().unwrap();
     live.stop().unwrap();
 }
@@ -374,7 +390,7 @@ fn resharding_from_two_to_three_backends_replays_journals() {
         })
         .collect();
     let addrs: Vec<String> = backends.iter().map(|b| b.addr().to_string()).collect();
-    let router = Router::start(RouterConfig::new(addrs)).unwrap();
+    let router = Server::start(ServerConfig::new().with_route(addrs)).unwrap();
     let addr = router.addr().to_string();
     let mut firsts = Vec::new();
     for spec in &specs {
@@ -401,7 +417,7 @@ fn resharding_from_two_to_three_backends_replays_journals() {
         })
         .collect();
     let addrs: Vec<String> = backends.iter().map(|b| b.addr().to_string()).collect();
-    let router = Router::start(RouterConfig::new(addrs)).unwrap();
+    let router = Server::start(ServerConfig::new().with_route(addrs)).unwrap();
     let addr = router.addr().to_string();
 
     // Re-request the whole corpus: zero errors, identical payloads.

@@ -10,51 +10,32 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
-use reshuffle_bench::examples::{scaled_pipeline, TOGGLE_G, XYZ_G};
-use reshuffle_bench::json::{self, Json};
+use reshuffle_bench::examples::{scaled_pipeline, PCREQ_G, TOGGLE_G, XYZ_G};
+use reshuffle_obs::json::{self, Json};
+use reshuffle_server::client::{exchange_once, ClientResponse};
 use reshuffle_server::{ClientConn, Server, ServerConfig};
 
-/// One blocking exchange over a fresh connection that asks the server
-/// to close; returns (status, head, body).
-fn exchange_full(addr: SocketAddr, raw: &str) -> (u16, String, String) {
-    let mut conn = TcpStream::connect(addr).unwrap();
-    conn.write_all(raw.as_bytes()).unwrap();
-    let mut response = String::new();
-    conn.read_to_string(&mut response).unwrap();
-    let status = response.split(' ').nth(1).unwrap().parse().unwrap();
-    let (head, body) = response.split_once("\r\n\r\n").unwrap();
-    (status, head.to_string(), body.to_string())
-}
-
-/// [`exchange_full`] without the head.
-fn exchange(addr: SocketAddr, raw: &str) -> (u16, String) {
-    let (status, _, body) = exchange_full(addr, raw);
-    (status, body)
-}
-
-/// A response header's value, case-insensitively.
-fn header(head: &str, name: &str) -> Option<String> {
-    head.lines().find_map(|line| {
-        let (n, v) = line.split_once(':')?;
-        n.eq_ignore_ascii_case(name).then(|| v.trim().to_string())
-    })
+/// One exchange over a fresh connection; `raw` should ask the server
+/// to close.
+fn exchange(addr: SocketAddr, raw: &str) -> ClientResponse {
+    exchange_once(&addr.to_string(), raw.as_bytes()).unwrap()
 }
 
 fn post(addr: SocketAddr, path: &str, body: &str) -> (u16, String) {
-    exchange(
-        addr,
-        &format!(
-            "POST {path} HTTP/1.1\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
-            body.len()
-        ),
-    )
+    let raw = format!(
+        "POST {path} HTTP/1.1\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    let response = exchange(addr, &raw);
+    (response.status, response.body_str())
 }
 
 fn get(addr: SocketAddr, path: &str) -> (u16, String) {
-    exchange(
+    let response = exchange(
         addr,
         &format!("GET {path} HTTP/1.1\r\nConnection: close\r\n\r\n"),
-    )
+    );
+    (response.status, response.body_str())
 }
 
 /// A persistent keep-alive client over the crate's shared HTTP
@@ -242,8 +223,7 @@ fn bad_requests_get_4xx() {
     assert_eq!(get(addr, "/nope").0, 404);
     assert_eq!(get(addr, "/synthesize").0, 405);
     // Raw protocol garbage.
-    let (status, _) = exchange(addr, "EHLO not-http\r\n\r\n");
-    assert_eq!(status, 400);
+    assert_eq!(exchange(addr, "EHLO not-http\r\n\r\n").status, 400);
 
     let doc = stats(addr);
     assert!(stat(&doc, "bad_requests") >= 6.0, "{}", doc.render());
@@ -375,6 +355,36 @@ fn journal_replay_survives_a_crash_with_zero_reexecutions() {
 }
 
 #[test]
+fn an_expanded_synthesis_survives_a_crash_and_replays_as_a_hit() {
+    // Expansion plus CSC insertion rewires the spec's places; the
+    // journaled STG must still parse back, or the restart fails.
+    let path = temp_path("expand");
+    let body = Json::obj(vec![
+        ("g", Json::Str(PCREQ_G.to_string())),
+        ("options", Json::obj(vec![("expand", Json::Bool(true))])),
+    ])
+    .render();
+    let server = Server::start(ServerConfig::new().with_cache_path(&path)).unwrap();
+    let (status, first) = post(server.addr(), "/synthesize", &body);
+    assert_eq!(status, 200, "{first}");
+    server.abort();
+
+    let server = Server::start(ServerConfig::new().with_cache_path(&path))
+        .expect("the journal of an expanded synthesis must recover");
+    let (status, second) = post(server.addr(), "/synthesize", &body);
+    assert_eq!(status, 200, "{second}");
+    let (first, second) = (json::parse(&first).unwrap(), json::parse(&second).unwrap());
+    assert_eq!(second.get("cache_hit"), Some(&Json::Bool(true)));
+    assert_eq!(
+        first.get("result").unwrap().render(),
+        second.get("result").unwrap().render(),
+        "the replayed synthesis drifted"
+    );
+    server.stop().unwrap();
+    std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
 fn metrics_serves_valid_prometheus_with_latency_histograms() {
     let server = Server::start(ServerConfig::new()).unwrap();
     let addr = server.addr();
@@ -384,13 +394,16 @@ fn metrics_serves_valid_prometheus_with_latency_histograms() {
     assert_eq!(post(addr, "/synthesize", &body).0, 200);
     assert_eq!(post(addr, "/synthesize", &body).0, 200);
 
-    let (status, head, text) =
-        exchange_full(addr, "GET /metrics HTTP/1.1\r\nConnection: close\r\n\r\n");
-    assert_eq!(status, 200);
+    let response = exchange(addr, "GET /metrics HTTP/1.1\r\nConnection: close\r\n\r\n");
+    assert_eq!(response.status, 200);
     assert!(
-        header(&head, "content-type").is_some_and(|ct| ct.starts_with("text/plain")),
-        "{head}"
+        response
+            .header("content-type")
+            .is_some_and(|ct| ct.starts_with("text/plain")),
+        "{:?}",
+        response.headers
     );
+    let text = response.body_str();
     let summary = reshuffle_obs::validate(&text)
         .unwrap_or_else(|e| panic!("invalid exposition: {e}\n{text}"));
     for family in [
@@ -450,15 +463,17 @@ fn every_response_echoes_a_trace_id_and_spans_share_it() {
 
     // A synthesize without a client id: the response invents one...
     let body = synth_body(XYZ_G);
-    let (status, head, _) = exchange_full(
+    let response = exchange(
         addr,
         &format!(
             "POST /synthesize HTTP/1.1\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
             body.len()
         ),
     );
-    assert_eq!(status, 200);
-    let trace = header(&head, "x-trace-id").expect("no X-Trace-Id on /synthesize");
+    assert_eq!(response.status, 200);
+    let trace = response
+        .header("x-trace-id")
+        .expect("no X-Trace-Id on /synthesize");
     assert_eq!(trace.len(), 32, "{trace}");
     assert!(trace.bytes().all(|b| b.is_ascii_hexdigit()), "{trace}");
     // ...and every span the request emitted — the request root, the
@@ -473,13 +488,13 @@ fn every_response_echoes_a_trace_id_and_spans_share_it() {
         );
     }
     for line in &lines {
-        assert!(line.contains(&trace), "span outside the trace: {line}");
+        assert!(line.contains(trace), "span outside the trace: {line}");
     }
 
     // A client-supplied parseable id is propagated verbatim.
     let supplied = "00000000000000ab00000000000000cd";
     let before = ring.lines().len();
-    let (status, head, _) = exchange_full(
+    let response = exchange(
         addr,
         &format!(
             "POST /synthesize HTTP/1.1\r\nConnection: close\r\nX-Trace-Id: {supplied}\r\n\
@@ -487,8 +502,8 @@ fn every_response_echoes_a_trace_id_and_spans_share_it() {
             body.len()
         ),
     );
-    assert_eq!(status, 200);
-    assert_eq!(header(&head, "x-trace-id").as_deref(), Some(supplied));
+    assert_eq!(response.status, 200);
+    assert_eq!(response.header("x-trace-id"), Some(supplied));
     let lines = ring.lines();
     assert!(lines.len() > before, "hit run emitted no spans");
     for line in &lines[before..] {
@@ -503,8 +518,12 @@ fn every_response_echoes_a_trace_id_and_spans_share_it() {
     );
 
     // Non-synthesize endpoints echo an id too.
-    let (_, head, _) = exchange_full(addr, "GET /stats HTTP/1.1\r\nConnection: close\r\n\r\n");
-    assert!(header(&head, "x-trace-id").is_some(), "{head}");
+    let response = exchange(addr, "GET /stats HTTP/1.1\r\nConnection: close\r\n\r\n");
+    assert!(
+        response.header("x-trace-id").is_some(),
+        "{:?}",
+        response.headers
+    );
     server.stop().unwrap();
 }
 

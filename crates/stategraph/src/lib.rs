@@ -39,7 +39,6 @@
 mod build;
 pub mod conc;
 pub mod csc;
-pub mod dot;
 pub mod er;
 mod error;
 pub mod nextstate;

@@ -5,9 +5,7 @@
 //!   others 1; PAR model: mapped network delays with comb = 1,
 //!   seq = 1.5, inputs = 3);
 //! * [`simulate`] — event-driven timed simulation with periodic
-//!   steady-state detection and causal critical-cycle extraction;
-//! * [`mcm`] — analytic maximum cycle ratio for marked graphs, used to
-//!   cross-check the simulator.
+//!   steady-state detection and causal critical-cycle extraction.
 //!
 //! # Example
 //!
@@ -31,9 +29,7 @@
 #![warn(missing_docs)]
 
 mod delay;
-pub mod mcm;
 mod sim;
 
 pub use delay::DelayModel;
-pub use mcm::{critical_transitions, is_marked_graph, max_cycle_ratio};
 pub use sim::{simulate, SimOptions, TimedRun, TimingError};

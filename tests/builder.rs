@@ -1,24 +1,21 @@
-//! Corpus-wide equivalence of the stage-typed `Pipeline` builder with
-//! the legacy free functions: for every example in
-//! `reshuffle_bench::examples` and every pipeline mode the golden
-//! suite pins, the builder — driven stage by stage *and* through the
-//! `run()` shortcut — must produce a byte-identical netlist, identical
-//! artifacts (inserted signals, serializing moves, expansion choices),
-//! and the identical golden-pin row; failures must carry the identical
-//! error message.
-//!
-//! This suite pins the deprecated wrappers' behavior, so it is the one
-//! place outside the facade allowed to call them.
-#![allow(deprecated)]
+//! Corpus-wide equivalence of the `run()` shortcut with the staged
+//! `Pipeline` chain: for every example in `reshuffle_bench::examples`
+//! and every pipeline mode the golden suite pins, both must produce a
+//! byte-identical netlist, identical artifacts (inserted signals,
+//! serializing moves, expansion choices), and the identical golden-pin
+//! row; failures must carry the identical error message. The cache
+//! suites below pin that every artifact the cache holds survives the
+//! persistence codec.
 
 mod common;
 
 use common::golden_line;
 use reshuffle::{
-    synthesize_with, Diagnostics, ExpansionOptions, Pipeline, PipelineError, PipelineOptions,
-    ReduceOptions, Stage, Synthesis,
+    canonical_fingerprint, parse_g, Diagnostics, ExpansionOptions, Pipeline, PipelineError,
+    PipelineOptions, ReduceOptions, Stage, Stg, SynthCache, Synthesis,
 };
 use reshuffle_bench::examples;
+use reshuffle_petri::write_g;
 
 /// The four pipeline modes the golden suite pins per corpus entry.
 fn modes() -> Vec<(&'static str, PipelineOptions)> {
@@ -72,23 +69,23 @@ fn assert_same(
     name: &str,
     mode: &str,
     what: &str,
-    legacy: &Result<Synthesis, PipelineError>,
+    reference: &Result<Synthesis, PipelineError>,
     other: &Result<Synthesis, PipelineError>,
 ) {
     assert_eq!(
-        golden_line(name, mode, legacy),
+        golden_line(name, mode, reference),
         golden_line(name, mode, other),
-        "{name}/{mode}: {what} drifted from the legacy pipeline"
+        "{name}/{mode}: {what} drifted from run()"
     );
-    if let (Ok(a), Ok(b)) = (legacy, other) {
+    if let (Ok(a), Ok(b)) = (reference, other) {
         assert_eq!(
             a.netlist.describe(),
             b.netlist.describe(),
             "{name}/{mode}: {what} netlist is not byte-identical"
         );
         assert_eq!(
-            reshuffle_petri::write_g(&a.stg),
-            reshuffle_petri::write_g(&b.stg),
+            write_g(&a.stg),
+            write_g(&b.stg),
             "{name}/{mode}: {what} synthesized STG drifted"
         );
         assert_eq!(
@@ -112,13 +109,11 @@ fn assert_same(
 fn builder_matches_legacy_across_the_corpus() {
     for (name, src) in examples::ALL {
         for (mode, opts) in modes() {
-            let legacy = synthesize_with(src, &opts);
             let via_run = Pipeline::from_g(src)
                 .and_then(|p| p.run(&opts))
                 .map(|done| done.into_synthesis());
-            assert_same(name, mode, "run()", &legacy, &via_run);
             let via_stages = staged(src, &opts).map(|(s, _)| s);
-            assert_same(name, mode, "staged chain", &legacy, &via_stages);
+            assert_same(name, mode, "staged chain", &via_run, &via_stages);
         }
     }
 }
@@ -177,6 +172,9 @@ fn run_with_cache_replays_every_mode_identically() {
         }
     }
     let misses_after_first = cache.misses();
+    // The second pass replays from the persisted form: every entry
+    // (final and per-candidate) must survive the snapshot codec.
+    let cache = SynthCache::from_bytes(&cache.to_bytes()).expect("snapshot must decode");
     let mut second = Vec::new();
     for (name, src) in examples::ALL {
         for (mode, opts) in modes() {
@@ -198,4 +196,43 @@ fn run_with_cache_replays_every_mode_identically() {
     );
     // Failing modes miss again (they cache nothing), successes do not.
     assert_eq!(cache.misses(), misses_after_first * 2 - first.len() as u64);
+}
+
+/// Writes `stg` as `.g`, parses it back, and asserts the canonical
+/// fingerprint survived.
+fn assert_round_trips(what: &str, stg: &Stg) {
+    let text = write_g(stg);
+    let back = parse_g(&text).unwrap_or_else(|e| panic!("{what}: {e}\n{text}"));
+    assert_eq!(
+        canonical_fingerprint(&back),
+        canonical_fingerprint(stg),
+        "{what}: the written STG is a different net\n{text}"
+    );
+}
+
+#[test]
+fn every_cached_stg_round_trips_through_the_g_writer() {
+    for (name, src) in examples::ALL {
+        for (mode, opts) in modes() {
+            let Ok(done) = Pipeline::from_g(src).unwrap().run(&opts) else {
+                continue;
+            };
+            assert_round_trips(&format!("{name}/{mode}"), &done.synthesis().stg);
+            // Every expansion candidate is cached as a standalone run
+            // of its complete STG (no pre-reduction: candidates skip
+            // it), so those runs reproduce the per-candidate entries.
+            if let Some(eopts) = &opts.expand {
+                let mut standalone = opts.clone();
+                standalone.expand = None;
+                standalone.prereduce = false;
+                let expanded = Pipeline::from_g(src).unwrap().expand(eopts).unwrap();
+                for (i, (cand, _)) in expanded.candidates().enumerate() {
+                    if let Ok(run) = Pipeline::from_stg(cand).run(&standalone) {
+                        let what = format!("{name}/{mode} candidate {i}");
+                        assert_round_trips(&what, &run.synthesis().stg);
+                    }
+                }
+            }
+        }
+    }
 }

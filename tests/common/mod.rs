@@ -6,7 +6,7 @@ use reshuffle_timing::{simulate, DelayModel, SimOptions};
 /// Renders one synthesis outcome as a golden line — the single pin
 /// format of the golden-corpus suite (`tests/pipeline.rs`) and the
 /// row the builder-equivalence suite (`tests/builder.rs`) compares
-/// against the legacy pipeline. The expand modes pin the chosen
+/// between `run()` and the staged chain. The expand modes pin the chosen
 /// ordering, literal count and cycle time — the acceptance artifacts
 /// of the Section 3 stage.
 pub fn golden_line(name: &str, mode: &str, result: &Result<Synthesis, PipelineError>) -> String {

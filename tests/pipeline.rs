@@ -14,7 +14,7 @@ use reshuffle_sg::{build_state_graph, csc::analyze_csc, props::speed_independenc
 use reshuffle_synth::{derive_all_functions, verify_against_sg, ConflictPolicy};
 use reshuffle_timing::{simulate, DelayModel, SimOptions};
 
-/// One-shot builder run, shaped like the retired `synthesize_with`.
+/// One-shot builder run: parse, then every stage `opts` selects.
 fn run(src: &str, opts: &PipelineOptions) -> reshuffle::Result<Synthesis> {
     Pipeline::from_g(src)?.run(opts).map(|d| d.into_synthesis())
 }
