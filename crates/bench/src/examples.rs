@@ -12,7 +12,10 @@
 //! it) and `creq` (both paths work; reduction is far cheaper) — and two
 //! *partial* specifications for the Section 3 handshake-expansion
 //! stage: `hslr` (a two-phase left/right channel pair) and `pcreq` (a
-//! partial `creq` whose Req/Ack channel ordering is open).
+//! partial `creq` whose Req/Ack channel ordering is open). Three
+//! generated partial families ([`pulses`], [`two_channel`], [`ring`])
+//! scale the Section 3 search; their size-3 and size-4 members are the
+//! slowest paper-path inputs.
 
 /// Two-signal toggle: the smallest closed handshake.
 pub const TOGGLE_G: &str = "\
@@ -309,6 +312,99 @@ pub fn scaled_pipeline_padded_states(n: usize) -> usize {
     2 * 4usize.pow(n as u32) + 2
 }
 
+/// A partial specification: one open channel `req`/`ack` followed by
+/// `k` output pulses `p1 .. pk`, one after the other (`concurrent =
+/// false`, model `pulsess{k}`) or forked in parallel (`pulsesc{k}`).
+/// The open return-to-zero edges can land between any of the pulses,
+/// so the lattice grows with `k`, and most reshufflings need CSC
+/// insertion.
+pub fn pulses(k: usize, concurrent: bool) -> String {
+    use std::fmt::Write as _;
+    let mut g = String::new();
+    let tag = if concurrent { "c" } else { "s" };
+    let _ = writeln!(g, ".model pulses{tag}{k}\n.inputs ack");
+    let _ = write!(g, ".outputs req");
+    for i in 1..=k {
+        let _ = write!(g, " p{i}");
+    }
+    let _ = writeln!(g, "\n.handshake req ack\n.graph\nreq~ ack~");
+    if concurrent {
+        let _ = write!(g, "ack~");
+        for i in 1..=k {
+            let _ = write!(g, " p{i}+");
+        }
+        let _ = writeln!(g);
+        for i in 1..=k {
+            let _ = writeln!(g, "p{i}+ p{i}-\np{i}- req~");
+        }
+        let _ = write!(g, ".marking {{");
+        for i in 1..=k {
+            let _ = write!(g, " <p{i}-,req~>");
+        }
+        let _ = writeln!(g, " }}\n.end");
+    } else {
+        let mut prev = "ack~".to_string();
+        for i in 1..=k {
+            let _ = writeln!(g, "{prev} p{i}+\np{i}+ p{i}-");
+            prev = format!("p{i}-");
+        }
+        let _ = writeln!(g, "{prev} req~\n.marking {{ <{prev},req~> }}\n.end");
+    }
+    g
+}
+
+/// A partial specification: a passive channel `lr`/`la` and an active
+/// channel `rr`/`ra` with `k` internal pulses `x1 .. xk` between the
+/// request coming in and the request going out (model `twochan{k}`).
+/// Two open channels give a product lattice, and the internal signals
+/// give the CSC search places to insert.
+pub fn two_channel(k: usize) -> String {
+    use std::fmt::Write as _;
+    let mut g = String::new();
+    let _ = writeln!(g, ".model twochan{k}\n.inputs lr ra\n.outputs la rr");
+    let _ = write!(g, ".internal");
+    for i in 1..=k {
+        let _ = write!(g, " x{i}");
+    }
+    let _ = writeln!(g, "\n.handshake lr la\n.handshake rr ra\n.graph");
+    let mut prev = "lr~".to_string();
+    for i in 1..=k {
+        let _ = writeln!(g, "{prev} x{i}+\nx{i}+ x{i}-");
+        prev = format!("x{i}-");
+    }
+    let _ = writeln!(g, "{prev} rr~\nrr~ ra~\nra~ la~\nla~ lr~");
+    let _ = writeln!(g, ".marking {{ <la~,lr~> }}\n.end");
+    g
+}
+
+/// A partial specification: `k` active channels `r{i}`/`a{i}` in a
+/// ring, each acknowledge starting the next request (model `ring{k}`).
+/// Every channel's return-to-zero is open at once: the widest lattice
+/// per signal.
+pub fn ring(k: usize) -> String {
+    use std::fmt::Write as _;
+    let mut g = String::new();
+    let _ = write!(g, ".model ring{k}\n.inputs");
+    for i in 1..=k {
+        let _ = write!(g, " a{i}");
+    }
+    let _ = write!(g, "\n.outputs");
+    for i in 1..=k {
+        let _ = write!(g, " r{i}");
+    }
+    let _ = writeln!(g);
+    for i in 1..=k {
+        let _ = writeln!(g, ".handshake r{i} a{i}");
+    }
+    let _ = writeln!(g, ".graph");
+    for i in 1..=k {
+        let next = i % k + 1;
+        let _ = writeln!(g, "r{i}~ a{i}~\na{i}~ r{next}~");
+    }
+    let _ = writeln!(g, ".marking {{ <a{k}~,r1~> }}\n.end");
+    g
+}
+
 /// Every example, with its name: the rows of the `tables` report.
 pub const ALL: &[(&str, &str)] = &[
     ("toggle", TOGGLE_G),
@@ -357,6 +453,27 @@ mod tests {
                 !CSC_CONFLICTED.contains(name),
                 "{name}: CSC status does not match CSC_CONFLICTED"
             );
+        }
+    }
+
+    #[test]
+    fn generated_families_are_partial_specs() {
+        assert_eq!(
+            ring(2),
+            ".model ring2\n.inputs a1 a2\n.outputs r1 r2\n.handshake r1 a1\n\
+             .handshake r2 a2\n.graph\nr1~ a1~\na1~ r2~\nr2~ a2~\na2~ r1~\n\
+             .marking { <a2~,r1~> }\n.end\n"
+        );
+        for (src, signals) in [
+            (ring(3), 6),
+            (pulses(3, false), 5),
+            (pulses(3, true), 5),
+            (two_channel(2), 6),
+        ] {
+            let stg = parse_g(&src).unwrap_or_else(|e| panic!("{e}\n{src}"));
+            assert!(stg.is_partial(), "{src}");
+            assert_eq!(stg.num_signals(), signals, "{src}");
+            build_state_graph(&stg).unwrap_or_else(|e| panic!("{e}\n{src}"));
         }
     }
 

@@ -769,6 +769,27 @@ Go- Req~
                 .any(|l| l.contains("\"name\":\"cache.lookup\"") && l.contains("\"hit\":1")),
             "{lines:#?}"
         );
+
+        // The resolve span reports the full state-graph builds the CSC
+        // search ran next to the candidates it tried.
+        let ring = Arc::new(RingSink::new(4096));
+        let tracer = Tracer::new(1, SinkHandle::new(ring.clone() as Arc<dyn Sink>));
+        let opts = PipelineOptions::new().with_expand(ExpansionOptions::default());
+        Pipeline::from_g(PCREQ_G)
+            .unwrap()
+            .with_trace(tracer.root(TraceId::derive(0x5eed, 19)))
+            .run(&opts)
+            .unwrap();
+        let resolve = ring
+            .lines()
+            .into_iter()
+            .find(|l| l.contains("\"name\":\"stage.resolve\""))
+            .expect("resolve span");
+        assert!(resolve.contains("\"tried\":"), "{resolve}");
+        assert!(
+            resolve.contains("\"rebuilt\":") && !resolve.contains("\"rebuilt\":0"),
+            "{resolve}"
+        );
     }
 
     #[test]

@@ -793,7 +793,7 @@ impl Reduced {
         self.ctx.cand_hash = mix_resolve(self.ctx.cand_hash, opts);
         let outcomes = stage_map(self.cands, |_, c| {
             if c.known_conflicts == Some(0) {
-                return Ok((c, 0));
+                return Ok((c, 0, 0));
             }
             let Candidate {
                 stg,
@@ -820,6 +820,7 @@ impl Reduced {
                         known_conflicts: Some(0),
                     },
                     0,
+                    0,
                 ));
             }
             let r =
@@ -835,15 +836,18 @@ impl Reduced {
                     known_conflicts: Some(0),
                 },
                 r.tried,
+                r.rebuilt,
             ))
         });
         enforce_live(&outcomes)?;
         let mut tried = 0usize;
+        let mut rebuilt = 0usize;
         let cands: Vec<CandResult> = outcomes
             .into_iter()
             .map(|o| {
-                o.map(|(c, t)| {
+                o.map(|(c, t, b)| {
                     tried += t;
+                    rebuilt += b;
                     c
                 })
             })
@@ -855,7 +859,10 @@ impl Reduced {
         self.ctx
             .diag
             .record(Stage::Resolve, t.elapsed(), counts, Some(tried), None);
-        sp.end(&[("tried", FieldVal::U64(tried as u64))]);
+        sp.end(&[
+            ("tried", FieldVal::U64(tried as u64)),
+            ("rebuilt", FieldVal::U64(rebuilt as u64)),
+        ]);
         Ok(Resolved {
             cands,
             ctx: self.ctx,

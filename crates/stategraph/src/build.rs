@@ -18,7 +18,7 @@ use std::collections::{HashMap, VecDeque};
 
 use reshuffle_obs::{FieldVal, SpanCtx};
 use reshuffle_petri::sharded::{self, ExploreOptions};
-use reshuffle_petri::{Marking, Polarity, ReachabilityGraph, SignalId, Stg};
+use reshuffle_petri::{Marking, Polarity, ReachabilityGraph, Signal, SignalId, Stg};
 
 use crate::error::{Result, SgError};
 use crate::sg::{EventId, EventInfo, StateGraph};
@@ -387,13 +387,6 @@ pub fn build_state_graph_stats(stg: &Stg, opts: &BuildOptions) -> Result<(StateG
     // Assemble the CSR arrays directly: codes, flat arcs (already in
     // ascending event order — reachability arcs fire transitions in id
     // order), and markings interned by reachability node.
-    let events: Vec<EventInfo> = stg
-        .transitions()
-        .map(|t| EventInfo {
-            label: stg.transition_name(t).to_string(),
-            edge: stg.edge_of(t),
-        })
-        .collect();
     let n = explored.keys.len();
     let num_arcs = explored.num_arcs();
     let mut codes = Vec::with_capacity(n);
@@ -417,9 +410,6 @@ pub fn build_state_graph_stats(stg: &Stg, opts: &BuildOptions) -> Result<(StateG
         });
         marking_ids.push(mid);
     }
-    let signals = (0..stg.num_signals())
-        .map(|i| stg.signal(SignalId::from_index(i)).clone())
-        .collect();
     let stats = BuildStats {
         states: n,
         arcs: num_arcs,
@@ -429,8 +419,8 @@ pub fn build_state_graph_stats(stg: &Stg, opts: &BuildOptions) -> Result<(StateG
     };
     let sg = StateGraph::from_csr(
         stg.name.clone(),
-        signals,
-        events,
+        signal_table(stg),
+        event_table(stg),
         codes,
         succ_offsets,
         arc_events,
@@ -440,6 +430,24 @@ pub fn build_state_graph_stats(stg: &Stg, opts: &BuildOptions) -> Result<(StateG
         0,
     )?;
     Ok((sg, stats))
+}
+
+/// The signal table of a state graph built from `stg`.
+pub(crate) fn signal_table(stg: &Stg) -> Vec<Signal> {
+    (0..stg.num_signals())
+        .map(|i| stg.signal(SignalId::from_index(i)).clone())
+        .collect()
+}
+
+/// The event table of a state graph built from `stg`: one event per
+/// transition, in transition order.
+pub(crate) fn event_table(stg: &Stg) -> Vec<EventInfo> {
+    stg.transitions()
+        .map(|t| EventInfo {
+            label: stg.transition_name(t).to_string(),
+            edge: stg.edge_of(t),
+        })
+        .collect()
 }
 
 /// Re-derives event labels of an [`Stg`] for a state graph built from it

@@ -11,7 +11,8 @@
 //! * [`csc`] — Unique/Complete State Coding conflict detection;
 //! * [`er`] — excitation regions and their minimal states;
 //! * [`conc`] — the concurrency relation (state diamonds);
-//! * [`restrict`] — incremental re-derivation after serializing rewrites;
+//! * [`restrict`] — incremental re-derivation after serializing rewrites
+//!   and CSC series insertions;
 //! * [`nextstate`] — implied-value tables feeding logic synthesis.
 //!
 //! # Example

@@ -1,18 +1,27 @@
 //! CSC resolution by state-signal insertion.
 //!
 //! petrify resolves CSC with region-based bisection of the state graph;
-//! we implement the documented substitution (DESIGN.md, substitution 3):
-//! a search over STG-level *serial transition insertions*. A candidate
-//! inserts `csc_k+` in series after event `x` and `csc_k-` after event
-//! `y` (never delaying input transitions); it is kept if the resulting
-//! STG is consistent, speed-independent, interface-preserving by
-//! construction, and strictly reduces the number of CSC conflicts.
-//! Candidates are ranked by (remaining conflicts, literal estimate).
+//! this crate substitutes a search over STG-level *serial transition
+//! insertions*. A candidate inserts `csc_k+` in series after event `x`
+//! and `csc_k-` after event `y` (never delaying input transitions); it
+//! is kept if the resulting STG is consistent, speed-independent,
+//! interface-preserving by construction, and strictly reduces the
+//! number of CSC conflicts. Candidates are ranked by (remaining
+//! conflicts, literal estimate).
+//!
+//! Each candidate's state graph is derived from its parent's by
+//! [`insert_series_pair`], a product with a small automaton, instead
+//! of being built from scratch; only each round's winner is built in
+//! full, so the returned STG and graph are exactly what a from-scratch
+//! search would return. A parent with toggle edges unfolds
+//! `(marking, parity)` pairs, which the product does not model, so its
+//! candidates are all built in full.
 
 use reshuffle_petri::structural::insert_series_transition;
 use reshuffle_petri::{Polarity, SignalKind, Stg, TransitionId};
 use reshuffle_sg::csc::{analyze_csc, CscReport};
 use reshuffle_sg::props::speed_independence;
+use reshuffle_sg::restrict::insert_series_pair;
 use reshuffle_sg::{build_state_graph, StateGraph};
 
 use crate::error::{Result, SynthError};
@@ -31,6 +40,9 @@ pub struct CscResolution {
     /// search-effort counter the facade surfaces as resolve-stage
     /// diagnostics (0 when the input already had CSC).
     pub tried: usize,
+    /// Full state-graph builds the search ran: one per round winner,
+    /// plus every candidate of a parent with toggle edges.
+    pub rebuilt: usize,
 }
 
 /// Options controlling the insertion search.
@@ -58,7 +70,8 @@ impl Default for CscOptions {
 /// # Errors
 ///
 /// * [`SynthError::Sg`] if the input STG cannot be built into a state
-///   graph at all;
+///   graph at all, or if a round winner's full build fails where its
+///   derived graph succeeded (a defect in the derivation);
 /// * [`SynthError::CscResolutionFailed`] if no insertion reduces the
 ///   conflict count or the signal budget is exhausted.
 pub fn resolve_csc(stg: &Stg, opts: &CscOptions) -> Result<CscResolution> {
@@ -97,6 +110,7 @@ pub fn resolve_csc_analyzed(
     let mut conflicts = analysis.num_csc_conflicts();
     let mut inserted: Vec<String> = Vec::new();
     let mut tried = 0usize;
+    let mut rebuilt = 0usize;
     loop {
         if conflicts == 0 {
             return Ok(CscResolution {
@@ -104,6 +118,7 @@ pub fn resolve_csc_analyzed(
                 sg,
                 inserted,
                 tried,
+                rebuilt,
             });
         }
         if inserted.len() >= opts.max_signals {
@@ -113,9 +128,10 @@ pub fn resolve_csc_analyzed(
             });
         }
         let name = format!("csc{}", inserted.len());
-        let (best, round_tried) = best_insertion(&current, &name, conflicts, opts);
-        tried += round_tried;
-        match best {
+        let round = best_insertion(&current, &sg, &name, conflicts, opts)?;
+        tried += round.tried;
+        rebuilt += round.rebuilt;
+        match round.best {
             Some((stg2, sg2, remaining)) => {
                 current = stg2;
                 sg = sg2;
@@ -132,29 +148,52 @@ pub fn resolve_csc_analyzed(
     }
 }
 
-/// Tries every (x, y) insertion pair; returns the best strictly-improving
-/// candidate together with its remaining conflict count (so the caller
-/// never re-analyzes the graph it picked), plus the number of feasible
-/// candidates evaluated this round.
+/// One round of the insertion search.
+struct Round {
+    /// The winning candidate, its full state graph and its remaining
+    /// conflict count (so the caller never re-analyzes it).
+    best: Option<(Stg, StateGraph, usize)>,
+    /// Feasible candidates evaluated.
+    tried: usize,
+    /// Full state-graph builds run.
+    rebuilt: usize,
+}
+
+/// Tries every (x, y) insertion pair on `stg`, whose state graph is
+/// `sg`; returns the best strictly-improving candidate.
+///
+/// # Errors
+///
+/// [`SynthError::Sg`] if the winner's full build fails where its
+/// derived graph succeeded — a defect in the derivation.
 fn best_insertion(
     stg: &Stg,
+    sg: &StateGraph,
     signal_name: &str,
     current_conflicts: usize,
     opts: &CscOptions,
-) -> (Option<(Stg, StateGraph, usize)>, usize) {
+) -> Result<Round> {
     let transitions: Vec<TransitionId> = stg.transitions().collect();
+    let full_builds = stg.has_toggle_transitions();
     // Phase 1: collect feasible candidates with their conflict counts.
     let mut tried = 0usize;
+    let mut rebuilt = 0usize;
     let mut feasible: Vec<(usize, Stg, StateGraph)> = Vec::new();
     for &tx in &transitions {
         for &ty in &transitions {
             if tx == ty {
                 continue;
             }
-            let Some(cand) = try_insertion(stg, signal_name, tx, ty) else {
+            let Some((cand, rise, fall)) = try_insertion(stg, signal_name, tx, ty) else {
                 continue;
             };
-            let Ok(sg2) = build_state_graph(&cand) else {
+            let built = if full_builds {
+                rebuilt += 1;
+                build_state_graph(&cand)
+            } else {
+                insert_series_pair(sg, &cand, rise, fall)
+            };
+            let Ok(sg2) = built else {
                 continue;
             };
             if !speed_independence(&sg2).is_speed_independent() {
@@ -167,33 +206,47 @@ fn best_insertion(
             }
         }
     }
-    if feasible.is_empty() {
-        return (None, tried);
-    }
     // Phase 2: among the least-conflict pool, rank by literal estimate.
     feasible.sort_by_key(|(c, _, _)| *c);
-    let best_c = feasible[0].0;
-    let pool: Vec<(usize, Stg, StateGraph)> = feasible
+    let best_c = feasible.first().map(|(c, _, _)| *c);
+    let winner = feasible
         .into_iter()
-        .filter(|(c, _, _)| *c == best_c)
+        .filter(|(c, _, _)| Some(*c) == best_c)
         .take(opts.rank_pool)
-        .collect();
-    let best = pool
-        .into_iter()
-        .min_by_key(|(_, _, sg2)| literal_estimate(sg2))
-        .map(|(c, stg2, sg2)| (stg2, sg2, c));
-    (best, tried)
+        .min_by_key(|(_, _, sg2)| literal_estimate(sg2));
+    // The winner's graph is rebuilt in full: it carries markings, and
+    // the result is what a from-scratch search returns.
+    let best = match winner {
+        Some((c, cand, sg2)) if full_builds => Some((cand, sg2, c)),
+        Some((c, cand, _)) => {
+            rebuilt += 1;
+            let full = build_state_graph(&cand)?;
+            Some((cand, full, c))
+        }
+        None => None,
+    };
+    Ok(Round {
+        best,
+        tried,
+        rebuilt,
+    })
 }
 
 /// Builds the candidate STG with `name+` inserted after `tx` and `name-`
-/// after `ty`; `None` if the structural insertion is infeasible.
-fn try_insertion(stg: &Stg, name: &str, tx: TransitionId, ty: TransitionId) -> Option<Stg> {
+/// after `ty`, returning it with the two inserted transitions; `None` if
+/// the structural insertion is infeasible.
+fn try_insertion(
+    stg: &Stg,
+    name: &str,
+    tx: TransitionId,
+    ty: TransitionId,
+) -> Option<(Stg, TransitionId, TransitionId)> {
     let mut cand = stg.clone();
     let sig = cand.add_signal(name, SignalKind::Internal).ok()?;
     let not_input = |g: &Stg, t: TransitionId| !g.is_input_transition(t);
-    insert_series_transition(&mut cand, tx, sig, Polarity::Rise, not_input).ok()?;
-    insert_series_transition(&mut cand, ty, sig, Polarity::Fall, not_input).ok()?;
-    Some(cand)
+    let rise = insert_series_transition(&mut cand, tx, sig, Polarity::Rise, not_input).ok()?;
+    let fall = insert_series_transition(&mut cand, ty, sig, Polarity::Fall, not_input).ok()?;
+    Some((cand, rise, fall))
 }
 
 #[cfg(test)]

@@ -7,7 +7,8 @@
 //!
 //! * [`derive_all_functions`] / [`literal_estimate`] — next-state logic
 //!   (the estimate also drives the concurrency-reduction cost function);
-//! * [`resolve_csc`] — state-signal insertion (DESIGN.md substitution 3);
+//! * [`resolve_csc`] — state-signal insertion (STG-level series
+//!   insertion in place of petrify's regions; see its module docs);
 //! * [`synthesize_complex_gates`] — complex-gate style (Fig. 3(d));
 //! * [`synthesize_gc`] — generalized-C style (Fig. 3(c));
 //! * [`Library`]/[`Netlist`] — gate library, mapped circuits, area and

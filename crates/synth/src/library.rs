@@ -1,10 +1,9 @@
 //! The gate library: areas and delays used for technology mapping.
 //!
 //! The paper reports areas "in units" of its standard-cell library and
-//! never publishes the cells; we define our own library with areas
-//! roughly proportional to transistor counts (documented in DESIGN.md,
-//! substitution 1). Experiments compare *ratios* between
-//! implementations, which are library-stable.
+//! never publishes the cells; this library substitutes areas roughly
+//! proportional to transistor counts. Experiments compare *ratios*
+//! between implementations, which are library-stable.
 
 /// Combinational and sequential primitives available to the mapper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
