@@ -7,10 +7,9 @@
 //! asserts that both thread counts produce fingerprint-identical
 //! graphs (the determinism guarantee the golden corpus relies on).
 //!
-//! The hand-rolled measurement loop (instead of [`reshuffle_bench::report`])
-//! keeps the large builds to a few runs each — calibrating an
-//! iteration count against a second-long build would multiply the
-//! bench's runtime for no extra signal.
+//! The measurement loop keeps the large builds to a few runs each —
+//! calibrating an iteration count against a second-long build would
+//! multiply the bench's runtime for no extra signal.
 //!
 //! A second section reports what *structural pre-reduction* buys before
 //! the build ever runs: the dummy-padded scaled variant's raw state

@@ -61,10 +61,6 @@ pub struct StageReport {
     pub states: Option<usize>,
     /// Arcs of that state graph.
     pub arcs: Option<usize>,
-    /// Distinct interned markings of that state graph (absent for
-    /// graphs derived without markings, e.g. after a serializing
-    /// rewrite).
-    pub interned_markings: Option<usize>,
     /// Peak breadth-first frontier of the stage's state-graph build —
     /// only present when the stage actually explored a net (the
     /// expansion/completeness gate), not when it transformed an
@@ -98,8 +94,8 @@ pub struct Diagnostics {
     /// specifications.
     pub shared_candidate_hits: u64,
     /// Places removed by structural pre-reduction before the state
-    /// graph was built (0 when the pass was disabled, skipped, or found
-    /// nothing).
+    /// graph was built (0 when the pass was skipped — partial
+    /// specifications and pre-built graphs — or found nothing).
     pub prereduce_places_removed: u64,
     /// Transitions (series dummies) removed by structural pre-reduction.
     pub prereduce_transitions_removed: u64,
@@ -131,9 +127,6 @@ impl Diagnostics {
             }
             if let Some(n) = r.arcs {
                 let _ = write!(out, "  arcs {n}");
-            }
-            if let Some(n) = r.interned_markings {
-                let _ = write!(out, "  markings {n}");
             }
             if let Some(n) = r.peak_frontier {
                 let _ = write!(out, "  frontier {n}");
@@ -199,7 +192,6 @@ impl Diagnostics {
             wall,
             states: sg.states,
             arcs: sg.arcs,
-            interned_markings: sg.interned_markings,
             peak_frontier: sg.peak_frontier,
             candidates,
             pruned,
@@ -214,7 +206,6 @@ impl Diagnostics {
 pub(crate) struct SgCounts {
     pub states: Option<usize>,
     pub arcs: Option<usize>,
-    pub interned_markings: Option<usize>,
     pub peak_frontier: Option<usize>,
 }
 
@@ -224,7 +215,6 @@ impl SgCounts {
         SgCounts {
             states: Some(sg.num_states()),
             arcs: Some(sg.num_arcs()),
-            interned_markings: (sg.num_interned_markings() > 0).then(|| sg.num_interned_markings()),
             peak_frontier: None,
         }
     }
@@ -234,7 +224,6 @@ impl SgCounts {
         SgCounts {
             states: Some(stats.states),
             arcs: Some(stats.arcs),
-            interned_markings: Some(stats.interned_markings),
             peak_frontier: Some(stats.peak_frontier),
         }
     }
@@ -254,7 +243,6 @@ mod tests {
             Some(SgCounts {
                 states: Some(6),
                 arcs: Some(9),
-                interned_markings: Some(5),
                 peak_frontier: Some(2),
             }),
             Some(4),
@@ -264,7 +252,6 @@ mod tests {
         assert_eq!(expand.candidates, Some(4));
         assert_eq!(expand.states, Some(6));
         assert_eq!(expand.arcs, Some(9));
-        assert_eq!(expand.interned_markings, Some(5));
         assert_eq!(expand.peak_frontier, Some(2));
         assert!(d.stage(Stage::Reduce).is_none());
         assert_eq!(d.total_wall(), Duration::from_micros(40));
@@ -272,7 +259,6 @@ mod tests {
         assert!(s.contains("expand"), "{s}");
         assert!(s.contains("candidates 4"), "{s}");
         assert!(s.contains("arcs 9"), "{s}");
-        assert!(s.contains("markings 5"), "{s}");
         assert!(s.contains("frontier 2"), "{s}");
         assert!(!s.contains("cache"), "{s}");
         d.cache_hits = 1;

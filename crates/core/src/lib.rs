@@ -222,6 +222,12 @@ pub enum ImplStyle {
 /// switches, so the one-shot run, the staged chain, and the
 /// `reshuffle-server` request schema share one option vocabulary.
 ///
+/// Complete specifications are always structurally pre-reduced before
+/// their state graph is built ([`petri::structural::prereduce`]):
+/// duplicate/shortcut/self-loop place elimination and series-dummy
+/// merging shrink the net without changing its behaviour. Partial
+/// specifications are never touched.
+///
 /// The struct is `#[non_exhaustive]`: build it with
 /// [`PipelineOptions::new`] (or `default()`) and the `with_*` setters,
 /// which keeps adding a stage a non-breaking change.
@@ -239,12 +245,6 @@ pub enum ImplStyle {
 pub struct PipelineOptions {
     /// Implementation style (complex gate by default).
     pub style: ImplStyle,
-    /// Structural pre-reduction of complete specifications at the
-    /// parse boundary (on by default): duplicate/shortcut/self-loop
-    /// place elimination and series-dummy merging shrink the net before
-    /// its state graph is ever built. Partial specifications are never
-    /// touched. See [`petri::structural::prereduce`].
-    pub prereduce: bool,
     /// Cap on explored states per state-graph build
     /// ([`petri::DEFAULT_STATE_BUDGET`] by default). Not part of the
     /// cache key: it bounds work, it does not change the artifact.
@@ -271,7 +271,6 @@ impl Default for PipelineOptions {
     fn default() -> PipelineOptions {
         PipelineOptions {
             style: ImplStyle::default(),
-            prereduce: true,
             state_budget: petri::DEFAULT_STATE_BUDGET,
             expand: None,
             reduce: None,
@@ -283,15 +282,9 @@ impl Default for PipelineOptions {
 
 impl PipelineOptions {
     /// The default pipeline: no expansion, no reduction, default CSC
-    /// search, complex-gate style, pre-reduction and verification on.
+    /// search, complex-gate style, verification on.
     pub fn new() -> PipelineOptions {
         PipelineOptions::default()
-    }
-
-    /// Enables or disables structural pre-reduction (on by default).
-    pub fn with_prereduce(mut self, enabled: bool) -> PipelineOptions {
-        self.prereduce = enabled;
-        self
     }
 
     /// Replaces the per-build explored-state cap.
@@ -771,7 +764,9 @@ Go- Req~
         );
 
         // The resolve span reports the full state-graph builds the CSC
-        // search ran next to the candidates it tried.
+        // search ran next to the candidates it tried. pcreq's expanded
+        // parents have no toggle edges, so every candidate graph is
+        // derived and none is built in full.
         let ring = Arc::new(RingSink::new(4096));
         let tracer = Tracer::new(1, SinkHandle::new(ring.clone() as Arc<dyn Sink>));
         let opts = PipelineOptions::new().with_expand(ExpansionOptions::default());
@@ -786,10 +781,7 @@ Go- Req~
             .find(|l| l.contains("\"name\":\"stage.resolve\""))
             .expect("resolve span");
         assert!(resolve.contains("\"tried\":"), "{resolve}");
-        assert!(
-            resolve.contains("\"rebuilt\":") && !resolve.contains("\"rebuilt\":0"),
-            "{resolve}"
-        );
+        assert!(resolve.contains("\"rebuilt\":0"), "{resolve}");
     }
 
     #[test]
@@ -978,9 +970,14 @@ Go- Req~
         // An empty store loads as an empty cache; corrupt bytes error.
         assert!(SynthCache::load_from(&MemStore::new()).unwrap().is_empty());
         assert!(SynthCache::from_bytes(b"not a snapshot").is_err());
-        let mut wrong_version = bytes.clone();
-        wrong_version[4] = 0xFF;
-        assert!(SynthCache::from_bytes(&wrong_version).is_err());
+        // Version 1 (per-state markings) and unknown versions are
+        // rejected, not misread.
+        for version in [1u32, 0xFF] {
+            let mut wrong_version = bytes.clone();
+            wrong_version[4..8].copy_from_slice(&version.to_le_bytes());
+            let err = SynthCache::from_bytes(&wrong_version).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        }
         let mut truncated = bytes.clone();
         truncated.pop();
         assert!(SynthCache::from_bytes(&truncated).is_err());
@@ -1098,6 +1095,14 @@ Go- Req~
         let err = SynthCache::recover(&corrupt).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
 
+        // So is a version-1 record (per-state markings).
+        let old = MemStore::new();
+        let mut bytes = record.clone();
+        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        old.append(&bytes).unwrap();
+        let err = SynthCache::recover(&old).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+
         // Foreign magic is rejected too.
         let foreign = MemStore::new();
         let mut bytes = record.clone();
@@ -1206,9 +1211,7 @@ Go- Req~
             "expand+reduce option trail drifted"
         );
 
-        // Every switch lands in the key — including the prereduce flag
-        // (a pipeline that rebuilt a different net must not collide
-        // with one that synthesized the verbatim input).
+        // Every switch lands in the key.
         let keys = [
             run_cache_key(&spec, &PipelineOptions::default()),
             run_cache_key(&spec, &full),
@@ -1217,7 +1220,6 @@ Go- Req~
                 &PipelineOptions::new().with_style(ImplStyle::GeneralizedC),
             ),
             run_cache_key(&spec, &PipelineOptions::new().with_skip_verify(true)),
-            run_cache_key(&spec, &PipelineOptions::new().with_prereduce(false)),
         ];
         // The state budget bounds work without changing the artifact,
         // so it must NOT move the key.

@@ -139,7 +139,6 @@ impl Pipeline {
                 cand_hash: 0,
                 delays: (2.0, 1.0),
                 selecting: false,
-                prereduce: true,
                 state_budget: DEFAULT_STATE_BUDGET,
                 diag: Diagnostics::default(),
                 cache: None,
@@ -169,9 +168,6 @@ struct Ctx {
     /// True when several expansion candidates are still pending the
     /// ranked selection (per-candidate failures are soft until then).
     selecting: bool,
-    /// Structural pre-reduction at the expansion/completeness gate
-    /// (committed into the option trail by that transition).
-    prereduce: bool,
     /// Explored-state cap for state-graph builds the pipeline runs.
     state_budget: usize,
     diag: Diagnostics,
@@ -275,8 +271,10 @@ fn gate_speed_independence(sg: &StateGraph) -> Result<()> {
 // from a flat `PipelineOptions`, so `run()` can test the cache *before*
 // doing any work while a manual chain arrives at the identical key.
 
-fn mix_prereduce(h: u64, enabled: bool) -> u64 {
-    mix(h, "prereduce", &[enabled as u64])
+/// Structural pre-reduction always runs at the expansion/completeness
+/// gate; its tag stays in the trail, so run keys are stable.
+fn mix_prereduce(h: u64) -> u64 {
+    mix(h, "prereduce", &[1])
 }
 
 fn mix_expand(h: u64, opts: Option<&ExpansionOptions>) -> u64 {
@@ -323,7 +321,7 @@ fn mix_synthesize(h: u64, style: ImplStyle, verify: bool) -> u64 {
 /// The cache key a [`Parsed::run`] with these options will use.
 fn options_key(spec_fp: u64, opts: &PipelineOptions) -> u64 {
     let mut h = 0u64;
-    h = mix_prereduce(h, opts.prereduce);
+    h = mix_prereduce(h);
     h = mix_expand(h, opts.expand.as_ref());
     h = mix_reduce(h, opts.reduce.as_ref());
     h = mix_resolve(h, &opts.csc);
@@ -403,24 +401,6 @@ impl Parsed {
         self
     }
 
-    /// Enables or disables structural pre-reduction at the
-    /// expansion/completeness gate (on by default; the flag is part of
-    /// the option trail either way). See
-    /// [`prereduce`](reshuffle_petri::structural::prereduce).
-    pub fn with_prereduce(mut self, enabled: bool) -> Parsed {
-        self.ctx.prereduce = enabled;
-        self
-    }
-
-    /// Replaces the explored-state cap for state-graph builds this
-    /// chain runs ([`DEFAULT_STATE_BUDGET`] by default). Not part of
-    /// the option trail: the budget bounds work, it does not change
-    /// the artifact.
-    pub fn with_state_budget(mut self, budget: usize) -> Parsed {
-        self.ctx.state_budget = budget;
-        self
-    }
-
     /// Certifies the specification complete and enters the expansion
     /// stage as a no-op: the only way past this point without
     /// committing expansion options.
@@ -433,7 +413,7 @@ impl Parsed {
     /// * [`PipelineError::NotSpeedIndependent`] when it violates speed
     ///   independence.
     pub fn complete(mut self) -> Result<Expanded> {
-        self.ctx.opts_hash = mix_prereduce(self.ctx.opts_hash, self.ctx.prereduce);
+        self.ctx.opts_hash = mix_prereduce(self.ctx.opts_hash);
         self.ctx.opts_hash = mix_expand(self.ctx.opts_hash, None);
         self.complete_inner()
     }
@@ -456,11 +436,9 @@ impl Parsed {
                 (sg, counts)
             }
             None => {
-                if self.ctx.prereduce {
-                    let stats = prereduce(&mut self.stg)?;
-                    self.ctx.diag.prereduce_places_removed += stats.places_removed as u64;
-                    self.ctx.diag.prereduce_transitions_removed += stats.transitions_removed as u64;
-                }
+                let stats = prereduce(&mut self.stg)?;
+                self.ctx.diag.prereduce_places_removed += stats.places_removed as u64;
+                self.ctx.diag.prereduce_transitions_removed += stats.transitions_removed as u64;
                 let build_opts = BuildOptions {
                     state_budget: self.ctx.state_budget,
                     ..Default::default()
@@ -473,7 +451,7 @@ impl Parsed {
         gate_speed_independence(&sg)?;
         let mut ctx = self.ctx;
         ctx.selecting = false;
-        ctx.cand_hash = mix_expand(mix_prereduce(0, ctx.prereduce), None);
+        ctx.cand_hash = mix_expand(mix_prereduce(0), None);
         ctx.diag
             .record(Stage::Expand, t.elapsed(), Some(counts), Some(1), Some(0));
         sp.end(&[
@@ -507,7 +485,7 @@ impl Parsed {
     ///   channels, no feasible reshuffling);
     /// * the [`Parsed::complete`] errors for complete inputs.
     pub fn expand(mut self, opts: &ExpansionOptions) -> Result<Expanded> {
-        self.ctx.opts_hash = mix_prereduce(self.ctx.opts_hash, self.ctx.prereduce);
+        self.ctx.opts_hash = mix_prereduce(self.ctx.opts_hash);
         self.ctx.opts_hash = mix_expand(self.ctx.opts_hash, Some(opts));
         if !self.stg.is_partial() {
             // Identity on complete specifications — the trail above
@@ -548,7 +526,7 @@ impl Parsed {
         let mut ctx = self.ctx;
         ctx.selecting = true;
         // Candidates continue as complete specifications from here on.
-        ctx.cand_hash = mix_expand(mix_prereduce(0, ctx.prereduce), None);
+        ctx.cand_hash = mix_expand(mix_prereduce(0), None);
         ctx.diag.record(
             Stage::Expand,
             t.elapsed(),
@@ -573,7 +551,6 @@ impl Parsed {
     ///
     /// Any stage failure, tagged by [`PipelineError`] variant.
     pub fn run(mut self, opts: &PipelineOptions) -> Result<Synthesized> {
-        self.ctx.prereduce = opts.prereduce;
         self.ctx.state_budget = opts.state_budget;
         let cache = self.ctx.cache.take();
         let key = options_key(self.ctx.spec_fp, opts);

@@ -6,8 +6,8 @@
 //! no network, so no serde): little-endian scalars, length-prefixed
 //! strings, and structural records for each cached
 //! [`Synthesis`](crate::Synthesis) — the STG as canonical `.g` text
-//! (the round-trip-pinned writer), the CSR state graph as its raw
-//! parts, and the netlist as its node table. Entries are written
+//! (the round-trip-pinned writer), the state graph as its codes and
+//! arcs, and the netlist as its node table. Entries are written
 //! sorted by cache key and carry their LRU recency stamps, so
 //! `save → load → save` is **byte-identical** and the eviction order
 //! survives a process restart.
@@ -40,9 +40,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
-use reshuffle_petri::{
-    parse_g, write_g, Marking, PlaceId, Polarity, Signal, SignalEdge, SignalId, SignalKind,
-};
+use reshuffle_petri::{parse_g, write_g, Polarity, Signal, SignalEdge, SignalId, SignalKind};
 use reshuffle_reduce::MoveStep;
 use reshuffle_sg::{EventId, EventInfo, State, StateGraph};
 use reshuffle_synth::{GateType, Netlist, Node, NodeId};
@@ -53,8 +51,10 @@ use crate::{SynthCache, Synthesis};
 const MAGIC: &[u8; 4] = b"RSHC";
 /// Magic bytes opening every journal record: `RSHJ` ("… journal").
 const JOURNAL_MAGIC: &[u8; 4] = b"RSHJ";
-/// Current snapshot/journal format version.
-const VERSION: u32 = 1;
+/// Current snapshot/journal format version. Version 2 dropped the
+/// per-state markings of the embedded state graph, so a version-1 file
+/// is rejected rather than misread.
+const VERSION: u32 = 2;
 /// Bytes of journal-record header ahead of the payload:
 /// magic (4) + version (4) + payload length (4) + checksum (8).
 const JOURNAL_HEADER_BYTES: usize = 20;
@@ -626,6 +626,13 @@ impl<'a> Reader<'a> {
         let n = self.u32()? as usize;
         (0..n).map(|_| self.str()).collect()
     }
+
+    /// A capacity for `n` records of at least `min_bytes` each, capped
+    /// by the unread input: a corrupt count must not size an allocation
+    /// before the bytes it counts were read.
+    fn capacity(&self, n: usize, min_bytes: usize) -> usize {
+        n.min((self.buf.len() - self.at) / min_bytes)
+    }
 }
 
 // --- synthesis record -------------------------------------------------
@@ -655,7 +662,8 @@ fn decode_synthesis(r: &mut Reader) -> io::Result<Synthesis> {
     let netlist = decode_netlist(r)?;
     let inserted = r.strs()?;
     let num_moves = r.u32()? as usize;
-    let mut moves = Vec::with_capacity(num_moves);
+    // label length (4), literals (4), cycle (8), conflicts (8).
+    let mut moves = Vec::with_capacity(r.capacity(num_moves, 24));
     for _ in 0..num_moves {
         moves.push(MoveStep {
             label: r.str()?,
@@ -691,7 +699,8 @@ fn encode_signals(w: &mut Writer, signals: &[Signal]) {
 
 fn decode_signals(r: &mut Reader) -> io::Result<Vec<Signal>> {
     let n = r.u32()? as usize;
-    let mut out = Vec::with_capacity(n);
+    // name length (4), kind (1).
+    let mut out = Vec::with_capacity(r.capacity(n, 5));
     for _ in 0..n {
         let name = r.str()?;
         let kind = match r.u8()? {
@@ -736,24 +745,6 @@ fn encode_sg(w: &mut Writer, sg: &StateGraph) {
             w.u32(t);
         }
     }
-    let any_marking = sg.num_interned_markings() > 0;
-    w.u8(any_marking as u8);
-    if any_marking {
-        for s in sg.state_ids() {
-            match sg.marking_of(s) {
-                None => w.u8(0),
-                Some(m) => {
-                    w.u8(1);
-                    w.u64(m.num_places() as u64);
-                    let places: Vec<PlaceId> = m.iter().collect();
-                    w.u32(places.len() as u32);
-                    for p in places {
-                        w.u32(p.index() as u32);
-                    }
-                }
-            }
-        }
-    }
     w.u32(sg.initial());
 }
 
@@ -761,7 +752,8 @@ fn decode_sg(r: &mut Reader) -> io::Result<StateGraph> {
     let name = r.str()?;
     let signals = decode_signals(r)?;
     let num_events = r.u32()? as usize;
-    let mut events = Vec::with_capacity(num_events);
+    // label length (4), edge tag (1).
+    let mut events = Vec::with_capacity(r.capacity(num_events, 5));
     for _ in 0..num_events {
         let label = r.str()?;
         let edge = match r.u8()? {
@@ -781,34 +773,17 @@ fn decode_sg(r: &mut Reader) -> io::Result<StateGraph> {
         events.push(EventInfo { label, edge });
     }
     let num_states = r.u32()? as usize;
-    let mut states = Vec::with_capacity(num_states);
+    // code (8), arc count (4).
+    let mut states = Vec::with_capacity(r.capacity(num_states, 12));
     for _ in 0..num_states {
         let code = r.u64()?;
         let num_arcs = r.u32()? as usize;
-        let mut succ = Vec::with_capacity(num_arcs);
+        // event (4), target (4).
+        let mut succ = Vec::with_capacity(r.capacity(num_arcs, 8));
         for _ in 0..num_arcs {
             succ.push((EventId(r.u32()?), r.u32()?));
         }
-        states.push(State {
-            code,
-            succ,
-            marking: None,
-        });
-    }
-    if r.u8()? == 1 {
-        for st in &mut states {
-            if r.u8()? == 1 {
-                let num_places = r.u64()? as usize;
-                let num_marked = r.u32()? as usize;
-                let marked: Vec<PlaceId> = (0..num_marked)
-                    .map(|_| r.u32().map(|p| PlaceId::from_index(p as usize)))
-                    .collect::<io::Result<_>>()?;
-                if marked.iter().any(|p| p.index() >= num_places) {
-                    return Err(bad("marked place out of range"));
-                }
-                st.marking = Some(Marking::with_tokens(num_places, &marked));
-            }
-        }
+        states.push(State { code, succ });
     }
     let initial = r.u32()?;
     StateGraph::from_parts(name, signals, events, states, initial)
@@ -926,4 +901,65 @@ fn decode_netlist(r: &mut Reader) -> io::Result<Netlist> {
         }
     }
     Ok(nl)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Pipeline, PipelineOptions};
+
+    const XYZ_G: &str = ".model xyz\n.inputs x\n.outputs y z\n.graph\n\
+                         x+ y+\ny+ z+\nz+ x-\nx- y-\ny- z-\nz- x+\n\
+                         .marking { <z-,x+> }\n.end\n";
+
+    /// Bytes `f` writes.
+    fn encoded(f: impl FnOnce(&mut Writer)) -> usize {
+        let mut w = Writer::default();
+        f(&mut w);
+        w.out.len()
+    }
+
+    #[test]
+    fn hostile_counts_are_invalid_data() {
+        let cache = SynthCache::new();
+        Pipeline::from_g(XYZ_G)
+            .unwrap()
+            .with_cache(&cache)
+            .run(&PipelineOptions::default())
+            .unwrap();
+        let bytes = cache.to_bytes();
+        let (_, _, s) = &cache.export_entries()[0];
+        let sg = &s.sg;
+
+        // Snapshot header (magic, version, four counters, entry count),
+        // then the entry's key and tick, then the embedded `.g` text.
+        let sg_at = 4 + 4 + 4 * 8 + 8 + 8 + 8 + encoded(|w| w.str(&write_g(&s.stg)));
+        let sg_end = sg_at + encoded(|w| encode_sg(w, sg));
+        let signals_at = sg_at + encoded(|w| w.str(sg.name()));
+        let events_at = signals_at + encoded(|w| encode_signals(w, sg.signals()));
+        let arcs: usize = sg.state_ids().map(|st| 12 + 8 * sg.succ(st).len()).sum();
+        let states_at = sg_end - 4 - arcs - 4;
+        let first_arcs_at = states_at + 4 + 8;
+        let moves_at = sg_end
+            + encoded(|w| {
+                encode_netlist(w, &s.netlist);
+                w.strs(&s.inserted);
+            });
+        let counts = [
+            ("signals", signals_at, sg.num_signals()),
+            ("events", events_at, sg.num_events()),
+            ("states", states_at, sg.num_states()),
+            ("arcs of state 0", first_arcs_at, sg.succ(0).len()),
+            ("netlist signals", sg_end, s.netlist.signals().len()),
+            ("moves", moves_at, s.moves.len()),
+        ];
+        for (what, at, expected) in counts {
+            let found = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+            assert_eq!(found as usize, expected, "{what}: wrong offset {at}");
+            let mut hostile = bytes.clone();
+            hostile[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            let err = SynthCache::from_bytes(&hostile).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+        }
+    }
 }

@@ -11,8 +11,6 @@
 //! * [`complement`] — cover complementation;
 //! * [`minimize`] — heuristic espresso-style minimization
 //!   (EXPAND/IRREDUNDANT/REDUCE loop);
-//! * [`exact_minimize`] — Quine–McCluskey + branch-and-bound covering,
-//!   for exact literal counts on paper-sized functions;
 //! * [`factor`]/[`Expr`] — algebraic factoring feeding technology
 //!   mapping;
 //! * [`Bdd`] — a small ROBDD package for equivalence checking, with a
@@ -20,6 +18,9 @@
 //! * [`minimize_codes`] — BDD-backed minimization for functions given
 //!   as huge minterm lists (million-state next-state tables), where the
 //!   cube-list algorithms above would be quadratic in the state count.
+//!
+//! An exact Quine–McCluskey minimizer is compiled into the tests only,
+//! where it cross-checks espresso on small functions.
 //!
 //! # Example
 //!
@@ -43,6 +44,7 @@ mod cube;
 mod espresso;
 mod factor;
 pub mod interval;
+#[cfg(test)]
 mod qm;
 pub mod tautology;
 
@@ -53,4 +55,3 @@ pub use cube::{mask, Cube, MAX_VARS};
 pub use espresso::{cost, minimize, verify_minimized, Cost};
 pub use factor::{factor, sop_expr, Expr};
 pub use interval::{minimize_codes, minimize_codes_with_bdd};
-pub use qm::{exact_minimize, prime_implicants};

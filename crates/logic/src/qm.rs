@@ -1,8 +1,7 @@
 //! Exact two-level minimization: Quine–McCluskey prime generation plus
-//! branch-and-bound unate covering. Exponential in general — intended
-//! for functions of at most ~14 variables and used to cross-check the
-//! heuristic minimizer and to get exact literal counts for the paper's
-//! small controllers.
+//! branch-and-bound unate covering. Exponential in general, so it is a
+//! test-only reference: the tests use it to cross-check the heuristic
+//! minimizer on small functions.
 
 use std::collections::HashSet;
 

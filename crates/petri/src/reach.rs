@@ -6,8 +6,6 @@
 //! the queries shared by every client (deadlocks, safeness diagnosis,
 //! liveness of individual transitions).
 
-use std::collections::HashMap;
-
 use crate::error::{PetriError, Result};
 use crate::ids::TransitionId;
 use crate::marking::Marking;
@@ -27,7 +25,6 @@ pub struct ReachabilityGraph {
     markings: Vec<Marking>,
     /// Outgoing arcs per node: `(fired transition, successor node)`.
     succs: Vec<Vec<(TransitionId, u32)>>,
-    index: HashMap<Marking, u32>,
     peak_frontier: usize,
 }
 
@@ -84,16 +81,9 @@ impl ReachabilityGraph {
             },
             PetriError::StateBudgetExceeded,
         )?;
-        let index = explored
-            .keys
-            .iter()
-            .enumerate()
-            .map(|(i, m)| (m.clone(), i as u32))
-            .collect();
         Ok(ReachabilityGraph {
             markings: explored.keys,
             succs: explored.succs,
-            index,
             peak_frontier: explored.peak_frontier,
         })
     }
@@ -133,11 +123,6 @@ impl ReachabilityGraph {
         &self.succs[s as usize]
     }
 
-    /// Looks up the node id of a marking, if reachable.
-    pub fn node_of(&self, m: &Marking) -> Option<u32> {
-        self.index.get(m).copied()
-    }
-
     /// Nodes with no outgoing arcs.
     pub fn deadlocks(&self) -> Vec<u32> {
         (0..self.len() as u32)
@@ -155,28 +140,11 @@ impl ReachabilityGraph {
         }
         fired.into_iter().all(|b| b)
     }
-
-    /// The set of transitions that fire at least once.
-    pub fn fired_transitions(&self, net: &PetriNet) -> Vec<TransitionId> {
-        let mut fired = vec![false; net.num_transitions()];
-        for arcs in &self.succs {
-            for &(t, _) in arcs {
-                fired[t.index()] = true;
-            }
-        }
-        fired
-            .iter()
-            .enumerate()
-            .filter(|&(_, &b)| b)
-            .map(|(i, _)| TransitionId::from_index(i))
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::PlaceId;
 
     /// Two concurrent toggles: 4 reachable markings forming a diamond.
     fn diamond() -> (PetriNet, Marking) {
@@ -253,15 +221,5 @@ mod tests {
             ReachabilityGraph::explore_default(&n, &m0),
             Err(PetriError::UnsafePlace { .. })
         ));
-    }
-
-    #[test]
-    fn node_lookup_roundtrips() {
-        let (n, m0) = diamond();
-        let g = ReachabilityGraph::explore_default(&n, &m0).unwrap();
-        assert_eq!(g.node_of(&m0), Some(0));
-        let other = Marking::with_tokens(4, &[PlaceId(1), PlaceId(3)]);
-        let id = g.node_of(&other).expect("reachable");
-        assert_eq!(g.marking(id), &other);
     }
 }

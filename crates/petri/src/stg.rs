@@ -192,12 +192,6 @@ impl Stg {
         (0..self.signals.len()).map(SignalId::from_index)
     }
 
-    /// Changes the kind of an existing signal (e.g. to hide an output
-    /// when re-classifying interface signals).
-    pub fn set_signal_kind(&mut self, s: SignalId, kind: SignalKind) {
-        self.signals[s.index()].kind = kind;
-    }
-
     /// Declares a handshake channel with open (reshufflable) ordering.
     ///
     /// # Errors
@@ -338,11 +332,6 @@ impl Stg {
     /// Sets the initial marking from a set of places.
     pub fn set_initial_places(&mut self, places: &[PlaceId]) {
         self.initial = Marking::with_tokens(self.net.num_places(), places);
-    }
-
-    /// Sets the initial marking directly.
-    pub fn set_initial_marking(&mut self, m: Marking) {
-        self.initial = m;
     }
 
     /// The initial marking, resized to the current number of places.

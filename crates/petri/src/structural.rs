@@ -72,32 +72,6 @@ pub fn insert_series_transition(
     Ok(new_t)
 }
 
-/// Removes places with no producers and no consumers (cleanup after
-/// transformations). Returns the number of places dropped. Note: places
-/// are *marked* as dead by disconnecting; the net keeps dense ids, so
-/// this only verifies there are no tokens stranded on isolated places.
-///
-/// # Errors
-///
-/// Returns [`PetriError::Structural`] if an isolated place is marked in
-/// the initial marking (a stranded token indicates a transformation bug).
-pub fn check_no_stranded_tokens(stg: &Stg) -> Result<usize> {
-    let m0 = stg.initial_marking();
-    let mut isolated = 0;
-    for p in stg.places() {
-        if stg.net().is_isolated_place(p) {
-            isolated += 1;
-            if m0.contains(p) {
-                return Err(PetriError::Structural(format!(
-                    "isolated place {} holds a token",
-                    stg.net().place_name(p)
-                )));
-            }
-        }
-    }
-    Ok(isolated)
-}
-
 /// The four protocol transitions of one expanded handshake channel.
 #[derive(Debug, Clone, Copy)]
 pub struct ChannelExpansion {
@@ -330,21 +304,6 @@ fn is_signal_automorphism(stg: &Stg, perm: &[SignalId]) -> bool {
     original.sort_unstable();
     mapped.sort_unstable();
     original == mapped
-}
-
-/// Mirrors the interface of an STG: inputs become outputs and vice versa
-/// (the environment's view of the circuit). Internal signals stay
-/// internal. Useful for composing a circuit with its environment.
-pub fn mirror_interface(stg: &mut Stg) {
-    use crate::stg::SignalKind;
-    for s in stg.signals().collect::<Vec<_>>() {
-        let kind = match stg.signal(s).kind {
-            SignalKind::Input => SignalKind::Output,
-            SignalKind::Output => SignalKind::Input,
-            SignalKind::Internal => SignalKind::Internal,
-        };
-        stg.set_signal_kind(s, kind);
-    }
 }
 
 // --- structural pre-reduction ----------------------------------------
@@ -789,16 +748,6 @@ mod tests {
         assert!(e.is_err());
     }
 
-    #[test]
-    fn stranded_token_detection() {
-        let mut g = chain();
-        let lonely = g.add_named_place("lonely");
-        let mut marked: Vec<_> = g.initial_marking().iter().collect();
-        marked.push(lonely);
-        g.set_initial_places(&marked);
-        assert!(check_no_stranded_tokens(&g).is_err());
-    }
-
     /// A partial two-phase handshake: `r~ -> a~ -> r~` with a declared
     /// channel.
     fn partial_channel() -> Stg {
@@ -874,16 +823,6 @@ mod tests {
         assert!(signal_automorphisms(&g).is_empty());
         let g = chain();
         assert!(signal_automorphisms(&g).is_empty());
-    }
-
-    #[test]
-    fn mirror_swaps_io() {
-        let mut g = chain();
-        mirror_interface(&mut g);
-        let a = g.signal_by_name("a").unwrap();
-        let b = g.signal_by_name("b").unwrap();
-        assert_eq!(g.signal(a).kind, SignalKind::Output);
-        assert_eq!(g.signal(b).kind, SignalKind::Input);
     }
 
     // --- prereduce ---------------------------------------------------

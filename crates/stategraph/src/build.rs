@@ -18,7 +18,7 @@ use std::collections::{HashMap, VecDeque};
 
 use reshuffle_obs::{FieldVal, SpanCtx};
 use reshuffle_petri::sharded::{self, ExploreOptions};
-use reshuffle_petri::{Marking, Polarity, ReachabilityGraph, Signal, SignalId, Stg};
+use reshuffle_petri::{Polarity, ReachabilityGraph, Signal, SignalId, Stg};
 
 use crate::error::{Result, SgError};
 use crate::sg::{EventId, EventInfo, StateGraph};
@@ -102,8 +102,6 @@ pub struct BuildStats {
     pub states: usize,
     /// Arcs in the built graph.
     pub arcs: usize,
-    /// Distinct interned markings.
-    pub interned_markings: usize,
     /// Largest breadth-first frontier across the marking and encoding
     /// explorations.
     pub peak_frontier: usize,
@@ -265,8 +263,8 @@ fn infer_initial_values(stg: &Stg, rg: &ReachabilityGraph) -> Result<Vec<bool>> 
 /// then the *(marking, code)* encoding product — each followed by a
 /// canonical renumbering, so the result is identical for every
 /// [`BuildOptions::threads`] value. The graph is assembled directly
-/// into the compressed CSR layout with markings interned into one
-/// shared arena.
+/// into the compressed CSR layout; markings stay behind in the
+/// exploration.
 ///
 /// # Errors
 ///
@@ -279,7 +277,7 @@ pub fn build_state_graph_with(stg: &Stg, opts: &BuildOptions) -> Result<StateGra
 }
 
 /// [`build_state_graph_with`], also reporting [`BuildStats`] (state,
-/// arc, interned-marking and peak-frontier counters) for diagnostics.
+/// arc and peak-frontier counters) for diagnostics.
 ///
 /// # Errors
 ///
@@ -384,36 +382,27 @@ pub fn build_state_graph_stats(stg: &Stg, opts: &BuildOptions) -> Result<(StateG
         }
     }
 
-    // Assemble the CSR arrays directly: codes, flat arcs (already in
+    // Assemble the CSR arrays directly: codes and flat arcs (already in
     // ascending event order — reachability arcs fire transitions in id
-    // order), and markings interned by reachability node.
+    // order).
     let n = explored.keys.len();
     let num_arcs = explored.num_arcs();
     let mut codes = Vec::with_capacity(n);
     let mut succ_offsets = Vec::with_capacity(n + 1);
     let mut arc_events = Vec::with_capacity(num_arcs);
     let mut arc_targets = Vec::with_capacity(num_arcs);
-    let mut marking_ids = Vec::with_capacity(n);
-    let mut markings: Vec<Marking> = Vec::new();
-    let mut intern: HashMap<u32, u32> = HashMap::new();
     succ_offsets.push(0);
-    for (i, &(mnode, code)) in explored.keys.iter().enumerate() {
+    for (i, &(_, code)) in explored.keys.iter().enumerate() {
         codes.push(code);
         for &(e, t) in &explored.succs[i] {
             arc_events.push(e);
             arc_targets.push(t);
         }
         succ_offsets.push(arc_events.len() as u32);
-        let mid = *intern.entry(mnode).or_insert_with(|| {
-            markings.push(rg.marking(mnode).clone());
-            (markings.len() - 1) as u32
-        });
-        marking_ids.push(mid);
     }
     let stats = BuildStats {
         states: n,
         arcs: num_arcs,
-        interned_markings: markings.len(),
         peak_frontier: rg.peak_frontier().max(explored.peak_frontier),
         threads: sharded::effective_threads(opts.threads),
     };
@@ -425,8 +414,6 @@ pub fn build_state_graph_stats(stg: &Stg, opts: &BuildOptions) -> Result<(StateG
         succ_offsets,
         arc_events,
         arc_targets,
-        marking_ids,
-        markings,
         0,
     )?;
     Ok((sg, stats))
@@ -447,14 +434,6 @@ pub(crate) fn event_table(stg: &Stg) -> Vec<EventInfo> {
             label: stg.transition_name(t).to_string(),
             edge: stg.edge_of(t),
         })
-        .collect()
-}
-
-/// Re-derives event labels of an [`Stg`] for a state graph built from it
-/// (convenience used by tests and reports).
-pub fn event_label_map(stg: &Stg) -> Vec<String> {
-    stg.transitions()
-        .map(|t| stg.transition_name(t).to_string())
         .collect()
 }
 

@@ -9,7 +9,6 @@
 //! * [`props`] — determinism, commutativity, output persistency
 //!   (together: speed independence);
 //! * [`csc`] — Unique/Complete State Coding conflict detection;
-//! * [`er`] — excitation regions and their minimal states;
 //! * [`conc`] — the concurrency relation (state diamonds);
 //! * [`restrict`] — incremental re-derivation after serializing rewrites
 //!   and CSC series insertions;
@@ -40,7 +39,6 @@
 mod build;
 pub mod conc;
 pub mod csc;
-pub mod er;
 mod error;
 pub mod nextstate;
 pub mod props;
@@ -48,8 +46,7 @@ pub mod restrict;
 mod sg;
 
 pub use build::{
-    build_state_graph, build_state_graph_stats, build_state_graph_with, event_label_map,
-    BuildOptions, BuildStats,
+    build_state_graph, build_state_graph_stats, build_state_graph_with, BuildOptions, BuildStats,
 };
 pub use error::{Result, SgError};
-pub use sg::{Arcs, ArcsIter, EventId, EventInfo, MarkingId, State, StateGraph, StateId};
+pub use sg::{Arcs, ArcsIter, EventId, EventInfo, State, StateGraph, StateId};

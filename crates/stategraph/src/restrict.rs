@@ -32,8 +32,7 @@ use crate::sg::{EventId, State, StateGraph, StateId};
 /// States of the result are `(original state, token count)` pairs
 /// reachable from `(initial, 0)`; codes are inherited from the original
 /// states. Arcs labelled with a consumer event are dropped while the
-/// place is empty — that is the serialization. Originating markings are
-/// not carried over (they would describe the pre-rewrite net).
+/// place is empty — that is the serialization.
 ///
 /// # Errors
 ///
@@ -92,7 +91,6 @@ pub fn restrict_with_place(
         .map(|(&(orig, _), succ)| State {
             code: sg.code(orig),
             succ,
-            marking: None,
         })
         .collect();
     StateGraph::from_parts(
@@ -127,9 +125,10 @@ pub fn restrict_with_place(
 /// marked in the parent's marking, every other place agrees, so `cand`'s
 /// reachable markings are exactly the product's `(s, a, b)` triples.
 /// Codes are the parent's plus `v`; the event table and signals are
-/// `cand`'s; no markings are carried. States are numbered in
-/// breadth-first order over arcs in event order — the numbering a full
-/// [`build_state_graph`](crate::build_state_graph) of `cand` produces.
+/// `cand`'s. States are numbered in breadth-first order over arcs in
+/// event order — the numbering a full
+/// [`build_state_graph`](crate::build_state_graph) of `cand` produces,
+/// so the result equals that build, code for code and arc for arc.
 ///
 /// The initial value of the new signal is inferred as the full build
 /// does: the product is explored from `v = 0`, and again from `v = 1`
@@ -349,8 +348,6 @@ impl<'a> SeriesPair<'a> {
             succ_offsets,
             arc_events,
             arc_targets,
-            Vec::new(),
-            Vec::new(),
             0,
         )
     }
@@ -520,8 +517,7 @@ a- a+
         let rebuilt = build_state_graph(&cand).unwrap();
         assert_eq!(derived.num_states(), 10);
         assert_eq!(derived.fingerprint(), rebuilt.fingerprint());
-        // Same numbering, too: the derived graph is the full build
-        // without markings.
+        // Same numbering, too: the derived graph is the full build.
         assert_eq!(derived.codes(), rebuilt.codes());
         for s in derived.state_ids() {
             assert_eq!(
@@ -529,7 +525,6 @@ a- a+
                 rebuilt.succ(s).iter().collect::<Vec<_>>()
             );
         }
-        assert_eq!(derived.num_interned_markings(), 0);
         assert_eq!(analyze_csc(&derived).num_csc_conflicts(), 0);
 
         // The new signal starts at 1 when its fall comes first.
@@ -598,7 +593,6 @@ a- a+
                 State {
                     code: real.code(s),
                     succ,
-                    marking: None,
                 }
             })
             .collect();

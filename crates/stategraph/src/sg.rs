@@ -11,26 +11,28 @@
 //! # Storage layout
 //!
 //! The graph is stored in a compressed struct-of-arrays (CSR) form:
-//! one flat `codes` array, flat `arc_events`/`arc_targets` arrays
-//! indexed through a `succ_offsets` prefix array, and originating
-//! markings deduplicated into one interned arena ([`MarkingId`] per
-//! state). There is no per-state heap allocation, so a graph with
-//! hundreds of thousands of states is three large allocations plus the
-//! arena — trivially serializable and cheap to clone. Analyses read it
-//! through the [`StateGraph::succ`] slice accessor ([`Arcs`]), which
-//! iterates `(event, target)` pairs exactly like the old per-state
-//! lists did.
+//! one flat `codes` array and flat `arc_events`/`arc_targets` arrays
+//! indexed through a `succ_offsets` prefix array. There is no per-state
+//! heap allocation, so a graph with hundreds of thousands of states is
+//! four large allocations — trivially serializable and cheap to clone.
+//! Analyses read it through the [`StateGraph::succ`] slice accessor
+//! ([`Arcs`]), which iterates `(event, target)` pairs.
+//!
+//! A graph keeps codes and arcs only. Markings matter while the STG is
+//! explored ([`crate::build_state_graph`]); CSC, speed independence and
+//! the next-state functions are all defined on codes, so no marking
+//! outlives the build.
 //!
 //! State graphs are immutable once built; transformations (concurrency
 //! reduction) construct new graphs via [`StateGraph::from_parts`], the
 //! validating constructor that compacts per-state lists into CSR.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
-use reshuffle_petri::{Marking, Signal, SignalEdge, SignalId, SignalKind};
+use reshuffle_petri::{Signal, SignalEdge, SignalId, SignalKind};
 
 use crate::error::{Result, SgError};
 
@@ -54,26 +56,6 @@ impl fmt::Debug for EventId {
     }
 }
 
-/// Index into a [`StateGraph`]'s interned marking arena.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct MarkingId(pub u32);
-
-impl MarkingId {
-    /// Dense index of the marking in the arena.
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
-impl fmt::Debug for MarkingId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "m{}", self.0)
-    }
-}
-
-/// Sentinel for "state has no originating marking".
-const NO_MARKING: u32 = u32::MAX;
-
 /// Static information about an event.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EventInfo {
@@ -94,8 +76,6 @@ pub struct State {
     /// Outgoing arcs `(event, successor)`; sorted and deduplicated by
     /// the constructor.
     pub succ: Vec<(EventId, StateId)>,
-    /// Originating marking, if the graph was built from an STG.
-    pub marking: Option<Marking>,
 }
 
 /// The outgoing arcs of one state: a zero-copy view over the graph's
@@ -178,19 +158,13 @@ pub struct StateGraph {
     arc_events: Vec<EventId>,
     /// Arc targets, parallel to `arc_events`.
     arc_targets: Vec<StateId>,
-    /// Interned marking id per state (`NO_MARKING` = none); empty when
-    /// no state has a marking.
-    marking_ids: Vec<u32>,
-    /// The interned marking arena, in first-use state order.
-    markings: Vec<Marking>,
     initial: StateId,
 }
 
 impl StateGraph {
     /// Assembles a state graph from raw parts, validating arc targets,
-    /// sorting successor lists, deduplicating identical markings into
-    /// the interned arena, and rejecting empty graphs. The per-state
-    /// lists are compacted into the flat CSR arrays.
+    /// sorting successor lists and rejecting empty graphs. The
+    /// per-state lists are compacted into the flat CSR arrays.
     ///
     /// # Errors
     ///
@@ -231,17 +205,13 @@ impl StateGraph {
             st.succ.dedup();
         }
 
-        // Compact into CSR, interning duplicate markings.
+        // Compact into CSR.
         let num_arcs: usize = states.iter().map(|s| s.succ.len()).sum();
         let mut codes = Vec::with_capacity(num_states);
         let mut succ_offsets = Vec::with_capacity(num_states + 1);
         let mut arc_events = Vec::with_capacity(num_arcs);
         let mut arc_targets = Vec::with_capacity(num_arcs);
-        let mut marking_ids = Vec::with_capacity(num_states);
-        let mut markings: Vec<Marking> = Vec::new();
-        let mut intern: HashMap<Marking, u32> = HashMap::new();
         succ_offsets.push(0);
-        let mut any_marking = false;
         for st in states {
             codes.push(st.code);
             for (e, t) in st.succ {
@@ -249,20 +219,6 @@ impl StateGraph {
                 arc_targets.push(t);
             }
             succ_offsets.push(arc_events.len() as u32);
-            match st.marking {
-                None => marking_ids.push(NO_MARKING),
-                Some(m) => {
-                    any_marking = true;
-                    let id = *intern.entry(m.clone()).or_insert_with(|| {
-                        markings.push(m);
-                        (markings.len() - 1) as u32
-                    });
-                    marking_ids.push(id);
-                }
-            }
-        }
-        if !any_marking {
-            marking_ids = Vec::new();
         }
         Ok(StateGraph {
             name: name.into(),
@@ -272,8 +228,6 @@ impl StateGraph {
             succ_offsets,
             arc_events,
             arc_targets,
-            marking_ids,
-            markings,
             initial,
         })
     }
@@ -292,8 +246,6 @@ impl StateGraph {
         succ_offsets: Vec<u32>,
         arc_events: Vec<EventId>,
         arc_targets: Vec<StateId>,
-        marking_ids: Vec<u32>,
-        markings: Vec<Marking>,
         initial: StateId,
     ) -> Result<Self> {
         if signals.len() > 64 {
@@ -316,20 +268,11 @@ impl StateGraph {
         {
             return Err(SgError::Invalid("malformed CSR offsets".into()));
         }
-        if !marking_ids.is_empty() && marking_ids.len() != n {
-            return Err(SgError::Invalid("marking table length mismatch".into()));
-        }
         if arc_events.iter().any(|e| e.index() >= events.len()) {
             return Err(SgError::Invalid("unknown arc event".into()));
         }
         if arc_targets.iter().any(|&t| t as usize >= n) {
             return Err(SgError::Invalid("dangling arc target".into()));
-        }
-        if marking_ids
-            .iter()
-            .any(|&m| m != NO_MARKING && m as usize >= markings.len())
-        {
-            return Err(SgError::Invalid("dangling marking id".into()));
         }
         Ok(StateGraph {
             name,
@@ -339,8 +282,6 @@ impl StateGraph {
             succ_offsets,
             arc_events,
             arc_targets,
-            marking_ids,
-            markings,
             initial,
         })
     }
@@ -453,32 +394,6 @@ impl StateGraph {
         }
     }
 
-    /// The interned marking of state `s`, if the graph was built from
-    /// an STG. Markings are deduplicated: states reached under the same
-    /// marking (e.g. two-phase parity unfoldings) share one arena entry.
-    pub fn marking_of(&self, s: StateId) -> Option<&Marking> {
-        self.marking_id(s).map(|m| &self.markings[m.index()])
-    }
-
-    /// The arena id of state `s`'s marking, if any.
-    pub fn marking_id(&self, s: StateId) -> Option<MarkingId> {
-        match self.marking_ids.get(s as usize) {
-            Some(&m) if m != NO_MARKING => Some(MarkingId(m)),
-            _ => None,
-        }
-    }
-
-    /// The interned marking arena (one entry per *distinct* marking, in
-    /// first-use state order).
-    pub fn interned_markings(&self) -> &[Marking] {
-        &self.markings
-    }
-
-    /// Number of distinct interned markings.
-    pub fn num_interned_markings(&self) -> usize {
-        self.markings.len()
-    }
-
     /// The successor of `s` under event `e`, if any.
     pub fn step(&self, s: StateId, e: EventId) -> Option<StateId> {
         let arcs = self.succ(s);
@@ -525,17 +440,6 @@ impl StateGraph {
             .into_iter()
             .filter(|e| self.signals[e.signal.index()].kind.is_noninput())
             .collect()
-    }
-
-    /// Computes the predecessor lists (arcs reversed).
-    pub fn predecessors(&self) -> Vec<Vec<(EventId, StateId)>> {
-        let mut pred: Vec<Vec<(EventId, StateId)>> = vec![Vec::new(); self.num_states()];
-        for s in self.state_ids() {
-            for (e, t) in self.succ(s) {
-                pred[t as usize].push((e, s));
-            }
-        }
-        pred
     }
 
     /// Total number of arcs.
@@ -599,105 +503,6 @@ impl StateGraph {
         order
     }
 
-    /// The set of states reachable from the initial state.
-    pub fn reachable_from_initial(&self) -> Vec<bool> {
-        let mut seen = vec![false; self.num_states()];
-        let mut q = VecDeque::new();
-        q.push_back(self.initial);
-        seen[self.initial as usize] = true;
-        while let Some(s) = q.pop_front() {
-            for &t in self.succ(s).targets() {
-                if !seen[t as usize] {
-                    seen[t as usize] = true;
-                    q.push_back(t);
-                }
-            }
-        }
-        seen
-    }
-
-    /// Builds a new graph keeping only states marked `true` in `keep`
-    /// and only arcs accepted by `keep_arc(src, event, dst)`. States are
-    /// renumbered densely; the initial state must be kept. Interned
-    /// markings of kept states carry over (re-interned densely).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SgError::Invalid`] if the initial state is dropped or
-    /// if a kept arc points to a dropped state.
-    pub fn filtered(
-        &self,
-        keep: &[bool],
-        mut keep_arc: impl FnMut(StateId, EventId, StateId) -> bool,
-    ) -> Result<StateGraph> {
-        if !keep[self.initial as usize] {
-            return Err(SgError::Invalid("initial state dropped".into()));
-        }
-        let mut renum: Vec<u32> = vec![u32::MAX; self.num_states()];
-        let mut next = 0u32;
-        for s in self.state_ids() {
-            if keep[s as usize] {
-                renum[s as usize] = next;
-                next += 1;
-            }
-        }
-        let mut codes = Vec::with_capacity(next as usize);
-        let mut succ_offsets = Vec::with_capacity(next as usize + 1);
-        let mut arc_events = Vec::new();
-        let mut arc_targets = Vec::new();
-        let mut marking_ids = Vec::with_capacity(if self.marking_ids.is_empty() {
-            0
-        } else {
-            next as usize
-        });
-        let mut markings = Vec::new();
-        let mut remap: HashMap<u32, u32> = HashMap::new();
-        succ_offsets.push(0);
-        for s in self.state_ids() {
-            if !keep[s as usize] {
-                continue;
-            }
-            codes.push(self.codes[s as usize]);
-            for (e, t) in self.succ(s) {
-                if keep_arc(s, e, t) {
-                    if renum[t as usize] == u32::MAX {
-                        return Err(SgError::Invalid(format!(
-                            "kept arc {s} -{}-> {t} targets a dropped state",
-                            self.event(e).label
-                        )));
-                    }
-                    arc_events.push(e);
-                    arc_targets.push(renum[t as usize]);
-                }
-            }
-            succ_offsets.push(arc_events.len() as u32);
-            if !self.marking_ids.is_empty() {
-                let old = self.marking_ids[s as usize];
-                if old == NO_MARKING {
-                    marking_ids.push(NO_MARKING);
-                } else {
-                    let id = *remap.entry(old).or_insert_with(|| {
-                        markings.push(self.markings[old as usize].clone());
-                        (markings.len() - 1) as u32
-                    });
-                    marking_ids.push(id);
-                }
-            }
-        }
-        StateGraph::from_csr(
-            self.name.clone(),
-            self.signals.clone(),
-            self.events.clone(),
-            codes,
-            succ_offsets,
-            arc_events,
-            arc_targets,
-            marking_ids,
-            markings,
-            renum[self.initial as usize],
-        )
-    }
-
     /// Renders the code of state `s` with one char per signal, `*`-marked
     /// for enabled signals, in signal order — like Fig. 1(d): `1*0*`.
     pub fn render_state(&self, s: StateId) -> String {
@@ -718,7 +523,7 @@ impl StateGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reshuffle_petri::{PlaceId, Polarity};
+    use reshuffle_petri::Polarity;
 
     fn sig(name: &str, kind: SignalKind) -> Signal {
         Signal {
@@ -752,22 +557,18 @@ mod tests {
             State {
                 code: 0b00,
                 succ: vec![(EventId(0), 1), (EventId(1), 2)],
-                marking: None,
             },
             State {
                 code: 0b01,
                 succ: vec![(EventId(1), 3)],
-                marking: None,
             },
             State {
                 code: 0b10,
                 succ: vec![(EventId(0), 3)],
-                marking: None,
             },
             State {
                 code: 0b11,
                 succ: vec![],
-                marking: None,
             },
         ];
         StateGraph::from_parts("diamond", signals, events, states, 0).unwrap()
@@ -805,14 +606,6 @@ mod tests {
     }
 
     #[test]
-    fn predecessors_mirror_successors() {
-        let g = diamond();
-        let pred = g.predecessors();
-        assert_eq!(pred[0], vec![]);
-        assert_eq!(pred[3].len(), 2);
-    }
-
-    #[test]
     fn fingerprint_stable_under_renumbering() {
         let g1 = diamond();
         // Same graph with states 1 and 2 swapped.
@@ -822,22 +615,18 @@ mod tests {
             State {
                 code: 0b00,
                 succ: vec![(EventId(0), 2), (EventId(1), 1)],
-                marking: None,
             },
             State {
                 code: 0b10,
                 succ: vec![(EventId(0), 3)],
-                marking: None,
             },
             State {
                 code: 0b01,
                 succ: vec![(EventId(1), 3)],
-                marking: None,
             },
             State {
                 code: 0b11,
                 succ: vec![],
-                marking: None,
             },
         ];
         let g2 = StateGraph::from_parts("diamond", signals, events, states, 0).unwrap();
@@ -847,86 +636,29 @@ mod tests {
     #[test]
     fn fingerprint_differs_on_arc_removal() {
         let g1 = diamond();
-        let keep = vec![true; 4];
-        let g2 = g1
-            .filtered(&keep, |s, e, _| !(s == 0 && e == EventId(1)))
-            .unwrap();
+        // The diamond without the arc 0 -b+-> 2.
+        let states = g1
+            .state_ids()
+            .map(|s| State {
+                code: g1.code(s),
+                succ: g1
+                    .succ(s)
+                    .iter()
+                    .filter(|&(e, _)| !(s == 0 && e == EventId(1)))
+                    .collect(),
+            })
+            .collect();
+        let g2 = StateGraph::from_parts(
+            "diamond",
+            g1.signals().to_vec(),
+            g1.events().to_vec(),
+            states,
+            0,
+        )
+        .unwrap();
         // Dropping state 2's incoming arc leaves it unreachable but kept;
         // fingerprints must differ.
         assert_ne!(g1.fingerprint(), g2.fingerprint());
-    }
-
-    #[test]
-    fn filtered_renumbers() {
-        let g = diamond();
-        let keep = vec![true, true, false, true];
-        let r = g.filtered(&keep, |_, _, _| true).unwrap_err();
-        // arc 0 -b+-> 2 targets dropped state -> error unless filtered out
-        assert!(matches!(r, SgError::Invalid(_)));
-        let r = g.filtered(&keep, |_, _, t| t != 2).unwrap();
-        assert_eq!(r.num_states(), 3);
-        assert_eq!(r.num_arcs(), 2);
-        assert_eq!(r.code(2), 0b11);
-    }
-
-    #[test]
-    fn markings_are_interned_and_shared() {
-        let signals = vec![sig("a", SignalKind::Input)];
-        let ea = SignalEdge {
-            signal: SignalId(0),
-            polarity: Polarity::Toggle,
-        };
-        let events = vec![EventInfo {
-            label: "a~".into(),
-            edge: Some(ea),
-        }];
-        let m0 = Marking::with_tokens(2, &[PlaceId(0)]);
-        let m1 = Marking::with_tokens(2, &[PlaceId(1)]);
-        // Four states over two distinct markings (parity unfolding).
-        let states = vec![
-            State {
-                code: 0,
-                succ: vec![(EventId(0), 1)],
-                marking: Some(m0.clone()),
-            },
-            State {
-                code: 1,
-                succ: vec![(EventId(0), 2)],
-                marking: Some(m1.clone()),
-            },
-            State {
-                code: 1,
-                succ: vec![(EventId(0), 3)],
-                marking: Some(m0.clone()),
-            },
-            State {
-                code: 0,
-                succ: vec![(EventId(0), 0)],
-                marking: Some(m1.clone()),
-            },
-        ];
-        let g = StateGraph::from_parts("parity", signals, events, states, 0).unwrap();
-        assert_eq!(g.num_interned_markings(), 2);
-        assert_eq!(g.interned_markings().len(), 2);
-        assert_eq!(g.marking_of(0), Some(&m0));
-        assert_eq!(g.marking_of(1), Some(&m1));
-        // States 0 and 2 share one arena entry.
-        assert_eq!(g.marking_id(0), g.marking_id(2));
-        assert_ne!(g.marking_id(0), g.marking_id(1));
-        // Filtering preserves the interned markings of kept states.
-        let f = g
-            .filtered(&[true, true, true, true], |_, _, _| true)
-            .unwrap();
-        assert_eq!(f.num_interned_markings(), 2);
-        assert_eq!(f.marking_of(2), Some(&m0));
-    }
-
-    #[test]
-    fn absent_markings_cost_nothing() {
-        let g = diamond();
-        assert_eq!(g.num_interned_markings(), 0);
-        assert_eq!(g.marking_of(0), None);
-        assert_eq!(g.marking_id(0), None);
     }
 
     #[test]
@@ -944,7 +676,6 @@ mod tests {
         let states = vec![State {
             code: 0,
             succ: vec![(EventId(0), 0)],
-            marking: None,
         }];
         assert!(StateGraph::from_parts("x", signals, events, states, 0).is_err());
     }
@@ -958,8 +689,6 @@ mod tests {
             vec![],
             vec![0],
             vec![0, 2], // offsets claim 2 arcs, arrays hold none
-            vec![],
-            vec![],
             vec![],
             vec![],
             0,

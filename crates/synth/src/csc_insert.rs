@@ -11,11 +11,11 @@
 //!
 //! Each candidate's state graph is derived from its parent's by
 //! [`insert_series_pair`], a product with a small automaton, instead
-//! of being built from scratch; only each round's winner is built in
-//! full, so the returned STG and graph are exactly what a from-scratch
-//! search would return. A parent with toggle edges unfolds
-//! `(marking, parity)` pairs, which the product does not model, so its
-//! candidates are all built in full.
+//! of being built from scratch. The derived graph equals the full
+//! build code for code and arc for arc, so the returned STG and graph
+//! are exactly what a from-scratch search would return. A parent with
+//! toggle edges unfolds `(marking, parity)` pairs, which the product
+//! does not model, so its candidates are all built in full.
 
 use reshuffle_petri::structural::insert_series_transition;
 use reshuffle_petri::{Polarity, SignalKind, Stg, TransitionId};
@@ -40,8 +40,8 @@ pub struct CscResolution {
     /// search-effort counter the facade surfaces as resolve-stage
     /// diagnostics (0 when the input already had CSC).
     pub tried: usize,
-    /// Full state-graph builds the search ran: one per round winner,
-    /// plus every candidate of a parent with toggle edges.
+    /// Full state-graph builds the search ran: every candidate of a
+    /// parent with toggle edges, and none otherwise.
     pub rebuilt: usize,
 }
 
@@ -70,8 +70,7 @@ impl Default for CscOptions {
 /// # Errors
 ///
 /// * [`SynthError::Sg`] if the input STG cannot be built into a state
-///   graph at all, or if a round winner's full build fails where its
-///   derived graph succeeded (a defect in the derivation);
+///   graph at all;
 /// * [`SynthError::CscResolutionFailed`] if no insertion reduces the
 ///   conflict count or the signal budget is exhausted.
 pub fn resolve_csc(stg: &Stg, opts: &CscOptions) -> Result<CscResolution> {
@@ -128,7 +127,7 @@ pub fn resolve_csc_analyzed(
             });
         }
         let name = format!("csc{}", inserted.len());
-        let round = best_insertion(&current, &sg, &name, conflicts, opts)?;
+        let round = best_insertion(&current, &sg, &name, conflicts, opts);
         tried += round.tried;
         rebuilt += round.rebuilt;
         match round.best {
@@ -150,7 +149,7 @@ pub fn resolve_csc_analyzed(
 
 /// One round of the insertion search.
 struct Round {
-    /// The winning candidate, its full state graph and its remaining
+    /// The winning candidate, its state graph and its remaining
     /// conflict count (so the caller never re-analyzes it).
     best: Option<(Stg, StateGraph, usize)>,
     /// Feasible candidates evaluated.
@@ -161,18 +160,13 @@ struct Round {
 
 /// Tries every (x, y) insertion pair on `stg`, whose state graph is
 /// `sg`; returns the best strictly-improving candidate.
-///
-/// # Errors
-///
-/// [`SynthError::Sg`] if the winner's full build fails where its
-/// derived graph succeeded — a defect in the derivation.
 fn best_insertion(
     stg: &Stg,
     sg: &StateGraph,
     signal_name: &str,
     current_conflicts: usize,
     opts: &CscOptions,
-) -> Result<Round> {
+) -> Round {
     let transitions: Vec<TransitionId> = stg.transitions().collect();
     let full_builds = stg.has_toggle_transitions();
     // Phase 1: collect feasible candidates with their conflict counts.
@@ -209,27 +203,17 @@ fn best_insertion(
     // Phase 2: among the least-conflict pool, rank by literal estimate.
     feasible.sort_by_key(|(c, _, _)| *c);
     let best_c = feasible.first().map(|(c, _, _)| *c);
-    let winner = feasible
+    let best = feasible
         .into_iter()
         .filter(|(c, _, _)| Some(*c) == best_c)
         .take(opts.rank_pool)
-        .min_by_key(|(_, _, sg2)| literal_estimate(sg2));
-    // The winner's graph is rebuilt in full: it carries markings, and
-    // the result is what a from-scratch search returns.
-    let best = match winner {
-        Some((c, cand, sg2)) if full_builds => Some((cand, sg2, c)),
-        Some((c, cand, _)) => {
-            rebuilt += 1;
-            let full = build_state_graph(&cand)?;
-            Some((cand, full, c))
-        }
-        None => None,
-    };
-    Ok(Round {
+        .min_by_key(|(_, _, sg2)| literal_estimate(sg2))
+        .map(|(c, cand, sg2)| (cand, sg2, c));
+    Round {
         best,
         tried,
         rebuilt,
-    })
+    }
 }
 
 /// Builds the candidate STG with `name+` inserted after `tx` and `name-`

@@ -10,6 +10,7 @@
 mod common;
 
 use common::golden_line;
+use reshuffle::sg::build_state_graph;
 use reshuffle::{
     canonical_fingerprint, parse_g, Diagnostics, ExpansionOptions, Pipeline, PipelineError,
     PipelineOptions, ReduceOptions, Stage, Stg, SynthCache, Synthesis,
@@ -220,14 +221,17 @@ fn every_cached_stg_round_trips_through_the_g_writer() {
             assert_round_trips(&format!("{name}/{mode}"), &done.synthesis().stg);
             // Every expansion candidate is cached as a standalone run
             // of its complete STG (no pre-reduction: candidates skip
-            // it), so those runs reproduce the per-candidate entries.
+            // it, and so does a chain handed a pre-built graph), so
+            // those runs reproduce the per-candidate entries.
             if let Some(eopts) = &opts.expand {
                 let mut standalone = opts.clone();
                 standalone.expand = None;
-                standalone.prereduce = false;
                 let expanded = Pipeline::from_g(src).unwrap().expand(eopts).unwrap();
                 for (i, (cand, _)) in expanded.candidates().enumerate() {
-                    if let Ok(run) = Pipeline::from_stg(cand).run(&standalone) {
+                    let Ok(sg) = build_state_graph(cand) else {
+                        continue;
+                    };
+                    if let Ok(run) = Pipeline::from_parts(cand.clone(), sg).run(&standalone) {
                         let what = format!("{name}/{mode} candidate {i}");
                         assert_round_trips(&what, &run.synthesis().stg);
                     }

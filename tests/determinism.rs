@@ -129,40 +129,3 @@ fn restrict_on_csr_matches_full_rebuild_across_corpus() {
     }
     assert!(checked >= 4, "too few serializations exercised: {checked}");
 }
-
-#[test]
-fn marking_arena_is_consistent_with_per_state_views() {
-    for (name, src) in examples::ALL {
-        let sg = build_state_graph(&parse_g(src).unwrap()).unwrap();
-        assert!(
-            sg.num_interned_markings() > 0,
-            "{name}: built graph lost its markings"
-        );
-        assert!(
-            sg.num_interned_markings() <= sg.num_states(),
-            "{name}: arena larger than the state set"
-        );
-        // Every per-state view points into the interned arena (no
-        // clones), and the arena holds no duplicate markings.
-        let arena = sg.interned_markings();
-        assert_eq!(arena.len(), sg.num_interned_markings());
-        for s in sg.state_ids() {
-            let id = sg
-                .marking_id(s)
-                .unwrap_or_else(|| panic!("{name}: state {s} lost its marking"));
-            let via_arena = &arena[id.index()];
-            let via_state = sg
-                .marking_of(s)
-                .unwrap_or_else(|| panic!("{name}: state {s} lost its marking"));
-            assert!(
-                std::ptr::eq(via_arena, via_state),
-                "{name}: state {s} marking is not a view into the arena"
-            );
-        }
-        for (i, a) in arena.iter().enumerate() {
-            for b in &arena[i + 1..] {
-                assert_ne!(a, b, "{name}: arena holds a duplicate marking");
-            }
-        }
-    }
-}

@@ -173,13 +173,18 @@ fn golden_corpus() {
 fn prereduce_is_outcome_neutral_across_corpus_and_modes() {
     // Structural pre-reduction may only rewrite the net, never the
     // behaviour: for every corpus entry and every pipeline mode, the
-    // run with prereduce disabled must produce the identical golden
-    // outcome line, and — where synthesis succeeds — the identical
-    // final state-graph fingerprint.
+    // run without it must produce the identical golden outcome line,
+    // and — where synthesis succeeds — the identical final state-graph
+    // fingerprint. A chain handed a pre-built graph skips
+    // pre-reduction, which gives the run without it.
     for (name, src) in examples::ALL {
         for (mode, opts) in golden_modes() {
             let on = run(src, &opts);
-            let off = run(src, &opts.clone().with_prereduce(false));
+            let stg = parse_g(src).unwrap();
+            let sg = build_state_graph(&stg).unwrap();
+            let off = Pipeline::from_parts(stg, sg)
+                .run(&opts)
+                .map(|d| d.into_synthesis());
             assert_eq!(
                 golden_line(name, mode, &on),
                 golden_line(name, mode, &off),
