@@ -999,13 +999,20 @@ impl Resolved {
 
         // The ranked selection: (state signals inserted, literal
         // estimate, timed cycle bits, enumeration index), strictly
-        // improving so the earliest candidate wins ties.
+        // improving so the earliest candidate wins ties. Like the
+        // cycle, the literal estimate is only paid for a pending
+        // selection: a lone candidate's score is never compared.
         let mut best: Option<((usize, u32, u64, usize), usize)> = None;
         for (i, outcome) in outcomes.iter().enumerate() {
             let Ok((s, cycle_bits)) = outcome else {
                 continue;
             };
-            let score = (s.inserted.len(), literal_estimate(&s.sg), *cycle_bits, i);
+            let literals = if selecting {
+                literal_estimate(&s.sg)
+            } else {
+                0
+            };
+            let score = (s.inserted.len(), literals, *cycle_bits, i);
             if !matches!(best, Some((b, _)) if b <= score) {
                 best = Some((score, i));
             }

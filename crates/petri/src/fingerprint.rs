@@ -21,10 +21,9 @@ use crate::stg::Stg;
 /// A canonical 64-bit fingerprint of an STG.
 ///
 /// Invariant under declaration order of signals, transitions and
-/// places; sensitive to the model name, the signal table (names, kinds,
-/// explicit initial values), declared handshake channels, transition
-/// labels (including instance numbers), the arc structure, and the
-/// initial marking.
+/// places; sensitive to the model name, the signal table (names and
+/// kinds), declared handshake channels, transition labels (including
+/// instance numbers), the arc structure, and the initial marking.
 ///
 /// ```
 /// use reshuffle_petri::{canonical_fingerprint, parse_g, write_g};
@@ -52,7 +51,9 @@ pub fn canonical_fingerprint(stg: &Stg) -> u64 {
         let sig = stg.signal(s);
         sig.name.hash(&mut h);
         sig.kind.hash(&mut h);
-        stg.initial_value(s).hash(&mut h);
+        // Signals once carried an optional declared initial value;
+        // hashing its absence keeps every fingerprint stable.
+        None::<bool>.hash(&mut h);
     }
 
     // Open handshake channels, as sorted (req, ack) name pairs.

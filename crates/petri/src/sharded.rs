@@ -17,10 +17,10 @@
 //! graph build relies on to keep golden corpora, fingerprints and
 //! cache keys stable.
 //!
-//! The engine is generic over the key type (markings for the raw
-//! reachability graph, `(marking node, binary code)` pairs for the
-//! encoded state graph) and reports the level-synchronous peak
-//! frontier width for diagnostics.
+//! The engine is generic over the key type (the reachability graph
+//! explores markings; the state-graph build then labels that graph with
+//! codes) and reports the level-synchronous peak frontier width for
+//! diagnostics.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;

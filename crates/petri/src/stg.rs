@@ -132,9 +132,6 @@ pub struct Stg {
     signals: Vec<Signal>,
     labels: Vec<TransLabel>,
     initial: Marking,
-    /// Explicit initial signal values, if known (otherwise inferred by
-    /// the state-graph builder).
-    initial_values: Vec<Option<bool>>,
     /// Declared handshake channels whose ordering is still open.
     handshakes: Vec<Handshake>,
 }
@@ -148,7 +145,6 @@ impl Stg {
             signals: Vec::new(),
             labels: Vec::new(),
             initial: Marking::empty(0),
-            initial_values: Vec::new(),
             handshakes: Vec::new(),
         }
     }
@@ -165,7 +161,6 @@ impl Stg {
         }
         let id = SignalId::from_index(self.signals.len());
         self.signals.push(Signal { name, kind });
-        self.initial_values.push(None);
         Ok(id)
     }
 
@@ -342,16 +337,6 @@ impl Stg {
             let marked: Vec<PlaceId> = self.initial.iter().collect();
             Marking::with_tokens(self.net.num_places(), &marked)
         }
-    }
-
-    /// Sets an explicit initial value for a signal.
-    pub fn set_initial_value(&mut self, s: SignalId, value: bool) {
-        self.initial_values[s.index()] = Some(value);
-    }
-
-    /// The explicit initial value of a signal, if declared.
-    pub fn initial_value(&self, s: SignalId) -> Option<bool> {
-        self.initial_values[s.index()]
     }
 
     /// Read access to the underlying net.

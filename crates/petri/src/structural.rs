@@ -174,7 +174,7 @@ pub fn map_transition(stg: &Stg, t: TransitionId, perm: &[SignalId]) -> Option<T
 /// invariant: kind-preserving bijections of signals whose induced
 /// transition relabelling (via [`map_transition`]) maps places to
 /// places — same producer/consumer sets, same initial tokens — and
-/// preserves explicit initial values and declared handshake channels.
+/// preserves declared handshake channels.
 ///
 /// Symmetric halves of a specification (e.g. the two branches of a
 /// fork/join, or two interchangeable channels) show up here; the
@@ -260,10 +260,7 @@ fn permutations(items: &[usize]) -> Vec<Vec<usize>> {
 /// Checks whether `perm` (image per signal index) preserves the STG.
 fn is_signal_automorphism(stg: &Stg, perm: &[SignalId]) -> bool {
     for (i, &img) in perm.iter().enumerate() {
-        let src = SignalId::from_index(i);
-        if stg.signal(src).kind != stg.signal(img).kind
-            || stg.initial_value(src) != stg.initial_value(img)
-        {
+        if stg.signal(SignalId::from_index(i)).kind != stg.signal(img).kind {
             return false;
         }
     }
@@ -638,17 +635,13 @@ fn merge_series_dummies(
 
 /// Rebuilds the STG without the removed nodes. Ids are dense, so
 /// removal is a fresh net; signal ids, labels (including instance
-/// numbers), place names, initial values, and channels carry over
-/// verbatim.
+/// numbers), place names and channels carry over verbatim.
 fn compact(stg: &Stg, marking: &Marking, dead_p: &[bool], dead_t: &[bool]) -> Result<Stg> {
     let mut out = Stg::new(stg.name.clone());
     for s in stg.signals().collect::<Vec<_>>() {
         let sig = stg.signal(s);
         let id = out.add_signal(sig.name.clone(), sig.kind)?;
         debug_assert_eq!(id, s);
-        if let Some(v) = stg.initial_value(s) {
-            out.set_initial_value(id, v);
-        }
     }
     for h in stg.handshakes().to_vec() {
         out.add_handshake(h.req, h.ack)?;

@@ -15,6 +15,8 @@ use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
+use crate::http::MAX_HEAD_BYTES;
+
 /// One parsed response: status, headers, `Content-Length` body, and
 /// whether the server announced `Connection: close`.
 #[derive(Debug)]
@@ -89,18 +91,24 @@ impl ClientConn {
     }
 
     /// One request/response exchange: writes `request` verbatim, reads
-    /// one `Content-Length`-framed response.
+    /// one `Content-Length`-framed response. The response head is
+    /// capped at the server's own request-head limit (16 KiB), and the
+    /// body is read as it arrives, never preallocated from the peer's
+    /// declared length.
     ///
     /// # Errors
     ///
     /// Socket failures, EOF before or inside the response, and read
-    /// timeouts (when armed via [`ClientConn::connect_timeout`]).
+    /// timeouts (when armed via [`ClientConn::connect_timeout`]);
+    /// [`io::ErrorKind::InvalidData`] for an oversized head or an
+    /// unparsable `Content-Length`.
     pub fn exchange(&mut self, request: &[u8]) -> io::Result<ClientResponse> {
         let mut stream = self.reader.get_ref();
         stream.write_all(request)?;
 
+        let mut head = (&mut self.reader).take(MAX_HEAD_BYTES as u64);
         let mut line = String::new();
-        if self.reader.read_line(&mut line)? == 0 {
+        if head.read_line(&mut line)? == 0 {
             return Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "connection closed before the response",
@@ -116,11 +124,15 @@ impl ClientConn {
         let mut close = false;
         loop {
             line.clear();
-            if self.reader.read_line(&mut line)? == 0 {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "connection closed inside response headers",
-                ));
+            if head.read_line(&mut line)? == 0 {
+                return Err(if head.limit() == 0 {
+                    invalid("response head too large")
+                } else {
+                    io::Error::new(
+                        io::ErrorKind::UnexpectedEof,
+                        "connection closed inside response headers",
+                    )
+                });
             }
             let trimmed = line.trim_end_matches(['\r', '\n']);
             if trimmed.is_empty() {
@@ -129,7 +141,9 @@ impl ClientConn {
             if let Some((name, value)) = trimmed.split_once(':') {
                 let value = value.trim();
                 if name.eq_ignore_ascii_case("content-length") {
-                    content_length = value.parse().unwrap_or(0);
+                    content_length = value
+                        .parse()
+                        .map_err(|_| invalid("unparsable Content-Length"))?;
                 } else if name.eq_ignore_ascii_case("connection")
                     && value.eq_ignore_ascii_case("close")
                 {
@@ -138,8 +152,16 @@ impl ClientConn {
                 headers.push((name.to_string(), value.to_string()));
             }
         }
-        let mut body = vec![0u8; content_length];
-        self.reader.read_exact(&mut body)?;
+        let mut body = Vec::new();
+        (&mut self.reader)
+            .take(content_length as u64)
+            .read_to_end(&mut body)?;
+        if body.len() < content_length {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "connection closed inside the response body",
+            ));
+        }
         Ok(ClientResponse {
             status,
             headers,
@@ -147,6 +169,10 @@ impl ClientConn {
             close,
         })
     }
+}
+
+fn invalid(msg: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
 /// One exchange over a fresh short-lived connection. The request

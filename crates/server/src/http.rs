@@ -18,8 +18,9 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 /// Upper bound on the request line plus headers, defending the reader
-/// against unbounded header streams.
-const MAX_HEAD_BYTES: usize = 16 * 1024;
+/// against unbounded header streams; the client caps response heads at
+/// the same size.
+pub(crate) const MAX_HEAD_BYTES: usize = 16 * 1024;
 
 /// One parsed request.
 #[derive(Debug)]

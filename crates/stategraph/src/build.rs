@@ -1,24 +1,24 @@
 //! Building a [`StateGraph`] from an [`Stg`]: reachability exploration
 //! plus binary encoding.
 //!
-//! The construction explores *(marking, code)* pairs: firing `a+` sets
-//! bit `a` (and is a consistency violation if already set), `a-` clears
-//! it, `a~` toggles it, dummies leave the code unchanged. For rise/fall
-//! signals the initial value is inferred first by constraint propagation
-//! over the plain marking graph (explicit `.g` files rarely declare
-//! initial values); toggle signals default to the STG's declared initial
-//! value or 0.
-//!
-//! For STGs without toggle edges a marking must encode to a unique code;
-//! reaching one marking with two codes is reported as an inconsistency
-//! (petrify's semantics). With toggle edges (2-phase specifications) the
-//! `(marking, parity)` unfolding is the intended behaviour.
+//! The build explores the marking graph, then labels it with codes in
+//! one breadth-first pass. A state is a *(marking, parity)* pair, where
+//! the parity is the XOR of the signal bits of every edge fired since
+//! the initial marking (dummies flip nothing), and its code is
+//! `init ^ parity`. Each rise/fall signal's initial value is fixed by
+//! the edges that switch it (`a+` fires at 0, `a-` at 1); edges that
+//! disagree, or a marking reached with two parities of such a signal,
+//! make the STG inconsistent (petrify's semantics). Without toggle
+//! edges, state *i* is therefore marking node *i*. Toggle signals
+//! (`a~`, 2-phase specifications) start at 0, as do signals that never
+//! switch, and a marking reached with two parities of toggle signals
+//! unfolds into one state per parity.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 use reshuffle_obs::{FieldVal, SpanCtx};
 use reshuffle_petri::sharded::{self, ExploreOptions};
-use reshuffle_petri::{Polarity, ReachabilityGraph, Signal, SignalId, Stg};
+use reshuffle_petri::{PetriError, Polarity, ReachabilityGraph, Signal, SignalId, Stg};
 
 use crate::error::{Result, SgError};
 use crate::sg::{EventId, EventInfo, StateGraph};
@@ -27,8 +27,8 @@ use crate::sg::{EventId, EventInfo, StateGraph};
 ///
 /// # Thread-count independence
 ///
-/// The build explores with a sharded parallel frontier and then
-/// renumbers states canonically, so the resulting graph — ids, arcs,
+/// The build explores markings with a sharded parallel frontier and
+/// then renumbers them canonically, so the resulting graph — ids, arcs,
 /// fingerprint, `Debug` output — is **byte-identical for every value
 /// of `threads`**:
 ///
@@ -59,15 +59,17 @@ use crate::sg::{EventId, EventInfo, StateGraph};
 pub struct BuildOptions {
     /// Cap on the number of explored states.
     pub state_budget: usize,
-    /// Worker threads for the sharded reachability frontier: `0` (the
-    /// default) resolves to the machine's available parallelism, `1`
-    /// forces a serial build. The default can be pinned globally with
-    /// the `RESHUFFLE_THREADS` environment variable — CI uses that to
-    /// assert thread-count independence of whole reports.
+    /// Worker threads for the sharded marking exploration (the
+    /// labelling pass is serial): `0` (the default) resolves to the
+    /// machine's available parallelism, `1` forces a serial build. The
+    /// default can be pinned globally with the `RESHUFFLE_THREADS`
+    /// environment variable — CI uses that to assert thread-count
+    /// independence of whole reports.
     pub threads: usize,
     /// Trace context: the build opens `bfs.markings` and `bfs.encode`
-    /// child spans (level 1) and per-shard `bfs.shard` spans (level 2)
-    /// under it. Disabled by default; never affects the built graph.
+    /// child spans (level 1) under it, and the marking exploration opens
+    /// per-shard `bfs.shard` spans (level 2) under `bfs.markings`.
+    /// Disabled by default; never affects the built graph.
     pub span: SpanCtx,
 }
 
@@ -102,8 +104,9 @@ pub struct BuildStats {
     pub states: usize,
     /// Arcs in the built graph.
     pub arcs: usize,
-    /// Largest breadth-first frontier across the marking and encoding
-    /// explorations.
+    /// Largest breadth-first frontier, by level, across the marking
+    /// exploration and the labelling pass (equal unless toggle signals
+    /// unfold markings).
     pub peak_frontier: usize,
     /// Worker threads the build resolved to.
     pub threads: usize,
@@ -118,153 +121,14 @@ pub fn build_state_graph(stg: &Stg) -> Result<StateGraph> {
     build_state_graph_with(stg, &BuildOptions::default())
 }
 
-/// Infers the initial value of every signal.
-///
-/// Rise/fall signals: constraint propagation over the marking graph
-/// (`a+` fixes 0 at its source marking and 1 at its target). Toggle or
-/// constant signals: the explicit initial value, or 0.
-fn infer_initial_values(stg: &Stg, rg: &ReachabilityGraph) -> Result<Vec<bool>> {
-    let n = rg.len();
-    let num_signals = stg.num_signals();
-    // Which signals need inference: rise/fall edges, no explicit value.
-    let mut needs = vec![false; num_signals];
-    for t in stg.transitions() {
-        if let Some(e) = stg.edge_of(t) {
-            if matches!(e.polarity, Polarity::Rise | Polarity::Fall)
-                && stg.initial_value(e.signal).is_none()
-            {
-                needs[e.signal.index()] = true;
-            }
-        }
-    }
-    let mut initial = vec![false; num_signals];
-    for s in stg.signals() {
-        if let Some(v) = stg.initial_value(s) {
-            initial[s.index()] = v;
-        }
-    }
-    if !needs.iter().any(|&b| b) {
-        return Ok(initial);
-    }
-
-    // values[marking][signal]
-    let mut values: Vec<Vec<Option<bool>>> = vec![vec![None; num_signals]; n];
-    let assign = |values: &mut Vec<Vec<Option<bool>>>,
-                  m: usize,
-                  sig: SignalId,
-                  v: bool|
-     -> std::result::Result<bool, SgError> {
-        match values[m][sig.index()] {
-            None => {
-                values[m][sig.index()] = Some(v);
-                Ok(true)
-            }
-            Some(old) if old == v => Ok(false),
-            Some(old) => Err(SgError::Inconsistent {
-                signal: stg.signal(sig).name.clone(),
-                witness: format!(
-                    "marking #{m} requires {} = {} and {}",
-                    stg.signal(sig).name,
-                    old as u8,
-                    v as u8
-                ),
-            }),
-        }
-    };
-
-    // Seed with rise/fall endpoint constraints.
-    let mut queue: VecDeque<usize> = VecDeque::new();
-    let mut in_queue = vec![false; n];
-    let push = |queue: &mut VecDeque<usize>, in_queue: &mut Vec<bool>, m: usize| {
-        if !in_queue[m] {
-            in_queue[m] = true;
-            queue.push_back(m);
-        }
-    };
-    for m in 0..n {
-        for &(t, tgt) in rg.successors(m as u32) {
-            if let Some(edge) = stg.edge_of(t) {
-                if !needs[edge.signal.index()] {
-                    continue;
-                }
-                let (pre, post) = match edge.polarity {
-                    Polarity::Rise => (false, true),
-                    Polarity::Fall => (true, false),
-                    Polarity::Toggle => continue,
-                };
-                if assign(&mut values, m, edge.signal, pre)? {
-                    push(&mut queue, &mut in_queue, m);
-                }
-                if assign(&mut values, tgt as usize, edge.signal, post)? {
-                    push(&mut queue, &mut in_queue, tgt as usize);
-                }
-            }
-        }
-    }
-
-    // Propagate equalities: along any arc not switching the signal, the
-    // value is preserved (in both directions).
-    let pred = {
-        let mut p: Vec<Vec<(usize, reshuffle_petri::TransitionId)>> = vec![Vec::new(); n];
-        for m in 0..n {
-            for &(t, tgt) in rg.successors(m as u32) {
-                p[tgt as usize].push((m, t));
-            }
-        }
-        p
-    };
-    while let Some(m) = queue.pop_front() {
-        in_queue[m] = false;
-        let snapshot = values[m].clone();
-        for &(t, tgt) in rg.successors(m as u32) {
-            let switched = stg.edge_of(t).map(|e| e.signal);
-            for (i, v) in snapshot.iter().enumerate() {
-                let (Some(v), sig) = (*v, SignalId::from_index(i)) else {
-                    continue;
-                };
-                if !needs[i] || switched == Some(sig) {
-                    continue;
-                }
-                if assign(&mut values, tgt as usize, sig, v)? {
-                    push(&mut queue, &mut in_queue, tgt as usize);
-                }
-            }
-        }
-        for &(src, t) in &pred[m] {
-            let switched = stg.edge_of(t).map(|e| e.signal);
-            for (i, v) in snapshot.iter().enumerate() {
-                let (Some(v), sig) = (*v, SignalId::from_index(i)) else {
-                    continue;
-                };
-                if !needs[i] || switched == Some(sig) {
-                    continue;
-                }
-                if assign(&mut values, src, sig, v)? {
-                    push(&mut queue, &mut in_queue, src);
-                }
-            }
-        }
-    }
-
-    for (i, need) in needs.iter().enumerate() {
-        if *need {
-            // Default an unconstrained signal (can happen when the
-            // marking graph never switches it) to 0.
-            initial[i] = values[0][i].unwrap_or(false);
-        }
-    }
-    Ok(initial)
-}
-
 /// Builds the state graph of `stg`.
 ///
-/// The construction runs two sharded parallel breadth-first
-/// explorations ([`reshuffle_petri::sharded`]) — the raw marking graph,
-/// then the *(marking, code)* encoding product — each followed by a
-/// canonical renumbering, so the result is identical for every
-/// [`BuildOptions::threads`] value. The graph is assembled directly
-/// into the compressed CSR layout; markings stay behind in the
-/// exploration.
+/// The marking graph is explored by a sharded parallel breadth-first
+/// search ([`reshuffle_petri::sharded`]) with a canonical renumbering,
+/// so the result is identical for every [`BuildOptions::threads`]
+/// value. One serial breadth-first pass then labels it with codes (see
+/// the module docs), assembling the graph directly into the compressed
+/// CSR layout; markings stay behind in the exploration.
 ///
 /// # Errors
 ///
@@ -297,115 +161,126 @@ pub fn build_state_graph_stats(stg: &Stg, opts: &BuildOptions) -> Result<(StateG
         ("states", FieldVal::U64(rg.len() as u64)),
         ("peak_frontier", FieldVal::U64(rg.peak_frontier() as u64)),
     ]);
-    let initial_values = infer_initial_values(stg, &rg)?;
-    let mut code0 = 0u64;
-    for (i, &v) in initial_values.iter().enumerate() {
-        if v {
-            code0 |= 1 << i;
+    let sp_encode = opts.span.span("bfs.encode");
+    let (sg, peak_frontier) = label_codes(stg, &rg, opts.state_budget)?;
+    sp_encode.end(&[
+        ("states", FieldVal::U64(sg.num_states() as u64)),
+        ("arcs", FieldVal::U64(sg.num_arcs() as u64)),
+        ("peak_frontier", FieldVal::U64(peak_frontier as u64)),
+    ]);
+    let stats = BuildStats {
+        states: sg.num_states(),
+        arcs: sg.num_arcs(),
+        peak_frontier: rg.peak_frontier().max(peak_frontier),
+        threads: sharded::effective_threads(opts.threads),
+    };
+    Ok((sg, stats))
+}
+
+/// Labels the marking graph `rg` with binary codes in one
+/// breadth-first pass (see the module docs): states are *(marking
+/// node, parity)* pairs, numbered in discovery order. Also returns the
+/// pass's peak frontier, counted by level.
+fn label_codes(stg: &Stg, rg: &ReachabilityGraph, budget: usize) -> Result<(StateGraph, usize)> {
+    let mut toggles = 0u64;
+    for t in stg.transitions() {
+        if let Some(e) = stg.edge_of(t).filter(|e| e.polarity == Polarity::Toggle) {
+            toggles |= 1 << e.signal.index();
         }
     }
-    let has_toggle = stg
-        .transitions()
-        .any(|t| matches!(stg.edge_of(t).map(|e| e.polarity), Some(Polarity::Toggle)));
+    let n = rg.len();
+    let num_arcs = (0..n as u32).map(|m| rg.successors(m).len()).sum();
+    // Per state: its marking node and parity (the code once `init` is
+    // applied at the end).
+    let mut nodes: Vec<u32> = Vec::with_capacity(n);
+    let mut codes: Vec<u64> = Vec::with_capacity(n);
+    let mut succ_offsets: Vec<u32> = Vec::with_capacity(n + 1);
+    let mut arc_events: Vec<EventId> = Vec::with_capacity(num_arcs);
+    let mut arc_targets: Vec<u32> = Vec::with_capacity(num_arcs);
+    // Each marking's first state, and the later states that differ
+    // from it on toggle signals only.
+    let mut first = vec![u32::MAX; n];
+    let mut unfolded: HashMap<(u32, u64), u32> = HashMap::new();
+    // Initial values of the rise/fall signals, and which are fixed.
+    let (mut init, mut fixed) = (0u64, 0u64);
 
-    // Explore (marking-node, code) pairs. Markings are referenced by
-    // their node id in the already-explored reachability graph, so the
-    // frontier keys are plain `(u32, u64)` pairs — no marking clones.
-    let sp_encode = opts.span.span("bfs.encode");
-    let explored = sharded::explore(
-        (0u32, code0),
-        &ExploreOptions::new(opts.threads, opts.state_budget).with_span(sp_encode.ctx()),
-        |&(mnode, code), out: &mut Vec<(EventId, (u32, u64))>| {
-            for &(t, mtgt) in rg.successors(mnode) {
-                let next_code = match stg.edge_of(t) {
-                    None => code,
-                    Some(edge) => {
-                        let bit = 1u64 << edge.signal.index();
-                        let cur = code & bit != 0;
-                        let ok = match edge.polarity {
-                            Polarity::Rise => !cur,
-                            Polarity::Fall => cur,
-                            Polarity::Toggle => true,
-                        };
-                        if !ok {
-                            return Err(SgError::Inconsistent {
-                                signal: stg.signal(edge.signal).name.clone(),
-                                witness: format!(
-                                    "firing {} while {} is already {}",
-                                    stg.transition_name(t),
-                                    stg.signal(edge.signal).name,
-                                    cur as u8
-                                ),
-                            });
-                        }
-                        match edge.polarity {
-                            Polarity::Rise => code | bit,
-                            Polarity::Fall => code & !bit,
-                            Polarity::Toggle => code ^ bit,
-                        }
+    first[0] = 0;
+    nodes.push(0);
+    codes.push(0);
+    succ_offsets.push(0);
+    let (mut level_end, mut peak_frontier) = (1, 1);
+    let mut head = 0;
+    while head < nodes.len() {
+        if head == level_end {
+            level_end = nodes.len();
+            peak_frontier = peak_frontier.max(level_end - head);
+        }
+        let (m, parity) = (nodes[head], codes[head]);
+        head += 1;
+        for &(t, tgt) in rg.successors(m) {
+            let mut next = parity;
+            if let Some(edge) = stg.edge_of(t) {
+                let bit = 1u64 << edge.signal.index();
+                if edge.polarity != Polarity::Toggle {
+                    // A rise fires at value 0 and a fall at 1, and the
+                    // value is `init ^ parity`: the edge fixes `init`.
+                    let at_one = edge.polarity == Polarity::Fall;
+                    let want = if at_one { !parity } else { parity } & bit;
+                    if fixed & bit != 0 && init & bit != want {
+                        return Err(SgError::Inconsistent {
+                            signal: stg.signal(edge.signal).name.clone(),
+                            witness: format!(
+                                "firing {} while {} is already {}",
+                                stg.transition_name(t),
+                                stg.signal(edge.signal).name,
+                                u8::from(!at_one)
+                            ),
+                        });
                     }
-                };
-                out.push((EventId(t.0), (mtgt, next_code)));
+                    fixed |= bit;
+                    init |= want;
+                }
+                next ^= bit;
             }
-            Ok(())
-        },
-        |b| SgError::Petri(reshuffle_petri::PetriError::StateBudgetExceeded(b)),
-    )?;
-    sp_encode.end(&[
-        ("states", FieldVal::U64(explored.keys.len() as u64)),
-        ("arcs", FieldVal::U64(explored.num_arcs() as u64)),
-        (
-            "peak_frontier",
-            FieldVal::U64(explored.peak_frontier as u64),
-        ),
-    ]);
-
-    // Without toggles, a marking reached under two codes is inconsistent.
-    if !has_toggle {
-        let mut seen: HashMap<u32, u64> = HashMap::new();
-        for &(mnode, code) in &explored.keys {
-            if let Some(&other) = seen.get(&mnode) {
-                if other != code {
-                    let diff = other ^ code;
+            let f = first[tgt as usize];
+            let slot = if f == u32::MAX || codes[f as usize] == next {
+                &mut first[tgt as usize]
+            } else {
+                let diff = (codes[f as usize] ^ next) & !toggles;
+                if diff != 0 {
                     let sig = SignalId::from_index(diff.trailing_zeros() as usize);
                     return Err(SgError::Inconsistent {
                         signal: stg.signal(sig).name.clone(),
                         witness: format!(
-                            "marking {} is reachable with codes {code:b} and {other:b}",
-                            rg.marking(mnode).display(stg.net())
+                            "marking {} is reached with {} both 0 and 1",
+                            rg.marking(tgt).display(stg.net()),
+                            stg.signal(sig).name
                         ),
                     });
                 }
-            } else {
-                seen.insert(mnode, code);
+                unfolded.entry((tgt, next)).or_insert(u32::MAX)
+            };
+            if *slot == u32::MAX {
+                if nodes.len() == budget {
+                    return Err(SgError::Petri(PetriError::StateBudgetExceeded(budget)));
+                }
+                *slot = nodes.len() as u32;
+                nodes.push(tgt);
+                codes.push(next);
             }
-        }
-    }
-
-    // Assemble the CSR arrays directly: codes and flat arcs (already in
-    // ascending event order — reachability arcs fire transitions in id
-    // order).
-    let n = explored.keys.len();
-    let num_arcs = explored.num_arcs();
-    let mut codes = Vec::with_capacity(n);
-    let mut succ_offsets = Vec::with_capacity(n + 1);
-    let mut arc_events = Vec::with_capacity(num_arcs);
-    let mut arc_targets = Vec::with_capacity(num_arcs);
-    succ_offsets.push(0);
-    for (i, &(_, code)) in explored.keys.iter().enumerate() {
-        codes.push(code);
-        for &(e, t) in &explored.succs[i] {
-            arc_events.push(e);
-            arc_targets.push(t);
+            arc_events.push(EventId(t.0));
+            arc_targets.push(*slot);
         }
         succ_offsets.push(arc_events.len() as u32);
     }
-    let stats = BuildStats {
-        states: n,
-        arcs: num_arcs,
-        peak_frontier: rg.peak_frontier().max(explored.peak_frontier),
-        threads: sharded::effective_threads(opts.threads),
-    };
+    for code in &mut codes {
+        *code ^= init;
+    }
+    // Toggle unfoldings grew past the one-state-per-marking sizing.
+    codes.shrink_to_fit();
+    succ_offsets.shrink_to_fit();
+    arc_events.shrink_to_fit();
+    arc_targets.shrink_to_fit();
     let sg = StateGraph::from_csr(
         stg.name.clone(),
         signal_table(stg),
@@ -416,7 +291,7 @@ pub fn build_state_graph_stats(stg: &Stg, opts: &BuildOptions) -> Result<(StateG
         arc_targets,
         0,
     )?;
-    Ok((sg, stats))
+    Ok((sg, peak_frontier))
 }
 
 /// The signal table of a state graph built from `stg`.
@@ -487,11 +362,9 @@ a+/2 a+
         assert!(matches!(e, SgError::Inconsistent { .. }), "{e}");
     }
 
-    #[test]
-    fn toggle_signals_unfold_parity() {
-        // A 2-phase cycle: the marking graph has 2 markings but the
-        // state graph unfolds to 4 states tracking signal parity.
-        let src = "\
+    /// A 2-phase cycle: the marking graph has 2 markings but the state
+    /// graph unfolds to 4 states tracking signal parity.
+    const TOGGLE2: &str = "\
 .model t2
 .inputs a
 .outputs b
@@ -501,7 +374,10 @@ b~ a~
 .marking { <b~,a~> }
 .end
 ";
-        let stg = parse_g(src).unwrap();
+
+    #[test]
+    fn toggle_signals_unfold_parity() {
+        let stg = parse_g(TOGGLE2).unwrap();
         let sg = build_state_graph(&stg).unwrap();
         assert_eq!(sg.num_states(), 4);
         let a = sg.signal_by_name("a").unwrap();
@@ -514,25 +390,6 @@ b~ a~
         let s2 = sg.step(s1, eb).unwrap();
         let s3 = sg.step(s2, e).unwrap();
         assert!(!sg.value(s3, a));
-    }
-
-    #[test]
-    fn explicit_initial_value_respected() {
-        let src = "\
-.model t2
-.inputs a
-.outputs b
-.graph
-a~ b~
-b~ a~
-.marking { <b~,a~> }
-.end
-";
-        let mut stg = parse_g(src).unwrap();
-        let a = stg.signal_by_name("a").unwrap();
-        stg.set_initial_value(a, true);
-        let sg = build_state_graph(&stg).unwrap();
-        assert!(sg.value(0, a));
     }
 
     #[test]
@@ -583,14 +440,17 @@ b~ a~
     }
 
     #[test]
-    fn initial_value_inference_fig1() {
-        // Req must be inferred high: Req- fires before any Req+.
-        let stg = parse_g(FIG1).unwrap();
-        let rg = ReachabilityGraph::explore_default(stg.net(), &stg.initial_marking()).unwrap();
-        let vals = infer_initial_values(&stg, &rg).unwrap();
-        let req = stg.signal_by_name("Req").unwrap();
-        let ack = stg.signal_by_name("Ack").unwrap();
-        assert!(vals[req.index()]);
-        assert!(!vals[ack.index()]);
+    fn toggle_unfolding_respects_budget() {
+        // Both markings fit the budget; their 4 states do not.
+        let stg = parse_g(TOGGLE2).unwrap();
+        let e = build_state_graph_with(
+            &stg,
+            &BuildOptions {
+                state_budget: 3,
+                ..Default::default()
+            },
+        )
+        .unwrap_err();
+        assert_eq!(e, SgError::Petri(PetriError::StateBudgetExceeded(3)));
     }
 }

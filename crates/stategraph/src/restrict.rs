@@ -8,7 +8,7 @@
 //! binary codes, the event table and speed-independence-relevant
 //! structure all carry over. [`restrict_with_place`] builds that product
 //! directly from the already-explored graph, skipping the Petri-net
-//! token game and initial-value inference that dominate a full
+//! token game and code labelling of a full
 //! [`build_state_graph`](crate::build_state_graph) run.
 //!
 //! CSC resolution rewrites the STG by inserting a state signal's two

@@ -1,5 +1,6 @@
-//! Thread-count independence of the parallel state-graph build, and
-//! equivalence of the CSR incremental product with a full rebuild.
+//! Thread-count independence of the parallel state-graph build, its
+//! numbering against the marking graph, and equivalence of the CSR
+//! incremental product with a full rebuild.
 //!
 //! The sharded parallel exploration must be *byte-identical* for every
 //! thread count — state numbering, arcs, fingerprints and `Debug`
@@ -8,7 +9,8 @@
 //! graph per specification.
 
 use reshuffle_bench::examples;
-use reshuffle_petri::{parse_g, structural};
+use reshuffle_handshake::{expand_handshakes, ExpansionOptions};
+use reshuffle_petri::{parse_g, structural, ReachabilityGraph};
 use reshuffle_sg::conc::concurrent_pairs;
 use reshuffle_sg::restrict::restrict_with_place;
 use reshuffle_sg::{build_state_graph, build_state_graph_with, BuildOptions, EventId};
@@ -83,6 +85,48 @@ fn spawned_workers_build_identically_at_scale() {
         assert_eq!(base.num_arcs(), sg.num_arcs());
         assert_eq!(base.codes(), sg.codes());
     }
+}
+
+#[test]
+fn labelled_graph_has_one_state_per_marking() {
+    // Without toggle edges the code follows the marking, so state i is
+    // marking node i with the same arcs: the numbering the CSC search's
+    // `insert_series_pair` reproduces state for state.
+    let mut stgs = Vec::new();
+    for (name, src) in examples::ALL {
+        let stg = parse_g(src).unwrap();
+        if stg.is_partial() {
+            let all = ExpansionOptions {
+                max_reshufflings: 4096,
+            };
+            let reshufflings = expand_handshakes(&stg, &all).unwrap();
+            for (i, r) in reshufflings.into_iter().enumerate() {
+                stgs.push((format!("{name}#{i}"), r.stg));
+            }
+        } else {
+            stgs.push((name.to_string(), stg));
+        }
+    }
+    for n in 1..=5 {
+        stgs.push((
+            format!("scaled{n}"),
+            parse_g(&examples::scaled_pipeline(n)).unwrap(),
+        ));
+        let padded = examples::scaled_pipeline_padded(n);
+        stgs.push((format!("padded{n}"), parse_g(&padded).unwrap()));
+    }
+    let mut states = 0;
+    for (name, stg) in &stgs {
+        let rg = ReachabilityGraph::explore_default(stg.net(), &stg.initial_marking()).unwrap();
+        let sg = build_state_graph(stg).unwrap();
+        assert_eq!(sg.num_states(), rg.len(), "{name}: states");
+        for m in 0..rg.len() as u32 {
+            let arcs = rg.successors(m).iter().map(|&(t, tgt)| (EventId(t.0), tgt));
+            assert!(sg.succ(m).iter().eq(arcs), "{name}: arcs of state {m}");
+        }
+        states += rg.len();
+    }
+    assert!(states > 3000, "too few states checked: {states}");
 }
 
 #[test]
