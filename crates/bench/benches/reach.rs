@@ -1,11 +1,6 @@
-//! Parallel reachability: the sharded-frontier state-graph build on
-//! the scaled synthetic corpus (`examples::scaled_pipeline`), 1 thread
-//! vs the machine's available parallelism.
-//!
-//! The top size exceeds 10^5 states, where the build is dominated by
-//! frontier expansion and the sharded workers pay off; the output also
-//! asserts that both thread counts produce fingerprint-identical
-//! graphs (the determinism guarantee the golden corpus relies on).
+//! Reachability: the state-graph build on the scaled synthetic corpus
+//! (`examples::scaled_pipeline`), reporting build time, states and the
+//! peak breadth-first frontier per size.
 //!
 //! The measurement loop keeps the large builds to a few runs each —
 //! calibrating an iteration count against a second-long build would
@@ -20,30 +15,17 @@ use std::time::{Duration, Instant};
 
 use reshuffle_bench::{examples, smoke_mode};
 use reshuffle_petri::{parse_g, prereduce, ReachabilityGraph};
-use reshuffle_sg::{build_state_graph_stats, BuildOptions};
+use reshuffle_sg::{build_state_graph_stats, BuildOptions, BuildStats};
 
-/// Builds once at the given thread count, returning (wall, fingerprint,
-/// states, peak frontier).
-fn build_once(stg: &reshuffle_petri::Stg, threads: usize) -> (Duration, u64, usize, usize) {
-    let opts = BuildOptions {
-        threads,
-        ..Default::default()
-    };
-    let t = Instant::now();
-    let (sg, stats) = build_state_graph_stats(stg, &opts).unwrap();
-    (
-        t.elapsed(),
-        sg.fingerprint(),
-        stats.states,
-        stats.peak_frontier,
-    )
-}
-
-/// Best-of-`runs` wall time.
-fn best(stg: &reshuffle_petri::Stg, threads: usize, runs: usize) -> (Duration, u64, usize, usize) {
+/// Best-of-`runs` build: (wall, stats).
+fn best(stg: &reshuffle_petri::Stg, runs: usize) -> (Duration, BuildStats) {
     (0..runs)
-        .map(|_| build_once(stg, threads))
-        .min_by_key(|&(wall, _, _, _)| wall)
+        .map(|_| {
+            let t = Instant::now();
+            let (_, stats) = build_state_graph_stats(stg, &BuildOptions::default()).unwrap();
+            (t.elapsed(), stats)
+        })
+        .min_by_key(|&(wall, _)| wall)
         .expect("at least one run")
 }
 
@@ -53,19 +35,14 @@ fn main() {
     } else {
         (&[6, 9, 11], 2)
     };
-    let auto = reshuffle_petri::sharded::effective_threads(0);
-    println!("par_reach: 1 thread vs {auto} (available parallelism); best of {runs}");
+    println!("reach: state-graph build, best of {runs}");
     for &n in sizes {
         let stg = parse_g(&examples::scaled_pipeline(n)).unwrap();
-        let (serial, fp1, states, frontier) = best(&stg, 1, runs);
-        let (parallel, fp_auto, _, _) = best(&stg, 0, runs);
-        assert_eq!(
-            fp1, fp_auto,
-            "thread count changed the graph at n={n} — determinism broken"
-        );
-        let speedup = serial.as_secs_f64() / parallel.as_secs_f64().max(1e-9);
+        let (wall, stats) = best(&stg, runs);
+        assert_eq!(stats.states, examples::scaled_pipeline_states(n), "n={n}");
         println!(
-            "scaled_pipeline({n:>2})  {states:>7} states  peak frontier {frontier:>6}  t1 {serial:>10.2?}  t{auto} {parallel:>10.2?}  speedup {speedup:>5.2}x",
+            "scaled_pipeline({n:>2})  {:>7} states  peak frontier {:>6}  build {wall:>10.2?}",
+            stats.states, stats.peak_frontier,
         );
     }
 

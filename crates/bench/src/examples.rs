@@ -201,8 +201,8 @@ Go- Req~
 /// `r{i}+ -> a{i}+` branches rejoining on `done+`, then the mirrored
 /// falling phase. The branches interleave freely, so the state count is
 /// exponential in `n` — exactly `2 * 3^n + 2` states — which makes this
-/// the scaling corpus for the parallel reachability bench (`par_reach`):
-/// `n = 11` tops 350 000 states (≥ 10^5 at `n = 11`).
+/// the scaling corpus for the reachability bench (`reach`): `n = 11`
+/// tops 350 000 states.
 ///
 /// Supported range: `1 ..= 31` (2n + 2 signals must fit the 64-signal
 /// state-code limit).
@@ -250,7 +250,7 @@ pub fn scaled_pipeline(n: usize) -> String {
 /// Structural pre-reduction ([`reshuffle_petri::prereduce`]) merges
 /// every series dummy away and recovers the plain [`scaled_pipeline`]
 /// net exactly (asserted by canonical fingerprint in the tests), which
-/// makes this the pre-/post-reduction corpus of the `par_reach` bench
+/// makes this the pre-/post-reduction corpus of the `reach` bench
 /// and the `tables --scaled` trajectory: the padded specification is
 /// only buildable because the state space shrinks *before* the state
 /// graph exists.

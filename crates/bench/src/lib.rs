@@ -1,15 +1,15 @@
 //! Reports and benches for the `reshuffle` workspace.
 //!
-//! [`examples`] holds the `.g` sources the `par_reach` bench, the
+//! [`examples`] holds the `.g` sources the `reach` bench, the
 //! `tables` binary and the test suites share; [`tables`] collects and
 //! renders the Tables 1/2 report (text, and machine-readable JSON via
 //! [`reshuffle::obs::json`]). End-to-end and per-layer timings come
 //! from the separate `perfbench` package.
 //!
-//! The `par_reach` bench is registered with `harness = false` (the
-//! container has no network, so no `criterion`) and times the parallel
-//! state-graph build with its own loop; [`smoke_mode`] cuts it down to
-//! a start-up check.
+//! The `reach` bench is registered with `harness = false` (the
+//! workspace takes no external dependencies, so no `criterion`) and
+//! times the state-graph build with its own loop; [`smoke_mode`] cuts
+//! it down to a start-up check.
 
 #![warn(missing_docs)]
 

@@ -701,7 +701,7 @@ Go- Req~
         use std::sync::Arc;
 
         let ring = Arc::new(RingSink::new(256));
-        let tracer = Tracer::new(2, SinkHandle::new(ring.clone() as Arc<dyn Sink>));
+        let tracer = Tracer::new(true, SinkHandle::new(ring.clone() as Arc<dyn Sink>));
         let trace = TraceId::derive(0x5eed, 17);
         let traced = Pipeline::from_g(XYZ_G)
             .unwrap()
@@ -768,7 +768,7 @@ Go- Req~
         // parents have no toggle edges, so every candidate graph is
         // derived and none is built in full.
         let ring = Arc::new(RingSink::new(4096));
-        let tracer = Tracer::new(1, SinkHandle::new(ring.clone() as Arc<dyn Sink>));
+        let tracer = Tracer::new(true, SinkHandle::new(ring.clone() as Arc<dyn Sink>));
         let opts = PipelineOptions::new().with_expand(ExpansionOptions::default());
         Pipeline::from_g(PCREQ_G)
             .unwrap()

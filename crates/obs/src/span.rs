@@ -1,7 +1,7 @@
 //! Hierarchical spans with monotonic timestamps and pluggable sinks.
 //!
 //! A [`Tracer`] owns the clock epoch, the span-id allocator, the output
-//! [`Sink`], and the enable/verbosity gates. A [`SpanCtx`] is the cheap,
+//! [`Sink`], and the on/off switch. A [`SpanCtx`] is the cheap,
 //! cloneable handle threaded through the pipeline: it carries the tracer,
 //! the request's [`TraceId`], and the parent span id. Opening a span on a
 //! disabled context is a single branch (an `Option` check plus one
@@ -24,7 +24,7 @@ use std::fmt;
 use std::fs::File;
 use std::io::Write as _;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -187,13 +187,12 @@ impl fmt::Debug for SinkHandle {
 
 struct TracerInner {
     enabled: AtomicBool,
-    level: AtomicU8,
     epoch: Instant,
     sink: SinkHandle,
     next_span: AtomicU64,
 }
 
-/// Owns the trace clock, span-id allocation, verbosity gate, and sink.
+/// Owns the trace clock, span-id allocation, on/off switch, and sink.
 #[derive(Clone)]
 pub struct Tracer {
     inner: Arc<TracerInner>,
@@ -201,20 +200,17 @@ pub struct Tracer {
 
 impl fmt::Debug for Tracer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Tracer(level={})", self.level())
+        write!(f, "Tracer(enabled={})", self.is_enabled())
     }
 }
 
 impl Tracer {
-    /// A tracer emitting to `sink` at `level` (0 disables emission).
-    ///
-    /// Verbosity levels: `1` traces requests and pipeline stages, `2`
-    /// additionally traces per-shard BFS work.
-    pub fn new(level: u8, sink: SinkHandle) -> Tracer {
+    /// A tracer emitting to `sink`; with `enabled` false it emits
+    /// nothing until [switched on](Tracer::set_enabled).
+    pub fn new(enabled: bool, sink: SinkHandle) -> Tracer {
         Tracer {
             inner: Arc::new(TracerInner {
-                enabled: AtomicBool::new(level > 0),
-                level: AtomicU8::new(level),
+                enabled: AtomicBool::new(enabled),
                 epoch: Instant::now(),
                 sink,
                 next_span: AtomicU64::new(1),
@@ -222,15 +218,15 @@ impl Tracer {
         }
     }
 
-    /// Change the verbosity at runtime (0 disables).
-    pub fn set_level(&self, level: u8) {
-        self.inner.level.store(level, Ordering::Relaxed);
-        self.inner.enabled.store(level > 0, Ordering::Relaxed);
+    /// Switches emission on or off at runtime.
+    pub fn set_enabled(&self, enabled: bool) {
+        self.inner.enabled.store(enabled, Ordering::Relaxed);
     }
 
-    /// Current verbosity level.
-    pub fn level(&self) -> u8 {
-        self.inner.level.load(Ordering::Relaxed)
+    /// Whether spans are emitted.
+    #[inline]
+    pub fn is_enabled(&self) -> bool {
+        self.inner.enabled.load(Ordering::Relaxed)
     }
 
     /// Open a root context for one request.
@@ -255,17 +251,11 @@ pub struct SpanCtx {
 }
 
 impl SpanCtx {
-    /// Is tracing live at `level` on this context? One `Option` check and
-    /// one relaxed atomic load — the entire cost of the disabled path.
+    /// Is tracing live on this context? One `Option` check and one
+    /// relaxed atomic load — the entire cost of the disabled path.
     #[inline]
-    pub fn enabled_at(&self, level: u8) -> bool {
-        match &self.tracer {
-            None => false,
-            Some(t) => {
-                t.inner.enabled.load(Ordering::Relaxed)
-                    && t.inner.level.load(Ordering::Relaxed) >= level
-            }
-        }
+    pub fn enabled(&self) -> bool {
+        self.tracer.as_ref().is_some_and(Tracer::is_enabled)
     }
 
     /// The trace id carried by this context (zero when disabled).
@@ -273,15 +263,9 @@ impl SpanCtx {
         self.trace
     }
 
-    /// Open a level-1 child span.
+    /// Open a child span; inert if tracing is off.
     pub fn span(&self, name: &'static str) -> ActiveSpan {
-        self.span_at(1, name)
-    }
-
-    /// Open a child span gated at `level`; inert if the tracer is off or
-    /// less verbose than `level`.
-    pub fn span_at(&self, level: u8, name: &'static str) -> ActiveSpan {
-        if !self.enabled_at(level) {
+        if !self.enabled() {
             return ActiveSpan { live: None };
         }
         let tracer = self.tracer.clone().expect("enabled implies tracer");
@@ -411,9 +395,9 @@ fn emit_span(live: &Live, fields: &[(&str, FieldVal<'_>)]) {
 mod tests {
     use super::*;
 
-    fn ring_tracer(level: u8) -> (Tracer, Arc<RingSink>) {
+    fn ring_tracer() -> (Tracer, Arc<RingSink>) {
         let ring = Arc::new(RingSink::new(64));
-        let tracer = Tracer::new(level, SinkHandle::new(ring.clone() as Arc<dyn Sink>));
+        let tracer = Tracer::new(true, SinkHandle::new(ring.clone() as Arc<dyn Sink>));
         (tracer, ring)
     }
 
@@ -439,17 +423,17 @@ mod tests {
     #[test]
     fn disabled_context_emits_nothing_and_is_cheap() {
         let ctx = SpanCtx::default();
-        assert!(!ctx.enabled_at(1));
+        assert!(!ctx.enabled());
         let span = ctx.span("noop");
         assert!(!span.is_live());
         let child = span.ctx();
-        assert!(!child.enabled_at(1));
+        assert!(!child.enabled());
         span.end(&[("k", FieldVal::U64(1))]);
     }
 
     #[test]
     fn spans_nest_and_share_the_trace_id() {
-        let (tracer, ring) = ring_tracer(2);
+        let (tracer, ring) = ring_tracer();
         let trace = TraceId::derive(7, 9);
         let root = tracer.root(trace);
         let req = root.span("request");
@@ -479,18 +463,23 @@ mod tests {
     }
 
     #[test]
-    fn level_gates_verbose_spans() {
-        let (tracer, ring) = ring_tracer(1);
+    fn tracing_switches_off_and_on() {
+        let (tracer, ring) = ring_tracer();
         let root = tracer.root(TraceId::derive(1, 1));
-        let shard = root.span_at(2, "bfs.shard");
-        assert!(!shard.is_live());
-        drop(shard);
+        tracer.set_enabled(false);
+        assert!(!root.enabled());
+        let off = root.span("stage.expand");
+        assert!(!off.is_live());
+        assert!(!off.ctx().enabled());
+        drop(off);
         assert!(ring.lines().is_empty());
-        tracer.set_level(2);
-        root.span_at(2, "bfs.shard").end(&[]);
+        tracer.set_enabled(true);
+        assert!(root.enabled());
+        root.span("stage.expand").end(&[]);
         assert_eq!(ring.lines().len(), 1);
-        tracer.set_level(0);
-        assert!(!root.enabled_at(1));
+        assert!(!Tracer::new(false, SinkHandle::stderr())
+            .root(TraceId::default())
+            .enabled());
     }
 
     #[test]
@@ -504,7 +493,7 @@ mod tests {
 
     #[test]
     fn dropped_span_still_emits() {
-        let (tracer, ring) = ring_tracer(1);
+        let (tracer, ring) = ring_tracer();
         let root = tracer.root(TraceId::derive(3, 3));
         drop(root.span("forgotten"));
         assert_eq!(ring.lines().len(), 1);

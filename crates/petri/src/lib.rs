@@ -14,9 +14,7 @@
 //! * [structural transformations](structural) used by handshake
 //!   expansion and concurrency reduction;
 //! * [`canonical_fingerprint`] — declaration-order-invariant hashing of
-//!   STGs, the key of the facade's synthesis cache;
-//! * [`sharded`] — the deterministic sharded parallel BFS engine behind
-//!   [`ReachabilityGraph::explore_threads`] and the state-graph build.
+//!   STGs, the key of the facade's synthesis cache.
 //!
 //! # Example
 //!
@@ -43,7 +41,6 @@ mod marking;
 mod net;
 mod parse;
 mod reach;
-pub mod sharded;
 pub mod stg;
 pub mod structural;
 mod write;

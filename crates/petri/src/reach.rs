@@ -6,20 +6,22 @@
 //! the queries shared by every client (deadlocks, safeness diagnosis,
 //! liveness of individual transitions).
 
+use std::collections::HashMap;
+
 use crate::error::{PetriError, Result};
 use crate::ids::TransitionId;
 use crate::marking::Marking;
 use crate::net::PetriNet;
-use crate::sharded::{self, ExploreOptions};
 
 /// Default cap on explored markings; generous for controller-sized nets.
 pub const DEFAULT_STATE_BUDGET: usize = 1_000_000;
 
 /// The reachability graph of a 1-safe net from a given initial marking.
 ///
-/// Nodes are numbered canonically — breadth-first from the initial
-/// marking, arcs in ascending transition order — so the graph is
-/// byte-identical no matter how many threads explored it.
+/// Nodes are numbered canonically: first-in-first-out from the initial
+/// marking (node 0), each node's successors in ascending transition
+/// order. The state-graph build, fingerprints and cache keys all rely
+/// on this numbering.
 #[derive(Debug, Clone)]
 pub struct ReachabilityGraph {
     markings: Vec<Marking>,
@@ -29,67 +31,71 @@ pub struct ReachabilityGraph {
 }
 
 impl ReachabilityGraph {
-    /// Explores the reachability graph of `net` from `initial` on one
-    /// thread.
+    /// Explores the reachability graph of `net` from `initial`
+    /// breadth-first, numbering markings as it finds them.
     ///
     /// # Errors
     ///
-    /// * [`PetriError::UnsafePlace`] if any reachable firing violates
-    ///   1-safeness;
+    /// * [`PetriError::UnsafePlace`] for the first firing, in
+    ///   breadth-first order, that violates 1-safeness;
     /// * [`PetriError::StateBudgetExceeded`] if more than `budget`
     ///   markings are reachable;
     /// * [`PetriError::Structural`] if the net has source transitions.
     pub fn explore(net: &PetriNet, initial: &Marking, budget: usize) -> Result<Self> {
-        Self::explore_threads(net, initial, budget, 1)
+        net.check_no_source_transitions()?;
+        if budget == 0 {
+            return Err(PetriError::StateBudgetExceeded(0));
+        }
+        let mut index = HashMap::from([(initial.clone(), 0u32)]);
+        let mut markings = vec![initial.clone()];
+        let mut succs: Vec<Vec<(TransitionId, u32)>> = Vec::new();
+        let (mut level_end, mut peak_frontier) = (1, 1);
+        while succs.len() < markings.len() {
+            let head = succs.len();
+            if head == level_end {
+                level_end = markings.len();
+                peak_frontier = peak_frontier.max(level_end - head);
+            }
+            let enabled = markings[head].enabled_transitions(net);
+            let mut arcs = Vec::with_capacity(enabled.len());
+            for t in enabled {
+                let next = markings[head].fire(net, t)?;
+                let target = match index.get(&next) {
+                    Some(&node) => node,
+                    None => {
+                        if markings.len() == budget {
+                            return Err(PetriError::StateBudgetExceeded(budget));
+                        }
+                        let node = markings.len() as u32;
+                        index.insert(next.clone(), node);
+                        markings.push(next);
+                        node
+                    }
+                };
+                arcs.push((t, target));
+            }
+            succs.push(arcs);
+        }
+        Ok(ReachabilityGraph {
+            markings,
+            succs,
+            peak_frontier,
+        })
     }
 
-    /// [`ReachabilityGraph::explore`] with a sharded parallel frontier:
-    /// markings are hash-partitioned over [`sharded::NUM_SHARDS`]
-    /// shards processed by up to `threads` workers (`0` = available
-    /// parallelism). The result is canonically numbered and therefore
-    /// identical for every thread count.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ReachabilityGraph::explore`].
+    /// [`ReachabilityGraph::explore`]; the thread count is ignored.
+    #[doc(hidden)]
     pub fn explore_threads(
         net: &PetriNet,
         initial: &Marking,
         budget: usize,
-        threads: usize,
+        _threads: usize,
     ) -> Result<Self> {
-        Self::explore_opts(net, initial, &ExploreOptions::new(threads, budget))
+        Self::explore(net, initial, budget)
     }
 
-    /// [`ReachabilityGraph::explore_threads`] with full
-    /// [`ExploreOptions`] control — notably a trace context for
-    /// per-shard BFS spans. Tracing does not change the result.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ReachabilityGraph::explore`].
-    pub fn explore_opts(net: &PetriNet, initial: &Marking, opts: &ExploreOptions) -> Result<Self> {
-        net.check_no_source_transitions()?;
-        let explored = sharded::explore(
-            initial.clone(),
-            opts,
-            |m: &Marking, out: &mut Vec<(TransitionId, Marking)>| {
-                for t in m.enabled_transitions(net) {
-                    out.push((t, m.fire(net, t)?));
-                }
-                Ok(())
-            },
-            PetriError::StateBudgetExceeded,
-        )?;
-        Ok(ReachabilityGraph {
-            markings: explored.keys,
-            succs: explored.succs,
-            peak_frontier: explored.peak_frontier,
-        })
-    }
-
-    /// Largest breadth-first frontier seen while exploring (a proxy for
-    /// how much parallelism the net exposes).
+    /// Width of the widest breadth-first level (the initial marking
+    /// alone is a level of width 1).
     pub fn peak_frontier(&self) -> usize {
         self.peak_frontier
     }
@@ -179,12 +185,35 @@ mod tests {
     }
 
     #[test]
+    fn numbering_is_breadth_first_in_transition_order() {
+        let (n, m0) = diamond();
+        let g = ReachabilityGraph::explore_default(&n, &m0).unwrap();
+        let [a, a_back, b, b_back] = [0, 1, 2, 3].map(TransitionId::from_index);
+        let arcs: Vec<&[(TransitionId, u32)]> = (0..4).map(|s| g.successors(s)).collect();
+        assert_eq!(
+            arcs,
+            [
+                &[(a, 1), (b, 2)][..],
+                &[(a_back, 0), (b, 3)],
+                &[(a, 3), (b_back, 0)],
+                &[(a_back, 2), (b_back, 1)],
+            ]
+        );
+        assert_eq!(g.peak_frontier(), 2);
+    }
+
+    #[test]
     fn budget_is_enforced() {
         let (n, m0) = diamond();
         assert!(matches!(
             ReachabilityGraph::explore(&n, &m0, 2),
             Err(PetriError::StateBudgetExceeded(2))
         ));
+        assert!(matches!(
+            ReachabilityGraph::explore(&n, &m0, 0),
+            Err(PetriError::StateBudgetExceeded(0))
+        ));
+        assert_eq!(ReachabilityGraph::explore(&n, &m0, 4).unwrap().len(), 4);
     }
 
     #[test]

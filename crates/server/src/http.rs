@@ -73,6 +73,15 @@ fn malformed(msg: impl Into<String>) -> HttpError {
     HttpError::Malformed(msg.into())
 }
 
+/// One head line as text. A line the allowance cut short (no `\n`
+/// with nothing `left`) means the head is too large.
+fn head_text(line: &[u8], left: usize) -> Result<&str, HttpError> {
+    if left == 0 && !line.ends_with(b"\n") {
+        return Err(malformed("header section too large"));
+    }
+    std::str::from_utf8(line).map_err(|_| malformed("head line is not UTF-8"))
+}
+
 /// A [`TcpStream`] whose every read is bounded by an absolute
 /// deadline: before each syscall the socket read timeout is set to the
 /// time *remaining*, so a sequence of trickled bytes cannot stretch
@@ -135,6 +144,18 @@ impl Conn {
         self.reader.get_mut().deadline = deadline;
     }
 
+    /// Reads one head line, through its `\n`, into `line`, reading at
+    /// most `*left` bytes and charging them to `left`: an endless line
+    /// is cut off at the head allowance instead of being buffered.
+    fn read_head_line(&mut self, line: &mut Vec<u8>, left: &mut usize) -> io::Result<usize> {
+        line.clear();
+        let n = (&mut self.reader)
+            .take(*left as u64)
+            .read_until(b'\n', line)?;
+        *left -= n;
+        Ok(n)
+    }
+
     /// Reads the next request off the connection, rejecting bodies
     /// larger than `max_body` bytes.
     ///
@@ -149,7 +170,9 @@ impl Conn {
     /// [`HttpError::Closed`] when the connection ended between
     /// requests (peer EOF, or idle expiry with no bytes read),
     /// [`HttpError::Timeout`] when a deadline lapsed mid-request,
-    /// [`HttpError::Malformed`] on protocol violations,
+    /// [`HttpError::Malformed`] on protocol violations (including a
+    /// head past [`MAX_HEAD_BYTES`], as soon as the cap is reached, and
+    /// a head line that is not UTF-8),
     /// [`HttpError::BodyTooLarge`] past the body limit, and
     /// [`HttpError::Io`] when the socket dies.
     pub fn read_request(
@@ -158,9 +181,10 @@ impl Conn {
         idle: Duration,
         budget: Duration,
     ) -> Result<Request, HttpError> {
-        let mut line = String::new();
+        let mut left = MAX_HEAD_BYTES;
+        let mut line = Vec::new();
         self.set_deadline(Some(Instant::now() + idle));
-        match self.reader.read_line(&mut line) {
+        match self.read_head_line(&mut line, &mut left) {
             Ok(0) => return Err(HttpError::Closed),
             Ok(_) => {}
             // An idle expiry (or peer reset) before any byte of a new
@@ -178,8 +202,8 @@ impl Conn {
         // whole body — shares one absolute deadline.
         self.set_deadline(Some(Instant::now() + budget));
 
-        let mut head = line.len();
-        let mut parts = line.trim_end().split(' ');
+        let request_line = head_text(&line, left)?;
+        let mut parts = request_line.trim_end().split(' ');
         let method = parts.next().unwrap_or_default().to_string();
         let path = parts
             .next()
@@ -198,17 +222,11 @@ impl Conn {
         let mut content_length = 0usize;
         let mut trace_id = None;
         loop {
-            line.clear();
-            self.reader.read_line(&mut line)?;
-            head += line.len();
-            if head > MAX_HEAD_BYTES {
-                return Err(malformed("header section too large"));
+            if self.read_head_line(&mut line, &mut left)? == 0 && left > 0 {
+                return Err(malformed("connection closed inside headers"));
             }
-            let trimmed = line.trim_end_matches(['\r', '\n']);
+            let trimmed = head_text(&line, left)?.trim_end_matches(['\r', '\n']);
             if trimmed.is_empty() {
-                if line.is_empty() {
-                    return Err(malformed("connection closed inside headers"));
-                }
                 break;
             }
             let (name, value) = trimmed

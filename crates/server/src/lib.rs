@@ -24,8 +24,9 @@
 //!    head and body, so a byte-trickling client gets a `408` instead
 //!    of holding a worker.
 //! 3. **Batching + single-flight dedup** — connections land on a
-//!    bounded accept queue drained by a worker pool sized by
-//!    [`BuildOptions::threads`]; when the queue is full the service
+//!    bounded accept queue drained by a worker pool of
+//!    [`threads`](ServerConfig::with_threads) workers (default: the
+//!    available parallelism); when the queue is full the service
 //!    sheds load with `503` instead of stalling. Concurrent requests
 //!    for the same spec × options (the [`reshuffle::run_cache_key`])
 //!    coalesce into one pipeline execution whose result every waiter
@@ -39,10 +40,10 @@
 //!    in Prometheus text exposition format. Every response echoes an
 //!    `X-Trace-Id` header — derived per request from the run cache key
 //!    plus a nonce, or propagated verbatim from a parseable client
-//!    `X-Trace-Id` — and with a
-//!    [`trace level`](ServerConfig::with_trace_level) above zero the
-//!    request, its pipeline stages and (at level 2) the per-shard BFS
-//!    work are emitted as JSON span lines sharing that id.
+//!    `X-Trace-Id` — and with a nonzero
+//!    [`trace level`](ServerConfig::with_trace_level) the request, its
+//!    pipeline stages and the state-graph build's two passes are
+//!    emitted as JSON span lines sharing that id.
 //!
 //! For horizontal deployment the same server also runs as a
 //! **fingerprint-sharded router** in front of N of these backends —
@@ -94,7 +95,6 @@ use reshuffle::{
 use reshuffle_obs::json::{self, Json};
 use reshuffle_obs::{FieldVal, HistSnapshot, Histogram, PromWriter, Tracer};
 use reshuffle_petri::parse_g;
-use reshuffle_sg::BuildOptions;
 
 use engine::{error_body, Engine, EngineState, Response, Service, Stat, SynthRequest};
 use router::RouteService;
@@ -140,8 +140,8 @@ pub use reshuffle_obs::{RingSink, SinkHandle, TraceId};
 pub struct ServerConfig {
     /// Bind address (`127.0.0.1:0` by default — an ephemeral port).
     pub addr: String,
-    /// Worker threads; `0` (the default, via [`BuildOptions`]) resolves
-    /// to the machine's available parallelism.
+    /// Worker threads; `0` (the default) resolves to the machine's
+    /// available parallelism.
     pub threads: usize,
     /// Accepted connections queued ahead of the workers; one more and
     /// the service sheds with `503`.
@@ -169,9 +169,9 @@ pub struct ServerConfig {
     /// `GET /stats` so a rollup can attribute numbers to backends
     /// (`None` = standalone). Serve mode only.
     pub shard_id: Option<u64>,
-    /// Trace verbosity: `0` disables tracing (one relaxed atomic load
-    /// per would-be span), `1` traces requests and pipeline stages,
-    /// `2` additionally traces per-shard BFS work. Defaults to the
+    /// Tracing switch: `0` disables tracing (one relaxed atomic load
+    /// per would-be span); any other value traces requests, pipeline
+    /// stages and the state-graph build. Defaults to the
     /// `RESHUFFLE_TRACE` environment variable, or `0`.
     pub trace_level: u8,
     /// Where span JSON lines go when tracing is on (`None` = stderr).
@@ -195,7 +195,7 @@ impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
-            threads: BuildOptions::default().threads,
+            threads: 0,
             queue_depth: 64,
             request_timeout: Duration::from_secs(30),
             idle_timeout: Duration::from_secs(5),
@@ -287,8 +287,7 @@ impl ServerConfig {
         self
     }
 
-    /// Sets the trace verbosity (`0` off, `1` requests + stages, `2`
-    /// also per-shard BFS).
+    /// Switches tracing off (`0`) or on (any other value).
     pub fn with_trace_level(mut self, level: u8) -> ServerConfig {
         self.trace_level = level;
         self
@@ -821,7 +820,7 @@ impl Server {
     /// capacity, shard id) is [`io::ErrorKind::InvalidInput`].
     pub fn start(cfg: ServerConfig) -> io::Result<Server> {
         let tracer = Tracer::new(
-            cfg.trace_level,
+            cfg.trace_level > 0,
             cfg.trace_sink.clone().unwrap_or_else(SinkHandle::stderr),
         );
         if cfg.route.is_some() {

@@ -8,7 +8,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use reshuffle_bench::examples::{scaled_pipeline, PCREQ_G, TOGGLE_G, XYZ_G};
 use reshuffle_obs::json::{self, Json};
@@ -228,6 +228,52 @@ fn bad_requests_get_4xx() {
     let doc = stats(addr);
     assert!(stat(&doc, "bad_requests") >= 6.0, "{}", doc.render());
     assert_eq!(stat(&doc, "executed"), 0.0);
+    server.stop().unwrap();
+}
+
+/// One raw exchange over a fresh connection. The 10 s read timeout
+/// outlasts the server's 5 s idle deadline, so a server that never
+/// answers fails the test instead of hanging it.
+fn raw_exchange(addr: SocketAddr, raw: &[u8]) -> ClientResponse {
+    let read = Duration::from_secs(10);
+    let mut conn =
+        ClientConn::connect_timeout(&addr.to_string(), Duration::from_secs(1), read).unwrap();
+    conn.exchange(raw).unwrap()
+}
+
+#[test]
+fn an_endless_request_line_gets_400_at_the_head_cap() {
+    let server = Server::start(ServerConfig::new()).unwrap();
+    let addr = server.addr();
+    // 32 KiB of request line and no newline: the head cap (16 KiB) must
+    // end the read, well before the 5 s idle deadline would.
+    let mut raw = b"GET /".to_vec();
+    raw.resize(32 * 1024, b'a');
+    let t0 = Instant::now();
+    let response = raw_exchange(addr, &raw);
+    assert_eq!(response.status, 400, "{}", response.body_str());
+    assert!(
+        response.body_str().contains("header section too large"),
+        "{}",
+        response.body_str()
+    );
+    assert!(t0.elapsed() < Duration::from_secs(2), "{:?}", t0.elapsed());
+    server.stop().unwrap();
+}
+
+#[test]
+fn a_non_utf8_header_gets_400() {
+    let server = Server::start(ServerConfig::new()).unwrap();
+    let mut raw = b"GET /healthz HTTP/1.1\r\nX-Note: caf".to_vec();
+    raw.push(0xFF);
+    raw.extend_from_slice(b"\r\nConnection: close\r\n\r\n");
+    let response = raw_exchange(server.addr(), &raw);
+    assert_eq!(response.status, 400, "{}", response.body_str());
+    assert!(
+        response.body_str().contains("not UTF-8"),
+        "{}",
+        response.body_str()
+    );
     server.stop().unwrap();
 }
 
@@ -454,6 +500,7 @@ fn every_response_echoes_a_trace_id_and_spans_share_it() {
     use reshuffle_server::{RingSink, SinkHandle};
     let ring = Arc::new(RingSink::new(4096));
     let server = Server::start(
+        // Any nonzero trace level switches tracing on.
         ServerConfig::new()
             .with_trace_level(2)
             .with_trace_sink(SinkHandle::new(ring.clone())),
@@ -477,9 +524,14 @@ fn every_response_echoes_a_trace_id_and_spans_share_it() {
     assert_eq!(trace.len(), 32, "{trace}");
     assert!(trace.bytes().all(|b| b.is_ascii_hexdigit()), "{trace}");
     // ...and every span the request emitted — the request root, the
-    // pipeline stages, and the level-2 BFS shards — carries that id.
+    // pipeline stages, and the state-graph build — carries that id.
     let lines = ring.lines();
-    for name in ["request", "stage.expand", "stage.synthesize", "bfs.shard"] {
+    for name in [
+        "request",
+        "stage.expand",
+        "stage.synthesize",
+        "bfs.markings",
+    ] {
         assert!(
             lines
                 .iter()

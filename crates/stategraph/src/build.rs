@@ -1,10 +1,11 @@
 //! Building a [`StateGraph`] from an [`Stg`]: reachability exploration
 //! plus binary encoding.
 //!
-//! The build explores the marking graph, then labels it with codes in
-//! one breadth-first pass. A state is a *(marking, parity)* pair, where
-//! the parity is the XOR of the signal bits of every edge fired since
-//! the initial marking (dummies flip nothing), and its code is
+//! The build explores the marking graph with one serial breadth-first
+//! pass ([`ReachabilityGraph::explore`]), then labels it with codes in
+//! a second one. A state is a *(marking, parity)* pair, where the
+//! parity is the XOR of the signal bits of every edge fired since the
+//! initial marking (dummies flip nothing), and its code is
 //! `init ^ parity`. Each rise/fall signal's initial value is fixed by
 //! the edges that switch it (`a+` fires at 0, `a-` at 1); edges that
 //! disagree, or a marking reached with two parities of such a signal,
@@ -17,59 +18,19 @@
 use std::collections::HashMap;
 
 use reshuffle_obs::{FieldVal, SpanCtx};
-use reshuffle_petri::sharded::{self, ExploreOptions};
 use reshuffle_petri::{PetriError, Polarity, ReachabilityGraph, Signal, SignalId, Stg};
 
 use crate::error::{Result, SgError};
 use crate::sg::{EventId, EventInfo, StateGraph};
 
 /// Options for state-graph construction.
-///
-/// # Thread-count independence
-///
-/// The build explores markings with a sharded parallel frontier and
-/// then renumbers them canonically, so the resulting graph — ids, arcs,
-/// fingerprint, `Debug` output — is **byte-identical for every value
-/// of `threads`**:
-///
-/// ```
-/// use reshuffle_petri::parse_g;
-/// use reshuffle_sg::{build_state_graph_with, BuildOptions};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let stg = parse_g(
-///     ".model xyz\n.inputs x\n.outputs y z\n.graph\n\
-///      x+ y+\ny+ z+\nz+ x-\nx- y-\ny- z-\nz- x+\n\
-///      .marking { <z-,x+> }\n.end\n",
-/// )?;
-/// let serial = build_state_graph_with(
-///     &stg,
-///     &BuildOptions { threads: 1, ..Default::default() },
-/// )?;
-/// let parallel = build_state_graph_with(
-///     &stg,
-///     &BuildOptions { threads: 8, ..Default::default() },
-/// )?;
-/// assert_eq!(serial.fingerprint(), parallel.fingerprint());
-/// assert_eq!(format!("{serial:?}"), format!("{parallel:?}"));
-/// # Ok(())
-/// # }
-/// ```
 #[derive(Debug, Clone)]
 pub struct BuildOptions {
     /// Cap on the number of explored states.
     pub state_budget: usize,
-    /// Worker threads for the sharded marking exploration (the
-    /// labelling pass is serial): `0` (the default) resolves to the
-    /// machine's available parallelism, `1` forces a serial build. The
-    /// default can be pinned globally with the `RESHUFFLE_THREADS`
-    /// environment variable — CI uses that to assert thread-count
-    /// independence of whole reports.
-    pub threads: usize,
     /// Trace context: the build opens `bfs.markings` and `bfs.encode`
-    /// child spans (level 1) under it, and the marking exploration opens
-    /// per-shard `bfs.shard` spans (level 2) under `bfs.markings`.
-    /// Disabled by default; never affects the built graph.
+    /// child spans under it. Disabled by default; never affects the
+    /// built graph.
     pub span: SpanCtx,
 }
 
@@ -77,10 +38,6 @@ impl Default for BuildOptions {
     fn default() -> Self {
         BuildOptions {
             state_budget: reshuffle_petri::DEFAULT_STATE_BUDGET,
-            threads: std::env::var("RESHUFFLE_THREADS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0),
             span: SpanCtx::default(),
         }
     }
@@ -96,8 +53,7 @@ impl BuildOptions {
 }
 
 /// What one state-graph build did, for diagnostics: sizes of the
-/// result plus the exploration's peak frontier (a proxy for exploitable
-/// parallelism) and the worker count actually used.
+/// result plus the exploration's peak frontier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BuildStats {
     /// States in the built graph.
@@ -108,8 +64,6 @@ pub struct BuildStats {
     /// exploration and the labelling pass (equal unless toggle signals
     /// unfold markings).
     pub peak_frontier: usize,
-    /// Worker threads the build resolved to.
-    pub threads: usize,
 }
 
 /// Builds the state graph of `stg` with default options.
@@ -123,12 +77,12 @@ pub fn build_state_graph(stg: &Stg) -> Result<StateGraph> {
 
 /// Builds the state graph of `stg`.
 ///
-/// The marking graph is explored by a sharded parallel breadth-first
-/// search ([`reshuffle_petri::sharded`]) with a canonical renumbering,
-/// so the result is identical for every [`BuildOptions::threads`]
-/// value. One serial breadth-first pass then labels it with codes (see
-/// the module docs), assembling the graph directly into the compressed
-/// CSR layout; markings stay behind in the exploration.
+/// [`ReachabilityGraph::explore`] numbers the marking graph
+/// breadth-first from the initial marking, successors in ascending
+/// transition order. One breadth-first pass then labels it with codes
+/// (see the module docs), assembling the graph directly into the
+/// compressed CSR layout; markings stay behind in the exploration.
+/// Both passes are serial, so the result is canonical by construction.
 ///
 /// # Errors
 ///
@@ -152,11 +106,7 @@ pub fn build_state_graph_stats(stg: &Stg, opts: &BuildOptions) -> Result<(StateG
         return Err(SgError::TooManySignals(stg.num_signals()));
     }
     let sp_markings = opts.span.span("bfs.markings");
-    let rg = ReachabilityGraph::explore_opts(
-        stg.net(),
-        &stg.initial_marking(),
-        &ExploreOptions::new(opts.threads, opts.state_budget).with_span(sp_markings.ctx()),
-    )?;
+    let rg = ReachabilityGraph::explore(stg.net(), &stg.initial_marking(), opts.state_budget)?;
     sp_markings.end(&[
         ("states", FieldVal::U64(rg.len() as u64)),
         ("peak_frontier", FieldVal::U64(rg.peak_frontier() as u64)),
@@ -172,7 +122,6 @@ pub fn build_state_graph_stats(stg: &Stg, opts: &BuildOptions) -> Result<(StateG
         states: sg.num_states(),
         arcs: sg.num_arcs(),
         peak_frontier: rg.peak_frontier().max(peak_frontier),
-        threads: sharded::effective_threads(opts.threads),
     };
     Ok((sg, stats))
 }

@@ -233,8 +233,7 @@ impl StateGraph {
     }
 
     /// Assembles a graph directly from CSR arrays — the zero-copy path
-    /// used by the parallel builder, which produces the flat layout
-    /// natively. Validates the same invariants as
+    /// used by the builder, which produces the flat layout natively. Validates the same invariants as
     /// [`StateGraph::from_parts`] plus offset monotonicity; arc groups
     /// must already be sorted by event id.
     #[allow(clippy::too_many_arguments)]
