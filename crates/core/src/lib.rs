@@ -970,9 +970,9 @@ Go- Req~
         // An empty store loads as an empty cache; corrupt bytes error.
         assert!(SynthCache::load_from(&MemStore::new()).unwrap().is_empty());
         assert!(SynthCache::from_bytes(b"not a snapshot").is_err());
-        // Version 1 (per-state markings) and unknown versions are
-        // rejected, not misread.
-        for version in [1u32, 0xFF] {
+        // Version 1 (per-state markings), version 2 (no canonical
+        // numbering) and unknown versions are rejected, not misread.
+        for version in [1u32, 2, 0xFF] {
             let mut wrong_version = bytes.clone();
             wrong_version[4..8].copy_from_slice(&version.to_le_bytes());
             let err = SynthCache::from_bytes(&wrong_version).unwrap_err();
@@ -1095,13 +1095,16 @@ Go- Req~
         let err = SynthCache::recover(&corrupt).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
 
-        // So is a version-1 record (per-state markings).
-        let old = MemStore::new();
-        let mut bytes = record.clone();
-        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
-        old.append(&bytes).unwrap();
-        let err = SynthCache::recover(&old).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        // So is a version-1 record (per-state markings) and a version-2
+        // one (no canonical numbering).
+        for version in [1u32, 2] {
+            let old = MemStore::new();
+            let mut bytes = record.clone();
+            bytes[4..8].copy_from_slice(&version.to_le_bytes());
+            old.append(&bytes).unwrap();
+            let err = SynthCache::recover(&old).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        }
 
         // Foreign magic is rejected too.
         let foreign = MemStore::new();

@@ -42,7 +42,7 @@ use std::sync::{Arc, Mutex};
 
 use reshuffle_petri::{parse_g, write_g, Polarity, Signal, SignalEdge, SignalId, SignalKind};
 use reshuffle_reduce::MoveStep;
-use reshuffle_sg::{EventId, EventInfo, State, StateGraph};
+use reshuffle_sg::{EventId, EventInfo, StateGraph};
 use reshuffle_synth::{GateType, Netlist, Node, NodeId};
 
 use crate::{SynthCache, Synthesis};
@@ -52,9 +52,12 @@ const MAGIC: &[u8; 4] = b"RSHC";
 /// Magic bytes opening every journal record: `RSHJ` ("… journal").
 const JOURNAL_MAGIC: &[u8; 4] = b"RSHJ";
 /// Current snapshot/journal format version. Version 2 dropped the
-/// per-state markings of the embedded state graph, so a version-1 file
-/// is rejected rather than misread.
-const VERSION: u32 = 2;
+/// per-state markings of the embedded state graph, and version 3 its
+/// initial-state word: the graph's states are stored in its one
+/// canonical numbering, rooted at state 0. An older file is rejected
+/// rather than misread (a version-2 graph was written without the
+/// numbering rule).
+const VERSION: u32 = 3;
 /// Bytes of journal-record header ahead of the payload:
 /// magic (4) + version (4) + payload length (4) + checksum (8).
 const JOURNAL_HEADER_BYTES: usize = 20;
@@ -745,7 +748,6 @@ fn encode_sg(w: &mut Writer, sg: &StateGraph) {
             w.u32(t);
         }
     }
-    w.u32(sg.initial());
 }
 
 fn decode_sg(r: &mut Reader) -> io::Result<StateGraph> {
@@ -774,20 +776,28 @@ fn decode_sg(r: &mut Reader) -> io::Result<StateGraph> {
     }
     let num_states = r.u32()? as usize;
     // code (8), arc count (4).
-    let mut states = Vec::with_capacity(r.capacity(num_states, 12));
+    let mut codes = Vec::with_capacity(r.capacity(num_states, 12));
+    let mut succ_offsets = Vec::with_capacity(codes.capacity() + 1);
+    succ_offsets.push(0);
+    let (mut arc_events, mut arc_targets) = (Vec::new(), Vec::new());
     for _ in 0..num_states {
-        let code = r.u64()?;
-        let num_arcs = r.u32()? as usize;
-        // event (4), target (4).
-        let mut succ = Vec::with_capacity(r.capacity(num_arcs, 8));
-        for _ in 0..num_arcs {
-            succ.push((EventId(r.u32()?), r.u32()?));
+        codes.push(r.u64()?);
+        for _ in 0..r.u32()? {
+            arc_events.push(EventId(r.u32()?));
+            arc_targets.push(r.u32()?);
         }
-        states.push(State { code, succ });
+        succ_offsets.push(arc_events.len() as u32);
     }
-    let initial = r.u32()?;
-    StateGraph::from_parts(name, signals, events, states, initial)
-        .map_err(|e| bad(format!("embedded state graph: {e}")))
+    StateGraph::from_csr(
+        name,
+        signals,
+        events,
+        codes,
+        succ_offsets,
+        arc_events,
+        arc_targets,
+    )
+    .map_err(|e| bad(format!("embedded state graph: {e}")))
 }
 
 // --- netlist ----------------------------------------------------------
@@ -919,26 +929,31 @@ mod tests {
         w.out.len()
     }
 
-    #[test]
-    fn hostile_counts_are_invalid_data() {
+    /// A snapshot of a cache holding one `xyz` entry, that entry, and
+    /// the offset of its state graph: past the snapshot header (magic,
+    /// version, four counters, entry count), the entry's key and tick,
+    /// and the embedded `.g` text.
+    fn xyz_snapshot() -> (Vec<u8>, Synthesis, usize) {
         let cache = SynthCache::new();
         Pipeline::from_g(XYZ_G)
             .unwrap()
             .with_cache(&cache)
             .run(&PipelineOptions::default())
             .unwrap();
-        let bytes = cache.to_bytes();
-        let (_, _, s) = &cache.export_entries()[0];
-        let sg = &s.sg;
-
-        // Snapshot header (magic, version, four counters, entry count),
-        // then the entry's key and tick, then the embedded `.g` text.
+        let (_, _, s) = cache.export_entries().remove(0);
         let sg_at = 4 + 4 + 4 * 8 + 8 + 8 + 8 + encoded(|w| w.str(&write_g(&s.stg)));
+        (cache.to_bytes(), s, sg_at)
+    }
+
+    #[test]
+    fn hostile_counts_are_invalid_data() {
+        let (bytes, s, sg_at) = xyz_snapshot();
+        let sg = &s.sg;
         let sg_end = sg_at + encoded(|w| encode_sg(w, sg));
         let signals_at = sg_at + encoded(|w| w.str(sg.name()));
         let events_at = signals_at + encoded(|w| encode_signals(w, sg.signals()));
         let arcs: usize = sg.state_ids().map(|st| 12 + 8 * sg.succ(st).len()).sum();
-        let states_at = sg_end - 4 - arcs - 4;
+        let states_at = sg_end - arcs - 4;
         let first_arcs_at = states_at + 4 + 8;
         let moves_at = sg_end
             + encoded(|w| {
@@ -961,5 +976,29 @@ mod tests {
             let err = SynthCache::from_bytes(&hostile).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
         }
+    }
+
+    #[test]
+    fn an_event_edge_past_the_signal_table_is_invalid_data() {
+        // The first event's edge names signal 200 of 3: decoded, the
+        // graph would index the signal table out of bounds.
+        let (bytes, s, sg_at) = xyz_snapshot();
+        let sg = &s.sg;
+        let first = &sg.events()[0];
+        let edge_at = sg_at
+            + encoded(|w| {
+                w.str(sg.name());
+                encode_signals(w, sg.signals());
+                w.u32(0);
+                w.str(&first.label);
+                w.u8(1);
+            });
+        let found = u32::from_le_bytes(bytes[edge_at..edge_at + 4].try_into().unwrap());
+        assert_eq!(Some(found as usize), first.edge.map(|e| e.signal.index()));
+        assert_eq!(sg.num_signals(), 3);
+        let mut hostile = bytes;
+        hostile[edge_at..edge_at + 4].copy_from_slice(&200u32.to_le_bytes());
+        let err = SynthCache::from_bytes(&hostile).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
     }
 }

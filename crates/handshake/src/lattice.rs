@@ -87,7 +87,7 @@ pub(crate) fn anchors(base: &BaseExpansion) -> Vec<Vec<TransitionId>> {
 
 /// True if serializing `rtz` after `anchor` is feasible on its own.
 fn feasible_alone(base: &BaseExpansion, anchor: TransitionId, rtz: TransitionId) -> bool {
-    let Ok(sg) = restrict_with_place(&base.sg, &[EventId(anchor.0)], &[EventId(rtz.0)]) else {
+    let Ok(sg) = restrict_with_place(&base.sg, EventId(anchor.0), EventId(rtz.0)) else {
         return false; // the ordering place would be unsafe
     };
     sg.deadlock_states().is_empty()

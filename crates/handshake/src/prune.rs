@@ -92,7 +92,7 @@ pub(crate) fn realize(
         let (before, rtz) = constraints[i];
         cache.products += 1;
         cache.chained_products += 1;
-        match restrict_with_place(&sg, &[EventId(before.0)], &[EventId(rtz.0)]) {
+        match restrict_with_place(&sg, EventId(before.0), EventId(rtz.0)) {
             Ok(next) => {
                 cache.insert(&constraints[..=i], Some(next.clone()));
                 sg = next;

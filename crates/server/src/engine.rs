@@ -560,12 +560,9 @@ fn serve_connection(state: &EngineState, svc: &dyn Service, stream: TcpStream) {
         ) {
             Ok(request) => request,
             Err(HttpError::Closed) => return, // peer done, or idle deadline
-            Err(HttpError::Timeout) => {
+            Err(HttpError::Timeout(lapsed)) => {
                 state.stats.request_timeouts.fetch_add(1, Ordering::Relaxed);
-                let msg = format!(
-                    "request not received within {:?}",
-                    state.cfg.request_timeout
-                );
+                let msg = format!("request not received within {lapsed:?}");
                 respond(state, &conn, &engine_error(state, 408, &msg), true);
                 return;
             }

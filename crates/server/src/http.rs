@@ -48,8 +48,10 @@ pub enum HttpError {
     Malformed(String),
     /// The declared body exceeds the server's limit → 413.
     BodyTooLarge,
-    /// The absolute per-request deadline lapsed mid-request → 408.
-    Timeout,
+    /// A deadline lapsed mid-request → 408. Holds the deadline that
+    /// lapsed: the idle one while the request line was still arriving,
+    /// else the per-request budget.
+    Timeout(Duration),
     /// The connection ended cleanly between requests: the peer closed
     /// it, or the idle deadline lapsed before any byte of a new
     /// request arrived. Nothing to respond to.
@@ -59,10 +61,12 @@ pub enum HttpError {
     Io,
 }
 
-impl From<io::Error> for HttpError {
-    fn from(e: io::Error) -> HttpError {
+impl HttpError {
+    /// The error for a failed read; a timeout names `limit`, the
+    /// deadline the read ran under.
+    fn from_io(e: io::Error, limit: Duration) -> HttpError {
         if e.kind() == io::ErrorKind::TimedOut {
-            HttpError::Timeout
+            HttpError::Timeout(limit)
         } else {
             HttpError::Io
         }
@@ -169,7 +173,8 @@ impl Conn {
     ///
     /// [`HttpError::Closed`] when the connection ended between
     /// requests (peer EOF, or idle expiry with no bytes read),
-    /// [`HttpError::Timeout`] when a deadline lapsed mid-request,
+    /// [`HttpError::Timeout`] when a deadline lapsed mid-request (the
+    /// idle one on a partial request line, else `budget`),
     /// [`HttpError::Malformed`] on protocol violations (including a
     /// head past [`MAX_HEAD_BYTES`], as soon as the cap is reached, and
     /// a head line that is not UTF-8),
@@ -196,11 +201,12 @@ impl Conn {
                     _ => HttpError::Io,
                 })
             }
-            Err(e) => return Err(e.into()),
+            Err(e) => return Err(HttpError::from_io(e, idle)),
         }
         // The request has begun: everything else — rest of the head,
         // whole body — shares one absolute deadline.
         self.set_deadline(Some(Instant::now() + budget));
+        let lapsed = |e| HttpError::from_io(e, budget);
 
         let request_line = head_text(&line, left)?;
         let mut parts = request_line.trim_end().split(' ');
@@ -222,7 +228,7 @@ impl Conn {
         let mut content_length = 0usize;
         let mut trace_id = None;
         loop {
-            if self.read_head_line(&mut line, &mut left)? == 0 && left > 0 {
+            if self.read_head_line(&mut line, &mut left).map_err(lapsed)? == 0 && left > 0 {
                 return Err(malformed("connection closed inside headers"));
             }
             let trimmed = head_text(&line, left)?.trim_end_matches(['\r', '\n']);
@@ -256,7 +262,7 @@ impl Conn {
             return Err(HttpError::BodyTooLarge);
         }
         let mut body = vec![0u8; content_length];
-        self.reader.read_exact(&mut body)?;
+        self.reader.read_exact(&mut body).map_err(lapsed)?;
         self.set_deadline(None);
         Ok(Request {
             method,
@@ -462,7 +468,10 @@ mod tests {
         let mut conn2 = Conn::new(stream2);
         let t0 = Instant::now();
         let got = conn2.read_request(64, LONG, Duration::from_millis(120));
-        assert!(matches!(got, Err(HttpError::Timeout)), "{got:?}");
+        assert!(
+            matches!(got, Err(HttpError::Timeout(d)) if d == Duration::from_millis(120)),
+            "{got:?}"
+        );
         assert!(
             t0.elapsed() < Duration::from_secs(2),
             "deadline was not absolute: {:?}",

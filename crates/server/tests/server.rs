@@ -343,6 +343,26 @@ fn stalled_request_times_out_with_408() {
 }
 
 #[test]
+fn a_half_sent_request_line_gets_408_naming_the_idle_deadline() {
+    let server =
+        Server::start(ServerConfig::new().with_idle_timeout(Duration::from_millis(200))).unwrap();
+    let addr = server.addr();
+    // The request line never ends: the idle deadline lapses on a
+    // request that has begun. The 408 names that deadline, not the
+    // request budget (30 s by default).
+    let mut conn = TcpStream::connect(addr).unwrap();
+    conn.write_all(b"GET /healthz HTT").unwrap();
+    let mut response = String::new();
+    conn.read_to_string(&mut response).unwrap();
+    assert!(
+        response.starts_with("HTTP/1.1 408"),
+        "expected 408, got: {response}"
+    );
+    assert!(response.contains("within 200ms"), "{response}");
+    server.stop().unwrap();
+}
+
+#[test]
 fn journal_replay_survives_a_crash_with_zero_reexecutions() {
     let path = temp_path("journal");
     let journal = path.with_extension("journal");

@@ -238,7 +238,6 @@ fn label_codes(stg: &Stg, rg: &ReachabilityGraph, budget: usize) -> Result<(Stat
         succ_offsets,
         arc_events,
         arc_targets,
-        0,
     )?;
     Ok((sg, peak_frontier))
 }

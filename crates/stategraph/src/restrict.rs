@@ -1,104 +1,92 @@
 //! Incremental state-graph re-derivation after a local STG rewrite.
 //!
-//! Concurrency reduction (Section 4) rewrites the STG by adding one
-//! fresh 1-safe place `p` with arcs `from -> p -> to`, so `to` now also
-//! waits for a token produced by `from`. The state graph of the
-//! rewritten STG is exactly the synchronous product of the original
-//! graph with the two-state automaton tracking `p`'s token count —
-//! binary codes, the event table and speed-independence-relevant
-//! structure all carry over. [`restrict_with_place`] builds that product
-//! directly from the already-explored graph, skipping the Petri-net
-//! token game and code labelling of a full
-//! [`build_state_graph`](crate::build_state_graph) run.
+//! Both edits here derive the state graph of a rewritten STG as the
+//! product of the parent's graph with a small automaton, skipping the
+//! Petri-net token game and code labelling of a full
+//! [`build_state_graph`](crate::build_state_graph) run:
 //!
-//! CSC resolution rewrites the STG by inserting a state signal's two
-//! edges in series after two events. [`insert_series_pair`] derives
-//! that candidate's graph the same way, as the product of the parent
-//! graph with a small automaton tracking the pending edges and the new
-//! code bit.
-
-use std::collections::HashMap;
+//! * a serialization (the handshake lattice of Section 3, concurrency
+//!   reduction in Section 4) adds one fresh 1-safe place `p` with arcs
+//!   `from -> p -> to`, so `to` also waits for a token that `from`
+//!   produces. [`restrict_with_place`] tracks `p`'s token;
+//! * CSC resolution inserts a state signal's two edges in series after
+//!   two events. [`insert_series_pair`] tracks the pending edges and the
+//!   new code bit.
+//!
+//! Each product is explored breadth-first over dense slots, arcs in the
+//! parent's event order, and written straight into the CSR arrays. So
+//! the result carries the one numbering of [`StateGraph`]: it equals
+//! the full build of the rewritten STG, code for code and arc for arc.
 
 use reshuffle_petri::{PetriError, PlaceId, Polarity, Stg, TransitionId, DEFAULT_STATE_BUDGET};
 
 use crate::build::{event_table, signal_table};
 use crate::error::{Result, SgError};
-use crate::sg::{EventId, State, StateGraph, StateId};
+use crate::sg::{EventId, StateGraph, StateId};
 
 /// Re-derives the state graph after adding one fresh, initially
-/// unmarked, 1-safe place whose producing events are `producers` and
-/// whose consuming events are `consumers`.
+/// unmarked, 1-safe place with the arcs `from -> p -> to`.
 ///
-/// States of the result are `(original state, token count)` pairs
-/// reachable from `(initial, 0)`; codes are inherited from the original
-/// states. Arcs labelled with a consumer event are dropped while the
-/// place is empty — that is the serialization.
+/// A state of the result is a parent state `s` and the place's token
+/// `k`, reached from `(0, 0)`; slot `2s + k` indexes it. Codes are the
+/// parent's. A `to` arc is dropped while the place is empty — that is
+/// the serialization — and takes the token otherwise. States are
+/// numbered breadth-first over arcs in event order, so the result is
+/// the full build of the rewritten STG. The product holds at most
+/// twice the parent's states, so it takes no state budget.
 ///
 /// # Errors
 ///
-/// * [`SgError::Invalid`] if a producer fires while the place already
-///   holds a token (the rewrite would make the net unsafe), or if an
-///   event is listed as both producer and consumer.
-pub fn restrict_with_place(
-    sg: &StateGraph,
-    producers: &[EventId],
-    consumers: &[EventId],
-) -> Result<StateGraph> {
-    if producers.iter().any(|e| consumers.contains(e)) {
+/// [`SgError::Invalid`] if `from == to`, or if `from` fires while the
+/// token is pending (the rewrite would make the net unsafe).
+pub fn restrict_with_place(sg: &StateGraph, from: EventId, to: EventId) -> Result<StateGraph> {
+    if from == to {
         return Err(SgError::Invalid(
             "an event cannot both produce and consume the serializing place".into(),
         ));
     }
-    // (original state, token) -> new dense id.
-    let mut index: HashMap<(StateId, bool), StateId> = HashMap::new();
-    let mut nodes: Vec<(StateId, bool)> = vec![(sg.initial(), false)];
-    index.insert((sg.initial(), false), 0);
-    let mut succ: Vec<Vec<(EventId, StateId)>> = vec![Vec::new()];
-    let mut work = vec![0 as StateId];
-    while let Some(s) = work.pop() {
-        let (orig, tok) = nodes[s as usize];
-        for (e, t) in sg.succ(orig) {
-            let consumes = consumers.contains(&e);
-            if consumes && !tok {
-                continue; // the serialization: `e` must wait for a token
+    let mut ids = vec![u32::MAX; 2 * sg.num_states()];
+    ids[0] = 0;
+    let mut slots = vec![0usize];
+    let mut succ_offsets = vec![0u32];
+    let mut arc_events: Vec<EventId> = Vec::new();
+    let mut arc_targets: Vec<StateId> = Vec::new();
+    let mut head = 0;
+    while head < slots.len() {
+        let (s, token) = (slots[head] / 2, slots[head] & 1 == 1);
+        head += 1;
+        for (e, t) in sg.succ(s as StateId) {
+            if e == to && !token {
+                continue; // the serialization: `to` waits for the token
             }
-            let produces = producers.contains(&e);
-            if produces && tok {
+            if e == from && token {
                 return Err(SgError::Invalid(format!(
                     "serializing place becomes unsafe: {} fires with a token pending",
                     sg.event(e).label
                 )));
             }
-            let ntok = (tok && !consumes) || produces;
-            let key = (t, ntok);
-            let id = match index.get(&key) {
-                Some(&id) => id,
-                None => {
-                    let id = nodes.len() as StateId;
-                    nodes.push(key);
-                    index.insert(key, id);
-                    succ.push(Vec::new());
-                    work.push(id);
-                    id
-                }
-            };
-            succ[s as usize].push((e, id));
+            let next = 2 * t as usize + usize::from(e == from || (token && e != to));
+            if ids[next] == u32::MAX {
+                ids[next] = slots.len() as u32;
+                slots.push(next);
+            }
+            arc_events.push(e);
+            arc_targets.push(ids[next]);
         }
+        succ_offsets.push(arc_events.len() as u32);
     }
-    let states: Vec<State> = nodes
+    let codes = slots
         .iter()
-        .zip(succ)
-        .map(|(&(orig, _), succ)| State {
-            code: sg.code(orig),
-            succ,
-        })
+        .map(|&slot| sg.code((slot / 2) as StateId))
         .collect();
-    StateGraph::from_parts(
+    StateGraph::from_csr(
         sg.name().to_string(),
         sg.signals().to_vec(),
         sg.events().to_vec(),
-        states,
-        0,
+        codes,
+        succ_offsets,
+        arc_events,
+        arc_targets,
     )
 }
 
@@ -281,14 +269,8 @@ impl<'a> SeriesPair<'a> {
                 Ok(id)
             }
         };
-        let initial = sg.initial();
         let v0_bit = if v0 { bit } else { 0 };
-        visit(
-            &mut slots,
-            &mut codes,
-            4 * initial as usize,
-            sg.code(initial) | v0_bit,
-        )?;
+        visit(&mut slots, &mut codes, 0, sg.code(0) | v0_bit)?;
         let mut succ_offsets = vec![0u32];
         let mut arc_events: Vec<EventId> = Vec::new();
         let mut arc_targets: Vec<StateId> = Vec::new();
@@ -348,7 +330,6 @@ impl<'a> SeriesPair<'a> {
             succ_offsets,
             arc_events,
             arc_targets,
-            0,
         )
     }
 
@@ -366,6 +347,7 @@ mod tests {
     use crate::build::build_state_graph;
     use crate::csc::analyze_csc;
     use crate::props::speed_independence;
+    use crate::sg::tests::from_lists;
     use reshuffle_petri::parse_g;
 
     /// Mirror of the paper's Fig. 1: `Req` is the circuit's output, and
@@ -390,15 +372,13 @@ Req+ Ack+
         assert_eq!(sg.num_states(), 5);
         let am = stg.transition_by_label("Ack-").unwrap();
         let rp = stg.transition_by_label("Req+").unwrap();
-        let reduced = restrict_with_place(&sg, &[EventId(am.0)], &[EventId(rp.0)]).unwrap();
+        let reduced = restrict_with_place(&sg, EventId(am.0), EventId(rp.0)).unwrap();
 
         // Reference: rewrite the STG and rebuild from scratch.
         let mut stg2 = stg.clone();
         reshuffle_petri::structural::insert_causal_place(&mut stg2, am, rp).unwrap();
         let rebuilt = build_state_graph(&stg2).unwrap();
-        assert_eq!(reduced.num_states(), rebuilt.num_states());
-        assert_eq!(reduced.num_arcs(), rebuilt.num_arcs());
-        assert_eq!(reduced.fingerprint(), rebuilt.fingerprint());
+        assert_eq!(reduced, rebuilt);
 
         // The serialization dissolved the CSC conflict and kept SI.
         assert_eq!(analyze_csc(&reduced).num_csc_conflicts(), 0);
@@ -413,7 +393,7 @@ Req+ Ack+
         let sg = build_state_graph(&stg).unwrap();
         let am = stg.transition_by_label("Ack-").unwrap();
         let rp = stg.transition_by_label("Req+").unwrap();
-        let reduced = restrict_with_place(&sg, &[EventId(rp.0)], &[EventId(am.0)]).unwrap();
+        let reduced = restrict_with_place(&sg, EventId(rp.0), EventId(am.0)).unwrap();
         assert_eq!(reduced.num_states(), 4);
         assert!(reduced.deadlock_states().is_empty());
     }
@@ -421,7 +401,7 @@ Req+ Ack+
     #[test]
     fn unsafe_rewrite_is_rejected() {
         // Producing from an event that can fire twice before the
-        // consumer (b+ then b- produce, a- consumes) overfills the place.
+        // consumer (b+ produces, a- consumes) overfills the place.
         let src = "\
 .model conc
 .inputs a
@@ -439,9 +419,8 @@ b- p1
         let stg = parse_g(src).unwrap();
         let sg = build_state_graph(&stg).unwrap();
         let bp = stg.transition_by_label("b+").unwrap();
-        let bm = stg.transition_by_label("b-").unwrap();
         let am = stg.transition_by_label("a-").unwrap();
-        let e = restrict_with_place(&sg, &[EventId(bp.0), EventId(bm.0)], &[EventId(am.0)]);
+        let e = restrict_with_place(&sg, EventId(bp.0), EventId(am.0));
         assert!(matches!(e, Err(SgError::Invalid(_))), "{e:?}");
     }
 
@@ -450,7 +429,7 @@ b- p1
         let stg = parse_g(MFIG1).unwrap();
         let sg = build_state_graph(&stg).unwrap();
         let rp = stg.transition_by_label("Req+").unwrap();
-        let e = restrict_with_place(&sg, &[EventId(rp.0)], &[EventId(rp.0)]);
+        let e = restrict_with_place(&sg, EventId(rp.0), EventId(rp.0));
         assert!(matches!(e, Err(SgError::Invalid(_))));
     }
 
@@ -516,15 +495,7 @@ a- a+
         let derived = insert_series_pair(&sg, &cand, rise, fall).unwrap();
         let rebuilt = build_state_graph(&cand).unwrap();
         assert_eq!(derived.num_states(), 10);
-        assert_eq!(derived.fingerprint(), rebuilt.fingerprint());
-        // Same numbering, too: the derived graph is the full build.
-        assert_eq!(derived.codes(), rebuilt.codes());
-        for s in derived.state_ids() {
-            assert_eq!(
-                derived.succ(s).iter().collect::<Vec<_>>(),
-                rebuilt.succ(s).iter().collect::<Vec<_>>()
-            );
-        }
+        assert_eq!(derived, rebuilt);
         assert_eq!(analyze_csc(&derived).num_csc_conflicts(), 0);
 
         // The new signal starts at 1 when its fall comes first.
@@ -533,7 +504,7 @@ a- a+
         let rebuilt = build_state_graph(&cand).unwrap();
         let csc = derived.signal_by_name("csc").unwrap();
         assert!(derived.value(derived.initial(), csc));
-        assert_eq!(derived.fingerprint(), rebuilt.fingerprint());
+        assert_eq!(derived, rebuilt);
     }
 
     #[test]
@@ -589,19 +560,16 @@ a- a+
                 let mut succ: Vec<(EventId, StateId)> = real.succ(s).iter().collect();
                 if s == after_x {
                     succ.push((event("ri+"), s));
+                    succ.sort_unstable();
                 }
-                State {
-                    code: real.code(s),
-                    succ,
-                }
+                (real.code(s), succ)
             })
             .collect();
-        let sg = StateGraph::from_parts(
+        let sg = from_lists(
             "refire",
             real.signals().to_vec(),
             real.events().to_vec(),
             states,
-            real.initial(),
         )
         .unwrap();
         let (cand, rise, fall) = series_pair(&stg, "ri+", "li-");

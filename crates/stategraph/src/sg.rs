@@ -23,12 +23,18 @@
 //! the next-state functions are all defined on codes, so no marking
 //! outlives the build.
 //!
-//! State graphs are immutable once built; transformations (concurrency
-//! reduction) construct new graphs via [`StateGraph::from_parts`], the
-//! validating constructor that compacts per-state lists into CSR.
+//! # One numbering
+//!
+//! Every graph is numbered one way: breadth-first from state 0, each
+//! state's arcs strictly ascending by event. That is the numbering a
+//! full [`build_state_graph`](crate::build_state_graph) produces, and
+//! the derivations in [`crate::restrict`] produce it too.
+//! [`StateGraph::from_csr`], the one constructor, rejects any other.
+//! So two graphs with the same name and tables are equal (`==`)
+//! exactly when they are isomorphic, and a derived graph equals the
+//! full build of its rewritten STG.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::VecDeque;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
@@ -63,19 +69,6 @@ pub struct EventInfo {
     pub label: String,
     /// The signal edge, if not a dummy.
     pub edge: Option<SignalEdge>,
-}
-
-/// One state as handed to [`StateGraph::from_parts`]: binary code plus
-/// outgoing arcs. This is a *construction* type — the assembled graph
-/// compacts these into the flat CSR arrays and does not keep per-state
-/// `State` values around.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct State {
-    /// Binary code: bit *i* is the value of signal *i*.
-    pub code: u64,
-    /// Outgoing arcs `(event, successor)`; sorted and deduplicated by
-    /// the constructor.
-    pub succ: Vec<(EventId, StateId)>,
 }
 
 /// The outgoing arcs of one state: a zero-copy view over the graph's
@@ -143,8 +136,8 @@ impl fmt::Debug for Arcs<'_> {
 }
 
 /// A state graph with binary-encoded states in compressed (CSR)
-/// storage — see the module docs for the layout.
-#[derive(Debug, Clone)]
+/// storage and canonical numbering — see the module docs.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StateGraph {
     name: String,
     signals: Vec<Signal>,
@@ -158,86 +151,28 @@ pub struct StateGraph {
     arc_events: Vec<EventId>,
     /// Arc targets, parallel to `arc_events`.
     arc_targets: Vec<StateId>,
-    initial: StateId,
 }
 
 impl StateGraph {
-    /// Assembles a state graph from raw parts, validating arc targets,
-    /// sorting successor lists and rejecting empty graphs. The
-    /// per-state lists are compacted into the flat CSR arrays.
+    /// Assembles a graph from CSR arrays: `codes[s]` is the code of
+    /// state `s`, and its arcs are `(arc_events[i], arc_targets[i])`
+    /// for `i` in `succ_offsets[s]..succ_offsets[s + 1]`. This is the
+    /// one constructor: builds, derivations and the cache decoder all
+    /// write the flat layout directly.
+    ///
+    /// The numbering must be canonical (see the module docs): walking
+    /// the states in order, each state's arcs strictly ascend by event,
+    /// every state but 0 was reached by an arc of an earlier state, and
+    /// every arc target is a state already reached or the next new id.
     ///
     /// # Errors
     ///
-    /// Returns [`SgError::Invalid`] on dangling arc targets, an
-    /// out-of-range initial state, or more than 64 signals.
-    pub fn from_parts(
-        name: impl Into<String>,
-        signals: Vec<Signal>,
-        events: Vec<EventInfo>,
-        mut states: Vec<State>,
-        initial: StateId,
-    ) -> Result<Self> {
-        if signals.len() > 64 {
-            return Err(SgError::TooManySignals(signals.len()));
-        }
-        if states.is_empty() {
-            return Err(SgError::Invalid("no states".into()));
-        }
-        if initial as usize >= states.len() {
-            return Err(SgError::Invalid(format!(
-                "initial state {initial} out of range ({} states)",
-                states.len()
-            )));
-        }
-        let num_states = states.len();
-        for (i, st) in states.iter_mut().enumerate() {
-            for &(e, tgt) in &st.succ {
-                if e.index() >= events.len() {
-                    return Err(SgError::Invalid(format!("state {i}: unknown event {e:?}")));
-                }
-                if tgt as usize >= num_states {
-                    return Err(SgError::Invalid(format!(
-                        "state {i}: dangling arc to {tgt}"
-                    )));
-                }
-            }
-            st.succ.sort_unstable();
-            st.succ.dedup();
-        }
-
-        // Compact into CSR.
-        let num_arcs: usize = states.iter().map(|s| s.succ.len()).sum();
-        let mut codes = Vec::with_capacity(num_states);
-        let mut succ_offsets = Vec::with_capacity(num_states + 1);
-        let mut arc_events = Vec::with_capacity(num_arcs);
-        let mut arc_targets = Vec::with_capacity(num_arcs);
-        succ_offsets.push(0);
-        for st in states {
-            codes.push(st.code);
-            for (e, t) in st.succ {
-                arc_events.push(e);
-                arc_targets.push(t);
-            }
-            succ_offsets.push(arc_events.len() as u32);
-        }
-        Ok(StateGraph {
-            name: name.into(),
-            signals,
-            events,
-            codes,
-            succ_offsets,
-            arc_events,
-            arc_targets,
-            initial,
-        })
-    }
-
-    /// Assembles a graph directly from CSR arrays — the zero-copy path
-    /// used by the builder, which produces the flat layout natively. Validates the same invariants as
-    /// [`StateGraph::from_parts`] plus offset monotonicity; arc groups
-    /// must already be sorted by event id.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_csr(
+    /// [`SgError::TooManySignals`] past 64 signals, and
+    /// [`SgError::Invalid`] on no states, malformed offsets, an event
+    /// edge naming a signal past the signal table, an unknown arc
+    /// event, a dangling arc target, or arcs or a numbering that are
+    /// not canonical.
+    pub fn from_csr(
         name: String,
         signals: Vec<Signal>,
         events: Vec<EventInfo>,
@@ -245,7 +180,6 @@ impl StateGraph {
         succ_offsets: Vec<u32>,
         arc_events: Vec<EventId>,
         arc_targets: Vec<StateId>,
-        initial: StateId,
     ) -> Result<Self> {
         if signals.len() > 64 {
             return Err(SgError::TooManySignals(signals.len()));
@@ -253,11 +187,6 @@ impl StateGraph {
         let n = codes.len();
         if n == 0 {
             return Err(SgError::Invalid("no states".into()));
-        }
-        if initial as usize >= n {
-            return Err(SgError::Invalid(format!(
-                "initial state {initial} out of range ({n} states)"
-            )));
         }
         if succ_offsets.len() != n + 1
             || succ_offsets[0] != 0
@@ -267,11 +196,36 @@ impl StateGraph {
         {
             return Err(SgError::Invalid("malformed CSR offsets".into()));
         }
-        if arc_events.iter().any(|e| e.index() >= events.len()) {
-            return Err(SgError::Invalid("unknown arc event".into()));
+        let invalid = |why: String| Err(SgError::Invalid(why));
+        if let Some(ev) = events
+            .iter()
+            .find(|ev| ev.edge.is_some_and(|e| e.signal.index() >= signals.len()))
+        {
+            return invalid(format!("event {} names an unknown signal", ev.label));
         }
-        if arc_targets.iter().any(|&t| t as usize >= n) {
-            return Err(SgError::Invalid("dangling arc target".into()));
+        // States `0..reached` have been reached from state 0.
+        let mut reached = 1;
+        for s in 0..n {
+            if s >= reached {
+                return invalid(format!("state {s} is not reached from an earlier state"));
+            }
+            let (lo, hi) = (succ_offsets[s] as usize, succ_offsets[s + 1] as usize);
+            for i in lo..hi {
+                let (e, t) = (arc_events[i], arc_targets[i] as usize);
+                if e.index() >= events.len() {
+                    return invalid(format!("state {s}: unknown event {e:?}"));
+                }
+                if i > lo && arc_events[i - 1] >= e {
+                    return invalid(format!("state {s}: arcs not ascending by event"));
+                }
+                if t >= n {
+                    return invalid(format!("state {s}: dangling arc to {t}"));
+                }
+                if t > reached {
+                    return invalid(format!("state {s}: arc to {t} is not breadth-first"));
+                }
+                reached += usize::from(t == reached);
+            }
         }
         Ok(StateGraph {
             name,
@@ -281,7 +235,6 @@ impl StateGraph {
             succ_offsets,
             arc_events,
             arc_targets,
-            initial,
         })
     }
 
@@ -357,9 +310,9 @@ impl StateGraph {
         }
     }
 
-    /// The initial state.
+    /// The initial state: always 0, the root of the numbering.
     pub fn initial(&self) -> StateId {
-        self.initial
+        0
     }
 
     /// Iterates over all state ids.
@@ -453,53 +406,22 @@ impl StateGraph {
             .collect()
     }
 
-    /// A canonical 64-bit fingerprint of the graph: BFS-renumber states
-    /// from the initial state visiting arcs in event order (the graph is
-    /// deterministic per event id), then hash codes and renumbered arcs.
-    /// Isomorphic graphs over the same event table hash equal.
+    /// A 64-bit fingerprint of the graph: a hash of the table sizes
+    /// and of each state's code and arcs, in state order. The numbering
+    /// is canonical, so isomorphic graphs over the same event table
+    /// hash equal.
     pub fn fingerprint(&self) -> u64 {
-        let order = self.bfs_order();
-        let mut renum = vec![u32::MAX; self.num_states()];
-        for (i, &s) in order.iter().enumerate() {
-            renum[s as usize] = i as u32;
-        }
         let mut h = DefaultHasher::new();
         self.signals.len().hash(&mut h);
         self.events.len().hash(&mut h);
-        for &s in &order {
+        for s in self.state_ids() {
             self.codes[s as usize].hash(&mut h);
             for (e, t) in self.succ(s) {
                 e.0.hash(&mut h);
-                renum[t as usize].hash(&mut h);
+                t.hash(&mut h);
             }
         }
         h.finish()
-    }
-
-    /// BFS order of states reachable from the initial state (arcs in
-    /// event order). States unreachable from the initial state are
-    /// appended in id order (a well-formed graph has none).
-    pub fn bfs_order(&self) -> Vec<StateId> {
-        let mut seen = vec![false; self.num_states()];
-        let mut order = Vec::with_capacity(self.num_states());
-        let mut q = VecDeque::new();
-        q.push_back(self.initial);
-        seen[self.initial as usize] = true;
-        while let Some(s) = q.pop_front() {
-            order.push(s);
-            for &t in self.succ(s).targets() {
-                if !seen[t as usize] {
-                    seen[t as usize] = true;
-                    q.push_back(t);
-                }
-            }
-        }
-        for s in self.state_ids() {
-            if !seen[s as usize] {
-                order.push(s);
-            }
-        }
-        order
     }
 
     /// Renders the code of state `s` with one char per signal, `*`-marked
@@ -520,7 +442,7 @@ impl StateGraph {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use reshuffle_petri::Polarity;
 
@@ -531,46 +453,60 @@ mod tests {
         }
     }
 
+    /// A graph from per-state `(code, arcs)` lists, through
+    /// [`StateGraph::from_csr`].
+    pub(crate) fn from_lists(
+        name: &str,
+        signals: Vec<Signal>,
+        events: Vec<EventInfo>,
+        states: Vec<(u64, Vec<(EventId, StateId)>)>,
+    ) -> Result<StateGraph> {
+        let mut succ_offsets = vec![0];
+        let (mut arc_events, mut arc_targets) = (Vec::new(), Vec::new());
+        for (_, succ) in &states {
+            arc_events.extend(succ.iter().map(|&(e, _)| e));
+            arc_targets.extend(succ.iter().map(|&(_, t)| t));
+            succ_offsets.push(arc_events.len() as u32);
+        }
+        let codes = states.iter().map(|&(code, _)| code).collect();
+        StateGraph::from_csr(
+            name.into(),
+            signals,
+            events,
+            codes,
+            succ_offsets,
+            arc_events,
+            arc_targets,
+        )
+    }
+
     /// Hand-built 4-state diamond: a+ and b+ concurrent from 00.
     pub(crate) fn diamond() -> StateGraph {
+        diamond_with(vec![
+            (0b00, vec![(EventId(0), 1), (EventId(1), 2)]),
+            (0b01, vec![(EventId(1), 3)]),
+            (0b10, vec![(EventId(0), 3)]),
+            (0b11, vec![]),
+        ])
+        .unwrap()
+    }
+
+    /// The diamond's signals (`a` input, `b` output) and events (`a+`,
+    /// `b+`) over the given states.
+    fn diamond_with(states: Vec<(u64, Vec<(EventId, StateId)>)>) -> Result<StateGraph> {
         let signals = vec![sig("a", SignalKind::Input), sig("b", SignalKind::Output)];
-        let ea = SignalEdge {
-            signal: SignalId(0),
-            polarity: Polarity::Rise,
-        };
-        let eb = SignalEdge {
-            signal: SignalId(1),
-            polarity: Polarity::Rise,
-        };
-        let events = vec![
-            EventInfo {
-                label: "a+".into(),
-                edge: Some(ea),
-            },
-            EventInfo {
-                label: "b+".into(),
-                edge: Some(eb),
-            },
-        ];
-        let states = vec![
-            State {
-                code: 0b00,
-                succ: vec![(EventId(0), 1), (EventId(1), 2)],
-            },
-            State {
-                code: 0b01,
-                succ: vec![(EventId(1), 3)],
-            },
-            State {
-                code: 0b10,
-                succ: vec![(EventId(0), 3)],
-            },
-            State {
-                code: 0b11,
-                succ: vec![],
-            },
-        ];
-        StateGraph::from_parts("diamond", signals, events, states, 0).unwrap()
+        let events = ["a+", "b+"]
+            .iter()
+            .enumerate()
+            .map(|(i, label)| EventInfo {
+                label: label.to_string(),
+                edge: Some(SignalEdge {
+                    signal: SignalId::from_index(i),
+                    polarity: Polarity::Rise,
+                }),
+            })
+            .collect();
+        from_lists("diamond", signals, events, states)
     }
 
     #[test]
@@ -605,59 +541,34 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_stable_under_renumbering() {
-        let g1 = diamond();
-        // Same graph with states 1 and 2 swapped.
-        let signals = g1.signals().to_vec();
-        let events = g1.events().to_vec();
-        let states = vec![
-            State {
-                code: 0b00,
-                succ: vec![(EventId(0), 2), (EventId(1), 1)],
-            },
-            State {
-                code: 0b10,
-                succ: vec![(EventId(0), 3)],
-            },
-            State {
-                code: 0b01,
-                succ: vec![(EventId(1), 3)],
-            },
-            State {
-                code: 0b11,
-                succ: vec![],
-            },
-        ];
-        let g2 = StateGraph::from_parts("diamond", signals, events, states, 0).unwrap();
-        assert_eq!(g1.fingerprint(), g2.fingerprint());
+    fn renumbered_diamond_is_rejected() {
+        // The diamond with states 1 and 2 swapped: isomorphic, but
+        // state 0's arcs reach 2 before 1, which no breadth-first
+        // numbering does.
+        let swapped = diamond_with(vec![
+            (0b00, vec![(EventId(0), 2), (EventId(1), 1)]),
+            (0b10, vec![(EventId(0), 3)]),
+            (0b01, vec![(EventId(1), 3)]),
+            (0b11, vec![]),
+        ]);
+        assert!(matches!(swapped, Err(SgError::Invalid(_))), "{swapped:?}");
     }
 
     #[test]
     fn fingerprint_differs_on_arc_removal() {
         let g1 = diamond();
-        // The diamond without the arc 0 -b+-> 2.
-        let states = g1
-            .state_ids()
-            .map(|s| State {
-                code: g1.code(s),
-                succ: g1
-                    .succ(s)
-                    .iter()
-                    .filter(|&(e, _)| !(s == 0 && e == EventId(1)))
-                    .collect(),
-            })
-            .collect();
-        let g2 = StateGraph::from_parts(
-            "diamond",
-            g1.signals().to_vec(),
-            g1.events().to_vec(),
-            states,
-            0,
-        )
+        // The diamond without the arc 1 -b+-> 3: state 3 is still
+        // reached, through state 2.
+        let g2 = diamond_with(vec![
+            (0b00, vec![(EventId(0), 1), (EventId(1), 2)]),
+            (0b01, vec![]),
+            (0b10, vec![(EventId(0), 3)]),
+            (0b11, vec![]),
+        ])
         .unwrap();
-        // Dropping state 2's incoming arc leaves it unreachable but kept;
-        // fingerprints must differ.
         assert_ne!(g1.fingerprint(), g2.fingerprint());
+        assert_ne!(g1, g2);
+        assert_eq!(g1, diamond());
     }
 
     #[test]
@@ -670,28 +581,62 @@ mod tests {
 
     #[test]
     fn rejects_bad_parts() {
+        // Per-state lists whose only arc names an event the graph lacks.
         let signals = vec![sig("a", SignalKind::Input)];
-        let events = vec![];
-        let states = vec![State {
-            code: 0,
-            succ: vec![(EventId(0), 0)],
-        }];
-        assert!(StateGraph::from_parts("x", signals, events, states, 0).is_err());
+        let bad = from_lists("x", signals, vec![], vec![(0, vec![(EventId(0), 0)])]);
+        assert!(matches!(bad, Err(SgError::Invalid(_))), "{bad:?}");
     }
 
     #[test]
     fn rejects_bad_csr() {
-        let signals = vec![sig("a", SignalKind::Input)];
+        let (a, b) = (EventId(0), EventId(1));
+        let cases = [
+            ("no states", diamond_with(vec![])),
+            (
+                "unknown event",
+                diamond_with(vec![(0, vec![(EventId(2), 0)])]),
+            ),
+            ("dangling arc", diamond_with(vec![(0, vec![(a, 1)])])),
+            (
+                "arcs not ascending",
+                diamond_with(vec![(0, vec![(b, 1), (a, 2)]), (2, vec![]), (1, vec![])]),
+            ),
+            (
+                "one event twice",
+                diamond_with(vec![(0, vec![(a, 1), (a, 1)]), (1, vec![])]),
+            ),
+            (
+                "arc skips the next id",
+                diamond_with(vec![(0, vec![(a, 2)]), (3, vec![]), (1, vec![(b, 1)])]),
+            ),
+            (
+                "unreached state",
+                diamond_with(vec![(0, vec![(b, 0)]), (1, vec![])]),
+            ),
+        ];
+        for (what, got) in cases {
+            assert!(matches!(got, Err(SgError::Invalid(_))), "{what}: {got:?}");
+        }
+
+        let g = diamond();
+        // Offsets that claim 2 arcs while the arrays hold none.
         let bad = StateGraph::from_csr(
             "x".into(),
-            signals,
+            g.signals().to_vec(),
             vec![],
             vec![0],
-            vec![0, 2], // offsets claim 2 arcs, arrays hold none
+            vec![0, 2],
             vec![],
             vec![],
-            0,
         );
-        assert!(matches!(bad, Err(SgError::Invalid(_))));
+        assert!(matches!(bad, Err(SgError::Invalid(_))), "{bad:?}");
+        // An event edge naming signal 200 of 2.
+        let mut events = g.events().to_vec();
+        events[1].edge = Some(SignalEdge {
+            signal: SignalId(200),
+            polarity: Polarity::Rise,
+        });
+        let bad = from_lists("x", g.signals().to_vec(), events, vec![(0, vec![])]);
+        assert!(matches!(bad, Err(SgError::Invalid(_))), "{bad:?}");
     }
 }

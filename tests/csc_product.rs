@@ -6,11 +6,10 @@
 //! every reshuffling of the partial corpus entries and of generated
 //! families, and check every structurally feasible insertion `(x, y)`:
 //! the derived graph is accepted exactly when a full build succeeds, and
-//! accepted graphs equal the full build's: the same canonical
-//! fingerprint, and the same codes and arcs under the same state
-//! numbering. Each walk must also end where `resolve_csc_analyzed` ends,
-//! with the same derived graph: the search keeps each round winner's
-//! derived graph and builds none in full.
+//! accepted graphs equal the full build (`==`: the same codes and arcs
+//! under the one state numbering). Each walk must also end where
+//! `resolve_csc_analyzed` ends, with the same derived graph: the search
+//! keeps each round winner's derived graph and builds none in full.
 //!
 //! The `#[ignore]`d suite runs the larger families and pins the slowest
 //! paper-path inputs end to end; run it in release:
@@ -52,15 +51,6 @@ struct Tally {
     accepted: usize,
 }
 
-/// Asserts that `a` and `b` have the same codes and arcs, state for
-/// state.
-fn assert_same_graph(at: &str, a: &StateGraph, b: &StateGraph) {
-    assert_eq!(a.codes(), b.codes(), "{at}: codes");
-    for s in a.state_ids() {
-        assert!(a.succ(s).iter().eq(b.succ(s).iter()), "{at}: arcs");
-    }
-}
-
 /// Walks the greedy search from `(stg, sg)`, checking every feasible
 /// candidate of every round. `deep` also compares the conflict count,
 /// the SI verdict and the literal estimate of the two graphs.
@@ -96,9 +86,7 @@ fn walk(label: &str, stg: &Stg, sg: &StateGraph, deep: bool, tally: &mut Tally) 
                     (d, f) => panic!("{at}: derived {:?}, full build {:?}", d.err(), f.err()),
                 };
                 tally.accepted += 1;
-                assert_eq!(derived.fingerprint(), full.fingerprint(), "{at}");
-                // Numbered as the full build numbers them, state for state.
-                assert_same_graph(&at, &derived, &full);
+                assert!(derived == full, "{at}");
                 let si = speed_independence(&full).is_speed_independent();
                 let c = analyze_csc(&full).num_csc_conflicts();
                 if deep {
@@ -140,7 +128,7 @@ fn walk(label: &str, stg: &Stg, sg: &StateGraph, deep: bool, tally: &mut Tally) 
             assert_eq!(r.tried, tried, "{label}: tried");
             assert_eq!(r.rebuilt, 0, "{label}: no full builds");
             assert_eq!(write_g(&r.stg), write_g(&parent), "{label}");
-            assert_same_graph(label, &r.sg, &parent_sg);
+            assert!(r.sg == parent_sg, "{label}");
         }
         Err(e) => assert!(conflicts > 0, "{label}: the walk resolved, the search: {e}"),
     }

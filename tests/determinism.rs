@@ -1,18 +1,24 @@
 //! The state graph's canonical numbering against the marking graph,
-//! pinned build statistics on the scaled family, and equivalence of
-//! the CSR incremental product with a full rebuild.
+//! pinned build statistics on the scaled family, and equality of every
+//! derived graph (reshufflings, serializations, reduce results) with
+//! the full build of its own STG.
 //!
 //! Golden pins, `canonical_fingerprint`-keyed caches and committed
 //! bench baselines all assume one canonical graph per specification:
 //! markings numbered breadth-first from the initial one, successors in
-//! ascending transition order.
+//! ascending transition order. The `#[ignore]`d sweep runs the larger
+//! families in release:
+//! `cargo test --release --test determinism -- --ignored`.
 
 use reshuffle_bench::examples;
 use reshuffle_handshake::{expand_handshakes, ExpansionOptions};
-use reshuffle_petri::{parse_g, structural, ReachabilityGraph};
+use reshuffle_petri::{parse_g, structural, ReachabilityGraph, Stg};
+use reshuffle_reduce::{reduce_concurrency_from, ReduceOptions};
 use reshuffle_sg::conc::concurrent_pairs;
 use reshuffle_sg::restrict::restrict_with_place;
-use reshuffle_sg::{build_state_graph, build_state_graph_stats, BuildOptions, BuildStats, EventId};
+use reshuffle_sg::{
+    build_state_graph, build_state_graph_stats, BuildOptions, BuildStats, EventId, StateGraph,
+};
 
 #[test]
 fn scaled_build_stats_are_pinned() {
@@ -78,16 +84,73 @@ fn labelled_graph_has_one_state_per_marking() {
 
 #[test]
 fn restrict_on_csr_matches_full_rebuild_across_corpus() {
-    // For every complete corpus entry and every legal serializing
-    // direction of every concurrent pair, the incremental CSR product
-    // must be isomorphic to rebuilding the rewritten STG from scratch.
-    let mut checked = 0usize;
+    let mut checked = [0; 3];
     for (name, src) in examples::ALL {
-        let stg = parse_g(src).unwrap();
-        if stg.is_partial() {
-            continue;
+        let found = derived_graphs_are_full_builds(name, &parse_g(src).unwrap());
+        for (total, n) in checked.iter_mut().zip(found) {
+            *total += n;
         }
-        let sg = build_state_graph(&stg).unwrap();
+    }
+    let [reshufflings, serializations, reductions] = checked;
+    assert!(reshufflings >= 4, "too few reshufflings: {reshufflings}");
+    assert!(
+        serializations >= 4,
+        "too few serializations: {serializations}"
+    );
+    assert!(reductions >= 4, "too few reductions: {reductions}");
+}
+
+/// The same check on the larger generated families; run it in release:
+/// `cargo test --release --test determinism -- --ignored`.
+#[test]
+#[ignore]
+fn derived_graphs_are_full_builds_across_families() {
+    let mut families = Vec::new();
+    for k in 2..=3 {
+        families.push(examples::pulses(k, false));
+        families.push(examples::pulses(k, true));
+        families.push(examples::ring(k));
+    }
+    families.extend((1..=3).map(examples::two_channel));
+    for src in &families {
+        let stg = parse_g(src).unwrap();
+        let [reshufflings, _, reductions] = derived_graphs_are_full_builds(&stg.name, &stg);
+        assert!(reshufflings > 0, "{}: no reshufflings", stg.name);
+        assert!(reductions > 0, "{}: no reductions", stg.name);
+    }
+}
+
+/// Checks that every graph derived from a parent's graph is the full
+/// build of its own STG, as a whole graph, numbering and all: every
+/// reshuffling of a partial `spec` (at most 4096), then, from `spec` or
+/// each reshuffling, every legal serializing direction of every
+/// concurrent pair and the reduce result. Returns the counts of
+/// reshufflings, serializations and reduce results checked.
+fn derived_graphs_are_full_builds(name: &str, spec: &Stg) -> [usize; 3] {
+    let mut checked = [0; 3];
+    let roots = if spec.is_partial() {
+        let all = ExpansionOptions {
+            max_reshufflings: 4096,
+        };
+        let reshufflings = expand_handshakes(spec, &all).unwrap();
+        checked[0] = reshufflings.len();
+        reshufflings
+            .into_iter()
+            .enumerate()
+            .map(|(i, r)| {
+                let at = format!("{name}#{i}");
+                assert_full_build(&at, &r.stg, &r.sg);
+                (at, r.stg, r.sg)
+            })
+            .collect()
+    } else {
+        vec![(
+            name.to_string(),
+            spec.clone(),
+            build_state_graph(spec).unwrap(),
+        )]
+    };
+    for (at, stg, sg) in roots {
         for (a, b) in concurrent_pairs(&sg) {
             for (from, to) in [(a, b), (b, a)] {
                 // Same legality conditions the reduction search uses:
@@ -101,22 +164,26 @@ fn restrict_on_csr_matches_full_rebuild_across_corpus() {
                 let &[to_t] = stg.transitions_of_edge(to).as_slice() else {
                     continue;
                 };
-                let Ok(product) =
-                    restrict_with_place(&sg, &[EventId(from_t.0)], &[EventId(to_t.0)])
+                let Ok(product) = restrict_with_place(&sg, EventId(from_t.0), EventId(to_t.0))
                 else {
                     continue; // the rewrite would be unsafe
                 };
                 let mut stg2 = stg.clone();
                 structural::insert_causal_place(&mut stg2, from_t, to_t).unwrap();
-                let rebuilt = build_state_graph(&stg2).unwrap();
-                assert_eq!(
-                    product.fingerprint(),
-                    rebuilt.fingerprint(),
-                    "{name}: product for {from:?} -> {to:?} drifted from a full rebuild"
-                );
-                checked += 1;
+                assert_full_build(&format!("{at}: {from:?} -> {to:?}"), &stg2, &product);
+                checked[1] += 1;
             }
         }
+        if let Ok(red) = reduce_concurrency_from(&stg, sg, &ReduceOptions::default()) {
+            assert_full_build(&format!("{at}: reduced"), &red.stg, &red.sg);
+            checked[2] += 1;
+        }
     }
-    assert!(checked >= 4, "too few serializations exercised: {checked}");
+    checked
+}
+
+/// Asserts that `sg` is the full build of `stg`.
+fn assert_full_build(at: &str, stg: &Stg, sg: &StateGraph) {
+    let full = build_state_graph(stg).unwrap_or_else(|e| panic!("{at}: full build failed: {e}"));
+    assert!(*sg == full, "{at}: differs from the full build");
 }

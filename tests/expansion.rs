@@ -68,11 +68,7 @@ fn every_reshuffling_preserves_the_interface_and_semantics() {
             // the candidate STG.
             let rebuilt = build_state_graph(&r.stg)
                 .unwrap_or_else(|e| panic!("{name}#{i}: rebuild failed: {e}"));
-            assert_eq!(
-                rebuilt.fingerprint(),
-                r.sg.fingerprint(),
-                "{name}#{i}: incremental graph drifted"
-            );
+            assert!(rebuilt == r.sg, "{name}#{i}: incremental graph drifted");
         }
     }
 }

@@ -169,6 +169,29 @@ fn golden_corpus() {
     );
 }
 
+/// Every pipeline result's state graph is the full build of its own
+/// STG, in every golden mode: whatever the stages derived from a
+/// parent's graph (reshufflings, serializations, CSC insertions), the
+/// final graph equals `build_state_graph` of the final `.g`, numbering
+/// and all. This is the precondition for a cache record that keeps the
+/// `.g` and no graph: loading it can rebuild that very graph.
+#[test]
+fn every_result_is_the_full_build_of_its_stg() {
+    let mut checked = 0;
+    for (name, src) in examples::ALL {
+        for (mode, opts) in golden_modes() {
+            let Ok(done) = run(src, &opts) else {
+                continue; // the golden suite pins the failure
+            };
+            let full = build_state_graph(&done.stg)
+                .unwrap_or_else(|e| panic!("{name}/{mode}: full build failed: {e}"));
+            assert!(done.sg == full, "{name}/{mode}: not the full build");
+            checked += 1;
+        }
+    }
+    assert!(checked >= 30, "too few results checked: {checked}");
+}
+
 #[test]
 fn prereduce_is_outcome_neutral_across_corpus_and_modes() {
     // Structural pre-reduction may only rewrite the net, never the

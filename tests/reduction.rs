@@ -81,9 +81,8 @@ fn reductions_preserve_behavior_across_the_corpus() {
         // to the very graph the incremental derivation produced.
         let rebuilt = build_state_graph(&red.stg)
             .unwrap_or_else(|e| panic!("{name}: reduced STG inconsistent: {e}"));
-        assert_eq!(
-            rebuilt.fingerprint(),
-            red.sg.fingerprint(),
+        assert!(
+            rebuilt == red.sg,
             "{name}: incremental state graph drifted from a full rebuild"
         );
 
