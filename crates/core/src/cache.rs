@@ -7,10 +7,10 @@
 //! instead of a pipeline run — the ROADMAP's persistent-netlist-cache
 //! step toward serving repeated requests. The spec half of the key is
 //! [`reshuffle_petri::canonical_fingerprint`] (declaration-order
-//! invariant); the option half is accumulated hash-by-hash as the
-//! staged builder commits each stage's options, so a [`run`] shortcut
-//! and the equivalent manual stage chain produce the same key. The
-//! key a `run` will use is exposed as
+//! invariant); the option half is one function of the options the
+//! staged builder records as each transition commits them, so a
+//! [`run`] shortcut and the equivalent manual stage chain produce the
+//! same key. The key a `run` will use is exposed as
 //! [`run_cache_key`](crate::run_cache_key) for callers (like the
 //! `reshuffle-server` single-flight registry) that deduplicate work
 //! *before* starting a pipeline.
@@ -34,10 +34,9 @@ use std::sync::{Arc, Mutex};
 use crate::store::journal_record;
 use crate::{CacheStore, Synthesis};
 
-/// Folds stage-transition parts into an options-trail hash. Every
-/// staged transition calls this with a distinct tag plus its options'
-/// canonical words, so different chains (or different options) never
-/// collide by construction order.
+/// Folds one stage's part into an options-trail hash: a distinct tag
+/// plus its options' canonical words, so different chains (or
+/// different options) never collide by construction order.
 pub(crate) fn mix(seed: u64, tag: &str, parts: &[u64]) -> u64 {
     let mut h = DefaultHasher::new();
     seed.hash(&mut h);

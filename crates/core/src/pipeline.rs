@@ -14,7 +14,15 @@
 //! estimate, timed cycle) happens in [`Resolved::synthesize`], exactly
 //! as in the paper's flow, so a stage-by-stage chain and the
 //! [`Parsed::run`] shortcut produce identical results.
+//!
+//! `Expanded`, `Reduced` and `Resolved` share one private chain (the
+//! live candidates plus the run context); reduce and resolve run
+//! through one stage step. Every cache key comes from the options the
+//! transitions recorded, through one trail function, and a run
+//! consults the cache once: [`Parsed::run`] before any stage, a chain
+//! at [`Resolved::synthesize`].
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -135,14 +143,14 @@ impl Pipeline {
             sg: None,
             ctx: Ctx {
                 spec_fp,
-                opts_hash: 0,
-                cand_hash: 0,
-                delays: (2.0, 1.0),
+                expand: None,
+                reduce: None,
+                csc: CscOptions::default(),
                 selecting: false,
                 state_budget: DEFAULT_STATE_BUDGET,
+                looked_up: false,
                 diag: Diagnostics::default(),
                 cache: None,
-                cand_cache: None,
                 span: SpanCtx::default(),
             },
         }
@@ -154,31 +162,55 @@ impl Pipeline {
 struct Ctx {
     /// Canonical fingerprint of the *input* specification.
     spec_fp: u64,
-    /// Hash of the option trail committed so far (cache key half).
-    opts_hash: u64,
-    /// The *per-candidate* option trail: the same stages hashed as a
-    /// complete-specification chain would hash them. Mixed with each
-    /// candidate's own fingerprint it reproduces the key a standalone
-    /// run of that candidate uses, so lattice siblings and standalone
-    /// runs share one cache entry per candidate.
-    cand_hash: u64,
-    /// (input, gate) delays for the final candidate ranking — set by
-    /// the reduce stage, defaulted to the Table 1/2 model otherwise.
-    delays: (f64, f64),
-    /// True when several expansion candidates are still pending the
-    /// ranked selection (per-candidate failures are soft until then).
+    /// Expansion options committed by [`Parsed::expand`] (`None` after
+    /// [`Parsed::complete`]).
+    expand: Option<ExpansionOptions>,
+    /// Reduction options committed by [`Expanded::reduce`] (`None` when
+    /// skipped); their delays also time the ranked selection.
+    reduce: Option<ReduceOptions>,
+    /// CSC options committed by [`Reduced::resolve`].
+    csc: CscOptions,
+    /// True when the expansion stage left several candidates pending
+    /// the ranked selection. It gates the selection's timed cycle, its
+    /// literal estimate and candidate sharing through the cache; the
+    /// soft per-candidate failures come from [`enforce_live`].
     selecting: bool,
     /// Explored-state cap for state-graph builds the pipeline runs.
     state_budget: usize,
+    /// True once [`Parsed::run`] consulted the cache under the
+    /// whole-run key, so [`Resolved::synthesize`] does not again.
+    looked_up: bool,
     diag: Diagnostics,
     /// Trace context: stage transitions emit `stage.*` spans under it
     /// and state-graph builds emit BFS child spans. Disabled by default.
     span: SpanCtx,
     cache: Option<SynthCache>,
-    /// The same cache, kept for *candidate-level* sharing even when
-    /// [`Parsed::run`] has already claimed `cache` for the whole-run
-    /// key (it must not be consulted twice at that level).
-    cand_cache: Option<SynthCache>,
+}
+
+impl Ctx {
+    /// Consults the attached cache under the whole-run `key`, counting
+    /// the hit or miss. A hit finishes the run: the hit path is not
+    /// free, so its lookup latency is recorded as the
+    /// [`Stage::CacheHit`] pseudo-stage instead of recording nothing.
+    fn lookup(&mut self, key: u64) -> Option<Synthesized> {
+        let cache = self.cache.as_ref()?;
+        let sp = self.span.span("cache.lookup");
+        let t = Instant::now();
+        let hit = cache.lookup(key);
+        if hit.is_some() {
+            self.diag.cache_hits += 1;
+            self.diag
+                .record(Stage::CacheHit, t.elapsed(), None, None, None);
+        } else {
+            self.diag.cache_misses += 1;
+        }
+        sp.end(&[("hit", FieldVal::U64(hit.is_some() as u64))]);
+        let synthesis = hit?;
+        Some(Synthesized {
+            synthesis,
+            diag: std::mem::take(&mut self.diag),
+        })
+    }
 }
 
 /// One in-flight refinement of the specification.
@@ -198,21 +230,81 @@ struct Candidate {
 
 type CandResult = Result<Candidate>;
 
+/// The live candidates and the run context: what every stage past the
+/// expansion decision holds.
+#[derive(Debug)]
+struct Chain {
+    cands: Vec<CandResult>,
+    ctx: Ctx,
+}
+
+impl Chain {
+    fn primary(&self) -> &Candidate {
+        self.cands
+            .iter()
+            .find_map(|c| c.as_ref().ok())
+            .expect("stage invariant: at least one live candidate")
+    }
+
+    /// Size of the primary candidate's state graph.
+    fn counts(&self) -> SgCounts {
+        SgCounts::of(&self.primary().sg)
+    }
+
+    /// Runs one stage over every live candidate: `f` returns the
+    /// refined candidate plus two counters, summed over candidates and
+    /// reported under `fields` on the stage span. The first counter is
+    /// the report's candidate count; reduce's second is its prune
+    /// count, resolve's (graphs rebuilt) is a span field only.
+    fn step<F>(
+        mut self,
+        stage: Stage,
+        span: &'static str,
+        fields: [&'static str; 2],
+        f: F,
+    ) -> Result<Chain>
+    where
+        F: Fn(Candidate) -> Result<(Candidate, usize, usize)> + Sync,
+    {
+        let t = Instant::now();
+        let sp = self.ctx.span.span(span);
+        let outcomes = stage_map(self.cands, f);
+        enforce_live(&outcomes)?;
+        let (mut first, mut second) = (0usize, 0usize);
+        self.cands = outcomes
+            .into_iter()
+            .map(|o| {
+                o.map(|(c, a, b)| {
+                    first += a;
+                    second += b;
+                    c
+                })
+            })
+            .collect();
+        let pruned = (stage == Stage::Reduce).then_some(second);
+        let counts = self.counts();
+        self.ctx
+            .diag
+            .record(stage, t.elapsed(), Some(counts), Some(first), pruned);
+        sp.end(&[
+            (fields[0], FieldVal::U64(first as u64)),
+            (fields[1], FieldVal::U64(second as u64)),
+        ]);
+        Ok(self)
+    }
+}
+
 /// Applies one stage's work to every live candidate, in parallel when
 /// several are live (slots that already failed pass through untouched;
 /// results keep their slot order, so the chain stays deterministic).
 fn stage_map<T, F>(cands: Vec<CandResult>, f: F) -> Vec<Result<T>>
 where
     T: Send,
-    F: Fn(usize, Candidate) -> Result<T> + Sync,
+    F: Fn(Candidate) -> Result<T> + Sync,
 {
     let live = cands.iter().filter(|c| c.is_ok()).count();
     if live <= 1 {
-        return cands
-            .into_iter()
-            .enumerate()
-            .map(|(i, c)| c.and_then(|c| f(i, c)))
-            .collect();
+        return cands.into_iter().map(|c| c.and_then(&f)).collect();
     }
     let n = cands.len();
     let queue: Mutex<Vec<(usize, CandResult)>> =
@@ -228,7 +320,7 @@ where
                 let Some((i, c)) = queue.lock().unwrap().pop() else {
                     break;
                 };
-                *out[i].lock().unwrap() = Some(c.and_then(|c| f(i, c)));
+                *out[i].lock().unwrap() = Some(c.and_then(&f));
             });
         }
     });
@@ -264,28 +356,23 @@ fn gate_speed_independence(sg: &StateGraph) -> Result<()> {
     }
 }
 
-// --- option-trail hashing -------------------------------------------
-//
-// Each staged transition commits its options into the trail with the
-// helper matching its stage; `options_key` replays the same sequence
-// from a flat `PipelineOptions`, so `run()` can test the cache *before*
-// doing any work while a manual chain arrives at the identical key.
-
-/// Structural pre-reduction always runs at the expansion/completeness
-/// gate; its tag stays in the trail, so run keys are stable.
-fn mix_prereduce(h: u64) -> u64 {
-    mix(h, "prereduce", &[1])
-}
-
-fn mix_expand(h: u64, opts: Option<&ExpansionOptions>) -> u64 {
-    match opts {
+/// The option trail of a run: each stage's tag and option words, in
+/// stage order (pre-reduction always runs, so its tag is constant). A
+/// cache key is a fingerprint mixed with a trail; an expansion
+/// candidate's trail has `expand: None`, as a standalone run of it has.
+fn trail(
+    expand: Option<&ExpansionOptions>,
+    reduce: Option<&ReduceOptions>,
+    csc: &CscOptions,
+    style: ImplStyle,
+    verify: bool,
+) -> u64 {
+    let h = mix(0, "prereduce", &[1]);
+    let h = match expand {
         Some(e) => mix(h, "expand", &[e.max_reshufflings as u64]),
         None => mix(h, "complete", &[]),
-    }
-}
-
-fn mix_reduce(h: u64, opts: Option<&ReduceOptions>) -> u64 {
-    match opts {
+    };
+    let h = match reduce {
         Some(r) => mix(
             h,
             "reduce",
@@ -299,34 +386,14 @@ fn mix_reduce(h: u64, opts: Option<&ReduceOptions>) -> u64 {
             ],
         ),
         None => mix(h, "skip_reduce", &[]),
-    }
-}
-
-fn mix_resolve(h: u64, opts: &CscOptions) -> u64 {
-    mix(
+    };
+    let h = mix(
         h,
         "resolve",
-        &[opts.max_signals as u64, opts.rank_pool as u64],
-    )
-}
-
-fn mix_synthesize(h: u64, style: ImplStyle, verify: bool) -> u64 {
-    let style_tag = match style {
-        ImplStyle::ComplexGate => 0u64,
-        ImplStyle::GeneralizedC => 1u64,
-    };
-    mix(h, "synthesize", &[style_tag, verify as u64])
-}
-
-/// The cache key a [`Parsed::run`] with these options will use.
-fn options_key(spec_fp: u64, opts: &PipelineOptions) -> u64 {
-    let mut h = 0u64;
-    h = mix_prereduce(h);
-    h = mix_expand(h, opts.expand.as_ref());
-    h = mix_reduce(h, opts.reduce.as_ref());
-    h = mix_resolve(h, &opts.csc);
-    h = mix_synthesize(h, opts.style, !opts.skip_verify);
-    mix(spec_fp, "key", &[h])
+        &[csc.max_signals as u64, csc.rank_pool as u64],
+    );
+    let gc = style == ImplStyle::GeneralizedC;
+    mix(h, "synthesize", &[gc as u64, verify as u64])
 }
 
 /// The [`SynthCache`](crate::SynthCache) key a [`Parsed::run`] of
@@ -336,7 +403,14 @@ fn options_key(spec_fp: u64, opts: &PipelineOptions) -> u64 {
 /// (like the `reshuffle-server` single-flight registry) key their
 /// in-flight table with this.
 pub fn run_cache_key(spec: &Stg, opts: &PipelineOptions) -> u64 {
-    options_key(canonical_fingerprint(spec), opts)
+    let trail = trail(
+        opts.expand.as_ref(),
+        opts.reduce.as_ref(),
+        &opts.csc,
+        opts.style,
+        !opts.skip_verify,
+    );
+    mix(canonical_fingerprint(spec), "key", &[trail])
 }
 
 /// [`run_cache_key`] computed straight from `.g` source, without
@@ -387,7 +461,6 @@ impl Parsed {
     /// [`Resolved::synthesize`].
     pub fn with_cache(mut self, cache: &SynthCache) -> Parsed {
         self.ctx.cache = Some(cache.clone());
-        self.ctx.cand_cache = Some(cache.clone());
         self
     }
 
@@ -413,16 +486,6 @@ impl Parsed {
     /// * [`PipelineError::NotSpeedIndependent`] when it violates speed
     ///   independence.
     pub fn complete(mut self) -> Result<Expanded> {
-        self.ctx.opts_hash = mix_prereduce(self.ctx.opts_hash);
-        self.ctx.opts_hash = mix_expand(self.ctx.opts_hash, None);
-        self.complete_inner()
-    }
-
-    /// The complete-specification passthrough, shared by
-    /// [`Parsed::complete`] and [`Parsed::expand`]: does the work but
-    /// leaves the option trail to the caller (each public transition
-    /// mixes exactly its own tag).
-    fn complete_inner(mut self) -> Result<Expanded> {
         let t = Instant::now();
         let sp = self.ctx.span.span("stage.expand");
         if self.stg.is_partial() {
@@ -449,17 +512,15 @@ impl Parsed {
             }
         };
         gate_speed_independence(&sg)?;
-        let mut ctx = self.ctx;
-        ctx.selecting = false;
-        ctx.cand_hash = mix_expand(mix_prereduce(0), None);
-        ctx.diag
+        self.ctx
+            .diag
             .record(Stage::Expand, t.elapsed(), Some(counts), Some(1), Some(0));
         sp.end(&[
             ("states", FieldVal::U64(counts.states.unwrap_or(0) as u64)),
             ("arcs", FieldVal::U64(counts.arcs.unwrap_or(0) as u64)),
         ]);
-        let fp = ctx.spec_fp;
-        Ok(Expanded {
+        let fp = self.ctx.spec_fp;
+        Ok(Expanded(Chain {
             cands: vec![Ok(Candidate {
                 stg: self.stg,
                 sg,
@@ -469,8 +530,8 @@ impl Parsed {
                 inserted: Vec::new(),
                 known_conflicts: None,
             })],
-            ctx,
-        })
+            ctx: self.ctx,
+        }))
     }
 
     /// Runs the Section 3 handshake-expansion stage. For a partial
@@ -485,12 +546,11 @@ impl Parsed {
     ///   channels, no feasible reshuffling);
     /// * the [`Parsed::complete`] errors for complete inputs.
     pub fn expand(mut self, opts: &ExpansionOptions) -> Result<Expanded> {
-        self.ctx.opts_hash = mix_prereduce(self.ctx.opts_hash);
-        self.ctx.opts_hash = mix_expand(self.ctx.opts_hash, Some(opts));
+        self.ctx.expand = Some(opts.clone());
         if !self.stg.is_partial() {
-            // Identity on complete specifications — the trail above
-            // still records that the expansion stage was configured.
-            return self.complete_inner();
+            // Identity on complete specifications — the recorded
+            // options still key the run.
+            return self.complete();
         }
         let t = Instant::now();
         let sp = self.ctx.span.span("stage.expand");
@@ -519,18 +579,16 @@ impl Parsed {
             })
             .collect();
         enforce_live(&cands)?;
-        let counts = cands
-            .iter()
-            .find_map(|c| c.as_ref().ok())
-            .map(|c| SgCounts::of(&c.sg));
-        let mut ctx = self.ctx;
-        ctx.selecting = true;
-        // Candidates continue as complete specifications from here on.
-        ctx.cand_hash = mix_expand(mix_prereduce(0), None);
-        ctx.diag.record(
+        self.ctx.selecting = true;
+        let mut chain = Chain {
+            cands,
+            ctx: self.ctx,
+        };
+        let counts = chain.counts();
+        chain.ctx.diag.record(
             Stage::Expand,
             t.elapsed(),
-            counts,
+            Some(counts),
             Some(enumerated),
             Some(pruned),
         );
@@ -538,7 +596,7 @@ impl Parsed {
             ("candidates", FieldVal::U64(enumerated as u64)),
             ("pruned", FieldVal::U64(pruned as u64)),
         ]);
-        Ok(Expanded { cands, ctx })
+        Ok(Expanded(chain))
     }
 
     /// The one-call shortcut: runs the whole chain under a flat
@@ -552,23 +610,17 @@ impl Parsed {
     /// Any stage failure, tagged by [`PipelineError`] variant.
     pub fn run(mut self, opts: &PipelineOptions) -> Result<Synthesized> {
         self.ctx.state_budget = opts.state_budget;
-        let cache = self.ctx.cache.take();
-        let key = options_key(self.ctx.spec_fp, opts);
-        if let Some(cache) = &cache {
-            let sp = self.ctx.span.span("cache.lookup");
-            let t = Instant::now();
-            if let Some(synthesis) = cache.lookup(key) {
-                let mut diag = self.ctx.diag;
-                diag.cache_hits += 1;
-                // The hit path is not free: surface the lookup latency
-                // as a pseudo-stage instead of recording nothing.
-                diag.record(Stage::CacheHit, t.elapsed(), None, None, None);
-                sp.end(&[("hit", FieldVal::U64(1))]);
-                return Ok(Synthesized { synthesis, diag });
-            }
-            self.ctx.diag.cache_misses += 1;
-            sp.end(&[("hit", FieldVal::U64(0))]);
+        let trail = trail(
+            opts.expand.as_ref(),
+            opts.reduce.as_ref(),
+            &opts.csc,
+            opts.style,
+            !opts.skip_verify,
+        );
+        if let Some(done) = self.ctx.lookup(mix(self.ctx.spec_fp, "key", &[trail])) {
+            return Ok(done);
         }
+        self.ctx.looked_up = true;
         let expanded = match &opts.expand {
             Some(eopts) => self.expand(eopts)?,
             None => self.complete()?,
@@ -578,15 +630,11 @@ impl Parsed {
             None => expanded.skip_reduce(),
         };
         let resolved = reduced.resolve(&opts.csc)?;
-        let done = if opts.skip_verify {
-            resolved.synthesize_unverified(opts.style)?
+        if opts.skip_verify {
+            resolved.synthesize_unverified(opts.style)
         } else {
-            resolved.synthesize(opts.style)?
-        };
-        if let Some(cache) = cache {
-            cache.insert(key, done.synthesis.clone());
+            resolved.synthesize(opts.style)
         }
-        Ok(done)
     }
 }
 
@@ -595,41 +643,32 @@ impl Parsed {
 /// Past the expansion decision: one complete specification, or — for
 /// partial inputs — the surviving reshuffling candidates.
 #[derive(Debug)]
-pub struct Expanded {
-    cands: Vec<CandResult>,
-    ctx: Ctx,
-}
+pub struct Expanded(Chain);
 
 impl Expanded {
-    fn primary(&self) -> &Candidate {
-        self.cands
-            .iter()
-            .find_map(|c| c.as_ref().ok())
-            .expect("stage invariant: at least one live candidate")
-    }
-
     /// The (primary candidate's) complete STG. For a partial input this
     /// is the first surviving reshuffling — the eager extreme unless it
     /// was pruned.
     pub fn stg(&self) -> &Stg {
-        &self.primary().stg
+        &self.0.primary().stg
     }
 
     /// The (primary candidate's) state graph.
     pub fn state_graph(&self) -> &StateGraph {
-        &self.primary().sg
+        &self.0.primary().sg
     }
 
     /// Number of candidates still in the running.
     pub fn num_candidates(&self) -> usize {
-        self.cands.iter().filter(|c| c.is_ok()).count()
+        self.0.cands.iter().filter(|c| c.is_ok()).count()
     }
 
     /// The live candidates: each one's complete STG and the ordering
     /// choices that produced it (empty for the eager extreme and for
     /// complete inputs).
     pub fn candidates(&self) -> impl Iterator<Item = (&Stg, &[String])> {
-        self.cands
+        self.0
+            .cands
             .iter()
             .filter_map(|c| c.as_ref().ok())
             .map(|c| (&c.stg, c.choices.as_slice()))
@@ -637,17 +676,12 @@ impl Expanded {
 
     /// Diagnostics recorded so far.
     pub fn diagnostics(&self) -> &Diagnostics {
-        &self.ctx.diag
+        &self.0.ctx.diag
     }
 
     /// Skips the opt-in concurrency-reduction stage.
-    pub fn skip_reduce(mut self) -> Reduced {
-        self.ctx.opts_hash = mix_reduce(self.ctx.opts_hash, None);
-        self.ctx.cand_hash = mix_reduce(self.ctx.cand_hash, None);
-        Reduced {
-            cands: self.cands,
-            ctx: self.ctx,
-        }
+    pub fn skip_reduce(self) -> Reduced {
+        Reduced(self.0)
     }
 
     /// Runs the Section 4 concurrency-reduction stage on every live
@@ -658,62 +692,25 @@ impl Expanded {
     ///
     /// [`PipelineError::Reduce`] when the search fails — e.g. the
     /// cycle-time bound excludes every reduction (soft per candidate
-    /// while a selection is pending).
-    pub fn reduce(mut self, opts: &ReduceOptions) -> Result<Reduced> {
-        let t = Instant::now();
-        let sp = self.ctx.span.span("stage.reduce");
-        self.ctx.opts_hash = mix_reduce(self.ctx.opts_hash, Some(opts));
-        self.ctx.cand_hash = mix_reduce(self.ctx.cand_hash, Some(opts));
-        self.ctx.delays = (opts.input_delay, opts.gate_delay);
-        let outcomes = stage_map(self.cands, |_, c| {
-            let r = reshuffle_reduce::reduce_concurrency_from(&c.stg, c.sg, opts)
-                .map_err(PipelineError::Reduce)?;
-            Ok((
-                Candidate {
+    /// while a selection is pending) — or when a delay in `opts` is off
+    /// the half-unit grid.
+    pub fn reduce(self, opts: &ReduceOptions) -> Result<Reduced> {
+        let mut chain = self.0;
+        chain.ctx.reduce = Some(opts.clone());
+        chain
+            .step(Stage::Reduce, "stage.reduce", ["scored", "pruned"], |c| {
+                let r = reshuffle_reduce::reduce_concurrency_from(&c.stg, c.sg, opts)
+                    .map_err(PipelineError::Reduce)?;
+                let reduced = Candidate {
                     stg: r.stg,
                     sg: r.sg,
-                    fp: c.fp,
                     moves: r.steps,
                     known_conflicts: Some(r.csc_conflicts),
-                    choices: c.choices,
-                    inserted: c.inserted,
-                },
-                r.scored,
-                r.pruned,
-            ))
-        });
-        enforce_live(&outcomes)?;
-        let mut scored = 0usize;
-        let mut pruned = 0usize;
-        let cands: Vec<CandResult> = outcomes
-            .into_iter()
-            .map(|o| {
-                o.map(|(c, s, p)| {
-                    scored += s;
-                    pruned += p;
-                    c
-                })
+                    ..c
+                };
+                Ok((reduced, r.scored, r.pruned))
             })
-            .collect();
-        let counts = cands
-            .iter()
-            .find_map(|c| c.as_ref().ok())
-            .map(|c| SgCounts::of(&c.sg));
-        self.ctx.diag.record(
-            Stage::Reduce,
-            t.elapsed(),
-            counts,
-            Some(scored),
-            Some(pruned),
-        );
-        sp.end(&[
-            ("scored", FieldVal::U64(scored as u64)),
-            ("pruned", FieldVal::U64(pruned as u64)),
-        ]);
-        Ok(Reduced {
-            cands,
-            ctx: self.ctx,
-        })
+            .map(Reduced)
     }
 }
 
@@ -721,39 +718,29 @@ impl Expanded {
 
 /// Past the (possibly skipped) concurrency-reduction stage.
 #[derive(Debug)]
-pub struct Reduced {
-    cands: Vec<CandResult>,
-    ctx: Ctx,
-}
+pub struct Reduced(Chain);
 
 impl Reduced {
-    fn primary(&self) -> &Candidate {
-        self.cands
-            .iter()
-            .find_map(|c| c.as_ref().ok())
-            .expect("stage invariant: at least one live candidate")
-    }
-
     /// The (primary candidate's) STG after reduction.
     pub fn stg(&self) -> &Stg {
-        &self.primary().stg
+        &self.0.primary().stg
     }
 
     /// The (primary candidate's) state graph after reduction.
     pub fn state_graph(&self) -> &StateGraph {
-        &self.primary().sg
+        &self.0.primary().sg
     }
 
     /// The serializing moves the reduction applied to the primary
     /// candidate, with per-move statistics (empty when the stage was
     /// skipped or found nothing to improve).
     pub fn moves(&self) -> &[MoveStep] {
-        &self.primary().moves
+        &self.0.primary().moves
     }
 
     /// Diagnostics recorded so far.
     pub fn diagnostics(&self) -> &Diagnostics {
-        &self.ctx.diag
+        &self.0.ctx.diag
     }
 
     /// Resolves remaining CSC conflicts by state-signal insertion
@@ -763,87 +750,37 @@ impl Reduced {
     ///
     /// [`PipelineError::Synth`] when the insertion search stalls (soft
     /// per candidate while a selection is pending).
-    pub fn resolve(mut self, opts: &CscOptions) -> Result<Resolved> {
-        let t = Instant::now();
-        let sp = self.ctx.span.span("stage.resolve");
-        self.ctx.opts_hash = mix_resolve(self.ctx.opts_hash, opts);
-        self.ctx.cand_hash = mix_resolve(self.ctx.cand_hash, opts);
-        let outcomes = stage_map(self.cands, |_, c| {
-            if c.known_conflicts == Some(0) {
-                return Ok((c, 0, 0));
-            }
-            let Candidate {
-                stg,
-                sg,
-                fp,
-                choices,
-                moves,
-                inserted,
-                known_conflicts: _,
-            } = c;
-            // One analysis serves both the conflict check and the
-            // resolver; the resolver never re-analyzes a graph it was
-            // handed an analysis for.
-            let analysis = analyze_csc(&sg);
-            if analysis.has_csc() {
-                return Ok((
-                    Candidate {
-                        stg,
-                        sg,
-                        fp,
-                        choices,
-                        moves,
-                        inserted,
+    pub fn resolve(self, opts: &CscOptions) -> Result<Resolved> {
+        let mut chain = self.0;
+        chain.ctx.csc = opts.clone();
+        chain
+            .step(Stage::Resolve, "stage.resolve", ["tried", "rebuilt"], |c| {
+                if c.known_conflicts == Some(0) {
+                    return Ok((c, 0, 0));
+                }
+                // One analysis serves both the conflict check and the
+                // resolver; the resolver never re-analyzes a graph it
+                // was handed an analysis for.
+                let analysis = analyze_csc(&c.sg);
+                if analysis.has_csc() {
+                    let resolved = Candidate {
                         known_conflicts: Some(0),
-                    },
-                    0,
-                    0,
-                ));
-            }
-            let r =
-                resolve_csc_analyzed(&stg, sg, &analysis, opts).map_err(PipelineError::Synth)?;
-            Ok((
-                Candidate {
+                        ..c
+                    };
+                    return Ok((resolved, 0, 0));
+                }
+                let r = resolve_csc_analyzed(&c.stg, c.sg, &analysis, opts)
+                    .map_err(PipelineError::Synth)?;
+                let resolved = Candidate {
                     stg: r.stg,
                     sg: r.sg,
-                    fp,
                     inserted: r.inserted,
-                    choices,
-                    moves,
                     known_conflicts: Some(0),
-                },
-                r.tried,
-                r.rebuilt,
-            ))
-        });
-        enforce_live(&outcomes)?;
-        let mut tried = 0usize;
-        let mut rebuilt = 0usize;
-        let cands: Vec<CandResult> = outcomes
-            .into_iter()
-            .map(|o| {
-                o.map(|(c, t, b)| {
-                    tried += t;
-                    rebuilt += b;
-                    c
-                })
+                    ..c
+                };
+                Ok((resolved, r.tried, r.rebuilt))
             })
-            .collect();
-        let counts = cands
-            .iter()
-            .find_map(|c| c.as_ref().ok())
-            .map(|c| SgCounts::of(&c.sg));
-        self.ctx
-            .diag
-            .record(Stage::Resolve, t.elapsed(), counts, Some(tried), None);
-        sp.end(&[
-            ("tried", FieldVal::U64(tried as u64)),
-            ("rebuilt", FieldVal::U64(rebuilt as u64)),
-        ]);
-        Ok(Resolved {
-            cands,
-            ctx: self.ctx,
-        })
+            .map(Resolved)
     }
 }
 
@@ -851,38 +788,28 @@ impl Reduced {
 
 /// CSC satisfied on every live candidate: ready for logic synthesis.
 #[derive(Debug)]
-pub struct Resolved {
-    cands: Vec<CandResult>,
-    ctx: Ctx,
-}
+pub struct Resolved(Chain);
 
 impl Resolved {
-    fn primary(&self) -> &Candidate {
-        self.cands
-            .iter()
-            .find_map(|c| c.as_ref().ok())
-            .expect("stage invariant: at least one live candidate")
-    }
-
     /// The (primary candidate's) STG after any CSC insertions.
     pub fn stg(&self) -> &Stg {
-        &self.primary().stg
+        &self.0.primary().stg
     }
 
     /// The (primary candidate's) conflict-free state graph.
     pub fn state_graph(&self) -> &StateGraph {
-        &self.primary().sg
+        &self.0.primary().sg
     }
 
     /// State signals inserted into the primary candidate to resolve
     /// CSC (empty when the specification already satisfied it).
     pub fn inserted(&self) -> &[String] {
-        &self.primary().inserted
+        &self.0.primary().inserted
     }
 
     /// Diagnostics recorded so far.
     pub fn diagnostics(&self) -> &Diagnostics {
-        &self.ctx.diag
+        &self.0.ctx.diag
     }
 
     /// Derives, minimizes and maps the next-state logic in the given
@@ -908,58 +835,52 @@ impl Resolved {
         self.finish(style, false)
     }
 
-    fn finish(mut self, style: ImplStyle, verify: bool) -> Result<Synthesized> {
+    fn finish(self, style: ImplStyle, verify: bool) -> Result<Synthesized> {
         let t = Instant::now();
-        self.ctx.opts_hash = mix_synthesize(self.ctx.opts_hash, style, verify);
-        self.ctx.cand_hash = mix_synthesize(self.ctx.cand_hash, style, verify);
-        let key = mix(self.ctx.spec_fp, "key", &[self.ctx.opts_hash]);
-        if let Some(cache) = &self.ctx.cache {
-            let sp = self.ctx.span.span("cache.lookup");
-            let t_lookup = Instant::now();
-            if let Some(synthesis) = cache.lookup(key) {
-                let mut diag = self.ctx.diag;
-                diag.cache_hits += 1;
-                // The hit path is not free: surface the lookup latency
-                // as a pseudo-stage instead of recording nothing.
-                diag.record(Stage::CacheHit, t_lookup.elapsed(), None, None, None);
-                sp.end(&[("hit", FieldVal::U64(1))]);
-                return Ok(Synthesized { synthesis, diag });
+        let Chain { cands, mut ctx } = self.0;
+        let run_trail = trail(
+            ctx.expand.as_ref(),
+            ctx.reduce.as_ref(),
+            &ctx.csc,
+            style,
+            verify,
+        );
+        let key = mix(ctx.spec_fp, "key", &[run_trail]);
+        if !ctx.looked_up {
+            if let Some(done) = ctx.lookup(key) {
+                return Ok(done);
             }
-            self.ctx.diag.cache_misses += 1;
-            sp.end(&[("hit", FieldVal::U64(0))]);
         }
-        let sp = self.ctx.span.span("stage.synthesize");
-        let selecting = self.ctx.selecting;
-        let (input_delay, gate_delay) = self.ctx.delays;
+        let sp = ctx.span.span("stage.synthesize");
+        let selecting = ctx.selecting;
+        // Only a pending selection needs the timed cycle; it is scored
+        // under the same delay model the reduce stage optimized.
+        let (input_delay, gate_delay) = ctx
+            .reduce
+            .as_ref()
+            .map_or((2.0, 1.0), |r| (r.input_delay, r.gate_delay));
         // With several expansion candidates in flight, each one's
         // synthesis is shared through the attached cache under the key
         // a *standalone* run of that candidate would use (candidate
         // fingerprint x complete-chain trail) — lattice siblings seen
         // before, in this run or any other against the same cache,
         // skip their synthesis entirely.
-        let cand_cache = if selecting {
-            self.ctx.cand_cache.clone()
-        } else {
-            None
-        };
-        let cand_hash = self.ctx.cand_hash;
-        let shared_hits = std::sync::atomic::AtomicU64::new(0);
-        let outcomes = stage_map(self.cands, |_, c| {
-            let cand_key = mix(c.fp, "key", &[cand_hash]);
+        let cand_cache = ctx.cache.as_ref().filter(|_| selecting);
+        let cand_trail = trail(None, ctx.reduce.as_ref(), &ctx.csc, style, verify);
+        let shared_hits = AtomicU64::new(0);
+        let outcomes = stage_map(cands, |c| {
+            let cand_key = mix(c.fp, "key", &[cand_trail]);
             let cycle_of = |synthesis: &Synthesis| -> Result<u64> {
                 if !selecting {
                     return Ok(0);
                 }
-                // Only a pending selection needs the timed cycle;
-                // score it under the same delay model the reduce
-                // stage optimized.
                 let delays = DelayModel::uniform(&synthesis.stg, input_delay, gate_delay);
                 let run = simulate(&synthesis.stg, &delays, &SimOptions::default())?;
                 Ok(run.period.to_bits())
             };
-            if let Some(cache) = &cand_cache {
+            if let Some(cache) = cand_cache {
                 if let Some(mut synthesis) = cache.lookup_shared(cand_key) {
-                    shared_hits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    shared_hits.fetch_add(1, Ordering::Relaxed);
                     // The cached entry is choice-agnostic (stored as a
                     // standalone run); re-attach this candidate's
                     // ordering choices.
@@ -984,7 +905,7 @@ impl Resolved {
                 expansion: c.choices,
             };
             let cycle_bits = cycle_of(&synthesis)?;
-            if let Some(cache) = &cand_cache {
+            if let Some(cache) = cand_cache {
                 // Store choice-agnostic, exactly as a standalone run of
                 // this candidate would have produced it.
                 let mut stored = synthesis.clone();
@@ -993,8 +914,7 @@ impl Resolved {
             }
             Ok((synthesis, cycle_bits))
         });
-        self.ctx.diag.shared_candidate_hits +=
-            shared_hits.load(std::sync::atomic::Ordering::Relaxed);
+        ctx.diag.shared_candidate_hits += shared_hits.load(Ordering::Relaxed);
         enforce_live(&outcomes)?;
 
         // The ranked selection: (state signals inserted, literal
@@ -1025,7 +945,6 @@ impl Resolved {
             .expect("winner index in range")
             .expect("winner is live");
 
-        let mut ctx = self.ctx;
         ctx.diag.record(
             Stage::Synthesize,
             t.elapsed(),

@@ -45,9 +45,6 @@ pub(crate) struct PrefixCache {
     pub hits: u64,
     /// Restriction products actually executed.
     pub products: u64,
-    /// Products the per-point chained realization would have executed
-    /// (invariant: `chained_products == products + hits`).
-    pub chained_products: u64,
 }
 
 impl PrefixCache {
@@ -77,12 +74,10 @@ pub(crate) fn realize(
         match cache.memo.get(&constraints[..start]) {
             Some(Some(g)) => {
                 cache.hits += start as u64;
-                cache.chained_products += start as u64;
                 break g.clone();
             }
             Some(None) => {
                 cache.hits += start as u64;
-                cache.chained_products += start as u64;
                 return None;
             }
             None => start -= 1,
@@ -91,7 +86,6 @@ pub(crate) fn realize(
     for i in start..constraints.len() {
         let (before, rtz) = constraints[i];
         cache.products += 1;
-        cache.chained_products += 1;
         match restrict_with_place(&sg, EventId(before.0), EventId(rtz.0)) {
             Ok(next) => {
                 cache.insert(&constraints[..=i], Some(next.clone()));

@@ -47,6 +47,15 @@ pub enum ReduceError {
     /// No reduction satisfies the constraints (e.g. the cycle-time
     /// bound excludes the specification and every candidate).
     NoFeasibleReduction,
+    /// A cycle-metric delay ([`ReduceOptions::input_delay`] or
+    /// [`ReduceOptions::gate_delay`]) is not a multiple of 0.5 between
+    /// 0 and [`MAX_DELAY`] (NaN and infinity included).
+    InvalidDelay {
+        /// The offending option's name.
+        option: &'static str,
+        /// Its value.
+        value: f64,
+    },
 }
 
 impl fmt::Display for ReduceError {
@@ -57,6 +66,10 @@ impl fmt::Display for ReduceError {
             ReduceError::NoFeasibleReduction => {
                 write!(f, "no concurrency reduction satisfies the constraints")
             }
+            ReduceError::InvalidDelay { option, value } => write!(
+                f,
+                "{option} = {value} is not a multiple of 0.5 between 0 and {MAX_DELAY}"
+            ),
         }
     }
 }
@@ -66,7 +79,7 @@ impl std::error::Error for ReduceError {
         match self {
             ReduceError::Sg(e) => Some(e),
             ReduceError::Timing(e) => Some(e),
-            ReduceError::NoFeasibleReduction => None,
+            ReduceError::NoFeasibleReduction | ReduceError::InvalidDelay { .. } => None,
         }
     }
 }
@@ -86,6 +99,13 @@ impl From<TimingError> for ReduceError {
 /// Convenient result alias for this crate.
 pub type Result<T> = std::result::Result<T, ReduceError>;
 
+/// Largest cycle-metric delay, in time units. The paper's delays are 1
+/// to 3 units. The simulator counts 2 ticks per unit over at most
+/// `SimOptions::default().max_firings` (200,000) firings, so its clock
+/// stays below 4·10^11 ticks: far from `u64` overflow, and exact in
+/// `f64`.
+pub const MAX_DELAY: f64 = 1e6;
+
 /// Constraints and budgets for the reduction search.
 #[derive(Debug, Clone)]
 pub struct ReduceOptions {
@@ -97,7 +117,8 @@ pub struct ReduceOptions {
     /// Maximum number of best-first node expansions (bounds the search).
     pub max_expansions: usize,
     /// Delay charged to input events by the cycle metric (Table 1/2
-    /// model: 2.0).
+    /// model: 2.0). Like `gate_delay`, a multiple of 0.5 in
+    /// `0..=`[`MAX_DELAY`].
     pub input_delay: f64,
     /// Delay charged to non-input events by the cycle metric (1.0).
     pub gate_delay: f64,
@@ -234,7 +255,9 @@ impl Node {
 /// * [`ReduceError::Sg`] / [`ReduceError::Timing`] if the input STG
 ///   itself has no state graph or no periodic behaviour;
 /// * [`ReduceError::NoFeasibleReduction`] if `opts.max_cycle_time`
-///   excludes the specification and every candidate reduction.
+///   excludes the specification and every candidate reduction;
+/// * [`ReduceError::InvalidDelay`] if a cycle-metric delay is off the
+///   half-unit grid, negative, above [`MAX_DELAY`] or not finite.
 pub fn reduce_concurrency(stg: &Stg, opts: &ReduceOptions) -> Result<Reduction> {
     let sg = build_state_graph(stg)?;
     reduce_concurrency_from(stg, sg, opts)
@@ -252,6 +275,8 @@ pub fn reduce_concurrency_from(
     sg: StateGraph,
     opts: &ReduceOptions,
 ) -> Result<Reduction> {
+    check_delay("input_delay", opts.input_delay)?;
+    check_delay("gate_delay", opts.gate_delay)?;
     let (conflicts, literals, cycle) = evaluate(stg, &sg, opts)?;
     let root = Node {
         stg: stg.clone(),
@@ -357,6 +382,19 @@ pub fn reduce_concurrency_from(
         expansions,
         scored,
     })
+}
+
+/// Accepts exactly the delays [`DelayModel::uniform`] can quantize (it
+/// counts 2 ticks per unit, with the same rounding tolerance) up to
+/// [`MAX_DELAY`]; anything else would panic there or wrap the
+/// simulator's clock.
+fn check_delay(option: &'static str, value: f64) -> Result<()> {
+    let ticks = value * 2.0;
+    if (0.0..=MAX_DELAY).contains(&value) && (ticks - ticks.round()).abs() < 1e-9 {
+        Ok(())
+    } else {
+        Err(ReduceError::InvalidDelay { option, value })
+    }
 }
 
 /// Scores one STG/state-graph pair: CSC conflicts, literal estimate and
@@ -516,6 +554,41 @@ b- a+
         // The search did real work and reported it.
         assert!(red.expansions > 0);
         assert!(red.scored > 0);
+    }
+
+    #[test]
+    fn delays_off_the_tick_grid_are_errors_not_panics() {
+        let stg = parse_g(MFIG1).unwrap();
+        let bad = [
+            ("input_delay", 0.3, 1.0),
+            ("gate_delay", 2.0, f64::INFINITY),
+            ("input_delay", f64::NAN, 1.0),
+            ("input_delay", 1e300, 1.0),
+            ("gate_delay", 2.0, -1.0),
+        ];
+        for (option, input_delay, gate_delay) in bad {
+            let opts = ReduceOptions {
+                input_delay,
+                gate_delay,
+                ..Default::default()
+            };
+            match reduce_concurrency(&stg, &opts) {
+                Err(e @ ReduceError::InvalidDelay { option: o, .. }) => {
+                    assert_eq!(o, option);
+                    assert!(e.to_string().contains(option), "{e}");
+                }
+                other => panic!("{input_delay}/{gate_delay}: {other:?}"),
+            }
+        }
+        // The half-unit grid (the PAR model's 1.5) and the bound pass.
+        for (input_delay, gate_delay) in [(1.5, 0.5), (MAX_DELAY, 0.0)] {
+            let opts = ReduceOptions {
+                input_delay,
+                gate_delay,
+                ..Default::default()
+            };
+            assert!(reduce_concurrency(&stg, &opts).is_ok(), "{input_delay}");
+        }
     }
 
     /// Fork/join with two symmetric request/ack branches: every move on

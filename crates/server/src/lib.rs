@@ -84,7 +84,7 @@ use std::io;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -381,27 +381,19 @@ struct SynthService {
     cache: SynthCache,
     flights: SingleFlight<SynthOutcome>,
     stats: SynthStats,
-    /// Run count and accumulated wall time per pipeline stage,
-    /// indexed by [`stage_index`].
-    stage_totals: Mutex<[(u64, Duration); NUM_STAGES]>,
     /// Coalesced-follower wait on the in-flight leader's publication.
     flight_wait: Histogram,
-    /// Per-stage pipeline wall time, indexed by [`stage_index`].
+    /// Per-stage pipeline wall time, indexed by [`stage_index`]: the
+    /// `/metrics` histograms and the `/stats` stage rows alike.
     stage_hists: [Histogram; NUM_STAGES],
     tracer: Tracer,
 }
 
 impl SynthService {
     fn accumulate_stages(&self, diag: &reshuffle::Diagnostics) {
-        let mut totals = self.stage_totals.lock().expect("stage totals poisoned");
         for report in &diag.stages {
-            let i = stage_index(report.stage);
-            let slot = &mut totals[i];
-            slot.0 += 1;
-            slot.1 += report.wall;
-            self.stage_hists[i].record(report.wall);
+            self.stage_hists[stage_index(report.stage)].record(report.wall);
         }
-        drop(totals);
         self.stats
             .prereduce_places
             .fetch_add(diag.prereduce_places_removed, Ordering::Relaxed);
@@ -670,19 +662,19 @@ impl Service for SynthService {
     }
 
     /// The shard id, the cache bound, and accumulated wall time per
-    /// pipeline stage.
+    /// pipeline stage (the stage histograms' count and sum, so `/stats`
+    /// and `/metrics` agree).
     fn stats_doc(&self) -> Vec<(&'static str, Json)> {
-        let totals = self.stage_totals.lock().expect("stage totals poisoned");
         let stages = Json::Arr(
             STAGE_NAMES
                 .iter()
-                .zip(totals.iter())
-                .filter(|(_, (runs, _))| *runs > 0)
-                .map(|(name, (runs, wall))| {
+                .zip(self.stage_hists.iter().map(Histogram::snapshot))
+                .filter(|(_, snap)| snap.count > 0)
+                .map(|(name, snap)| {
                     Json::obj(vec![
                         ("stage", Json::Str(name.to_string())),
-                        ("runs", Json::Num(*runs as f64)),
-                        ("wall_ms", Json::Num(wall.as_secs_f64() * 1e3)),
+                        ("runs", Json::Num(snap.count as f64)),
+                        ("wall_ms", Json::Num(snap.sum_micros as f64 / 1e3)),
                     ])
                 })
                 .collect(),
@@ -842,7 +834,6 @@ impl Server {
             cache,
             flights: SingleFlight::new(),
             stats: SynthStats::default(),
-            stage_totals: Mutex::default(),
             flight_wait: Histogram::new(),
             stage_hists: std::array::from_fn(|_| Histogram::new()),
             tracer,

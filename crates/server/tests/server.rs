@@ -636,3 +636,70 @@ fn options_select_pipeline_behavior() {
     }
     server.stop().unwrap();
 }
+
+#[test]
+fn an_off_grid_reduce_delay_is_a_422_and_the_worker_survives() {
+    // One worker: a request that killed it would leave nothing serving.
+    let server = Server::start(ServerConfig::new().with_threads(1)).unwrap();
+    let addr = server.addr().to_string();
+    let ask = |raw: String| {
+        ClientConn::connect_timeout(&addr, Duration::from_secs(5), Duration::from_secs(10))
+            .and_then(|mut conn| conn.exchange(raw.as_bytes()))
+            .unwrap_or_else(|e| panic!("no answer within 10 s: {e}"))
+    };
+    let reduce = Json::obj(vec![("input_delay", Json::Num(0.3))]);
+    let body = Json::obj(vec![
+        ("g", Json::Str(XYZ_G.to_string())),
+        ("options", Json::obj(vec![("reduce", reduce)])),
+    ])
+    .render();
+    let response = ask(format!(
+        "POST /synthesize HTTP/1.1\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    ));
+    assert_eq!(response.status, 422, "{}", response.body_str());
+    assert!(
+        response.body_str().contains("input_delay"),
+        "{}",
+        response.body_str()
+    );
+    let health = ask("GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n".to_string());
+    assert_eq!(health.status, 200, "{}", health.body_str());
+    server.stop().unwrap();
+}
+
+#[test]
+fn stats_stage_rows_equal_the_metrics_stage_histograms() {
+    let server = Server::start(ServerConfig::new()).unwrap();
+    let addr = server.addr();
+    // An executed run and a hit: expand, resolve, synthesize and
+    // cache_hit (the server parses the spec itself).
+    for _ in 0..2 {
+        let (status, body) = post(addr, "/synthesize", &synth_body(XYZ_G));
+        assert_eq!(status, 200, "{body}");
+    }
+    let doc = stats(addr);
+    let (status, metrics) = get(addr, "/metrics");
+    assert_eq!(status, 200);
+    let series = |suffix: &str, stage: &str| -> f64 {
+        let name = format!("reshuffle_stage_duration_seconds_{suffix}{{stage=\"{stage}\"}} ");
+        metrics
+            .lines()
+            .find_map(|l| l.strip_prefix(name.as_str()))
+            .unwrap_or_else(|| panic!("no {name}in /metrics:\n{metrics}"))
+            .parse()
+            .unwrap()
+    };
+    let stages = doc.get("stages").and_then(Json::items).unwrap();
+    assert!(stages.len() >= 4, "{}", doc.render());
+    for row in stages {
+        let stage = row.get("stage").and_then(Json::as_str).unwrap();
+        assert_eq!(stat(row, "runs"), series("count", stage), "{stage} runs");
+        let (wall_ms, sum_ms) = (stat(row, "wall_ms"), series("sum", stage) * 1e3);
+        assert!(
+            (wall_ms - sum_ms).abs() <= 1e-9 * sum_ms.max(1.0),
+            "{stage}: /stats wall_ms {wall_ms} != /metrics sum {sum_ms} ms"
+        );
+    }
+    server.stop().unwrap();
+}

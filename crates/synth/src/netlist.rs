@@ -5,8 +5,13 @@
 //! behaviour comes from C-elements and from generalized-C latches
 //! ([`Node::GcLatch`]), or implicitly from combinational feedback
 //! (a complex gate whose function depends on its own output).
+//!
+//! The node table is in topological order: every gate or latch input
+//! is an earlier node ([`Netlist::add`] asserts it). So
+//! [`Netlist::next_code`] evaluates a state in one forward pass over
+//! the table, the order a bit-sliced evaluation of 64 states per word
+//! would also take.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use reshuffle_petri::{Signal, SignalId, SignalKind};
@@ -73,11 +78,23 @@ impl Netlist {
     }
 
     /// Adds a node and returns its id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a gate's input count differs from its arity, or if a
+    /// gate or latch input is not an earlier node: the node table stays
+    /// in topological order, so one forward pass evaluates it.
     pub fn add(&mut self, node: Node) -> NodeId {
-        if let Node::Gate(g, ins) = &node {
-            assert_eq!(g.arity(), ins.len(), "gate arity mismatch");
-        }
         let id = NodeId(self.nodes.len() as u32);
+        let inputs_earlier = match &node {
+            Node::SignalRef(_) | Node::Const(_) => true,
+            Node::Gate(g, ins) => {
+                assert_eq!(g.arity(), ins.len(), "gate arity mismatch");
+                ins.iter().all(|i| i.0 < id.0)
+            }
+            Node::GcLatch { set, reset, .. } => set.0 < id.0 && reset.0 < id.0,
+        };
+        assert!(inputs_earlier, "node {} input is not an earlier node", id.0);
         self.nodes.push(node);
         id
     }
@@ -145,13 +162,37 @@ impl Netlist {
 
     /// Evaluates the next value of every signal given the current code
     /// (bit i = value of signal i). Inputs keep their current value.
+    /// Every node input is an earlier node, so one pass over the node
+    /// table, in order, evaluates the whole netlist.
     pub fn next_code(&self, code: u64) -> u64 {
-        let mut memo: HashMap<NodeId, bool> = HashMap::new();
+        let bit = |s: SignalId| (code >> s.index()) & 1 == 1;
+        let mut val: Vec<bool> = Vec::with_capacity(self.nodes.len());
+        for node in &self.nodes {
+            let v = match node {
+                Node::SignalRef(s) => bit(*s),
+                Node::Const(b) => *b,
+                Node::Gate(g, ins) => {
+                    let x = |k: usize| val[ins[k].0 as usize];
+                    match g {
+                        GateType::Inv => !x(0),
+                        // The mapper never emits a standalone C2 (a
+                        // C-element driver is a GcLatch holding its own
+                        // signal), so a bare C2 conservatively ANDs.
+                        GateType::And2 | GateType::C2 => x(0) && x(1),
+                        GateType::Or2 => x(0) || x(1),
+                    }
+                }
+                // Set wins, then reset, else hold the driven signal.
+                Node::GcLatch { set, reset, holds } => {
+                    val[set.0 as usize] || (!val[reset.0 as usize] && bit(*holds))
+                }
+            };
+            val.push(v);
+        }
         let mut next = code;
         for (i, d) in self.drivers.iter().enumerate() {
             if let Some(n) = d {
-                let v = self.eval_node(*n, code, &mut memo);
-                if v {
+                if val[n.0 as usize] {
                     next |= 1 << i;
                 } else {
                     next &= !(1 << i);
@@ -159,48 +200,6 @@ impl Netlist {
             }
         }
         next
-    }
-
-    /// Evaluates a single node under the current code.
-    pub fn eval_node(&self, n: NodeId, code: u64, memo: &mut HashMap<NodeId, bool>) -> bool {
-        if let Some(&v) = memo.get(&n) {
-            return v;
-        }
-        let v = match &self.nodes[n.0 as usize] {
-            Node::SignalRef(s) => (code >> s.index()) & 1 == 1,
-            Node::Const(b) => *b,
-            Node::Gate(g, ins) => {
-                let vals: Vec<bool> = ins.iter().map(|&i| self.eval_node(i, code, memo)).collect();
-                match g {
-                    GateType::Inv => !vals[0],
-                    GateType::And2 => vals[0] && vals[1],
-                    GateType::Or2 => vals[0] || vals[1],
-                    GateType::C2 => {
-                        // C-element: all-1 sets, all-0 resets, else hold.
-                        // As a plain node it has no hold state; C2 is
-                        // only created by the mapper as a *driver* whose
-                        // hold value is the driven signal, encoded via
-                        // GcLatch. Standalone C2 treats equal inputs as
-                        // the output, else... conservatively AND (the
-                        // mapper never emits standalone C2).
-                        vals[0] && vals[1]
-                    }
-                }
-            }
-            Node::GcLatch { set, reset, holds } => {
-                let s = self.eval_node(*set, code, memo);
-                let r = self.eval_node(*reset, code, memo);
-                if s {
-                    true
-                } else if r {
-                    false
-                } else {
-                    (code >> holds.index()) & 1 == 1
-                }
-            }
-        };
-        memo.insert(n, v);
-        v
     }
 
     /// Depth (in gates) of the network driving signal `s`; wires are 0.
@@ -359,6 +358,14 @@ mod tests {
         // Latch depth includes its networks.
         assert_eq!(nl.depth(SignalId(1)), 2);
         assert!(nl.network_delay(SignalId(1), &lib) > lib.seq_delay);
+    }
+
+    #[test]
+    #[should_panic(expected = "not an earlier node")]
+    fn forward_references_are_rejected() {
+        let mut nl = Netlist::new(two_signal_table());
+        // Node 0 cannot read node 1: it does not exist yet.
+        nl.add(Node::Gate(GateType::Inv, vec![NodeId(1)]));
     }
 
     #[test]

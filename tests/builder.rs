@@ -41,9 +41,16 @@ fn modes() -> Vec<(&'static str, PipelineOptions)> {
 
 /// Drives the builder one stage transition at a time, mirroring what
 /// `opts` encodes — the manual chain a caller inspecting intermediate
-/// artifacts would write.
-fn staged(src: &str, opts: &PipelineOptions) -> Result<(Synthesis, Diagnostics), PipelineError> {
-    let parsed = Pipeline::from_g(src)?;
+/// artifacts would write — against `cache` when one is given.
+fn staged(
+    src: &str,
+    opts: &PipelineOptions,
+    cache: Option<&SynthCache>,
+) -> Result<(Synthesis, Diagnostics), PipelineError> {
+    let mut parsed = Pipeline::from_g(src)?;
+    if let Some(cache) = cache {
+        parsed = parsed.with_cache(cache);
+    }
     let expanded = match &opts.expand {
         Some(eopts) => parsed.expand(eopts)?,
         None => parsed.complete()?,
@@ -113,7 +120,7 @@ fn builder_matches_legacy_across_the_corpus() {
             let via_run = Pipeline::from_g(src)
                 .and_then(|p| p.run(&opts))
                 .map(|done| done.into_synthesis());
-            let via_stages = staged(src, &opts).map(|(s, _)| s);
+            let via_stages = staged(src, &opts, None).map(|(s, _)| s);
             assert_same(name, mode, "staged chain", &via_run, &via_stages);
         }
     }
@@ -123,7 +130,7 @@ fn builder_matches_legacy_across_the_corpus() {
 fn staged_diagnostics_cover_the_executed_stages() {
     for (name, src) in examples::ALL {
         for (mode, opts) in modes() {
-            let Ok((_, diag)) = staged(src, &opts) else {
+            let Ok((_, diag)) = staged(src, &opts, None) else {
                 continue; // failing modes are covered by the suite above
             };
             assert!(
@@ -162,7 +169,9 @@ fn staged_diagnostics_cover_the_executed_stages() {
 fn run_with_cache_replays_every_mode_identically() {
     // One shared cache across the whole corpus: a second pass over all
     // entries and modes must be answered entirely from the cache, with
-    // identical netlists and no stage work recorded.
+    // identical netlists and no stage work recorded — by run(), and by
+    // the staged chain, which keys its run from the options its
+    // transitions recorded and so must hit at synthesize.
     let cache = reshuffle::SynthCache::new();
     let mut first: Vec<(String, String)> = Vec::new();
     for (name, src) in examples::ALL {
@@ -185,6 +194,19 @@ fn run_with_cache_replays_every_mode_identically() {
                     done.diagnostics().stage(Stage::Synthesize).is_none(),
                     "{name}/{mode}: re-synthesis timing recorded on a cache hit"
                 );
+                let (hit, diag) = staged(src, &opts, Some(&cache))
+                    .unwrap_or_else(|e| panic!("{name}/{mode}: staged chain failed: {e}"));
+                assert_eq!(diag.cache_hits, 1, "{name}/{mode}: staged chain missed");
+                assert!(
+                    diag.stage(Stage::CacheHit).is_some()
+                        && diag.stage(Stage::Synthesize).is_none(),
+                    "{name}/{mode}: staged chain re-synthesized instead of hitting"
+                );
+                assert_eq!(
+                    hit.netlist.describe(),
+                    done.netlist().describe(),
+                    "{name}/{mode}: staged hit drifted from run()'s"
+                );
                 second.push((format!("{name}/{mode}"), done.netlist().describe()));
             }
         }
@@ -192,8 +214,8 @@ fn run_with_cache_replays_every_mode_identically() {
     assert_eq!(first, second, "cached replay drifted");
     assert_eq!(
         cache.hits(),
-        first.len() as u64,
-        "every successful mode must replay from the cache"
+        2 * first.len() as u64,
+        "every successful mode must replay from the cache, run() and staged"
     );
     // Failing modes miss again (they cache nothing), successes do not.
     assert_eq!(cache.misses(), misses_after_first * 2 - first.len() as u64);
