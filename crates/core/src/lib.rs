@@ -735,9 +735,26 @@ Go- Req~
             "stage.synthesize",
             "bfs.markings",
             "bfs.encode",
+            "synth.derive",
+            "synth.verify",
         ] {
             assert!(has(name), "missing span {name} in {lines:#?}");
         }
+        // The lone candidate's derivation and check are children of the
+        // synthesize stage.
+        let field = |name: &str, key: &str| -> f64 {
+            let line = lines
+                .iter()
+                .find(|l| l.contains(&format!("\"name\":\"{name}\"")))
+                .unwrap();
+            let span = reshuffle_obs::json::parse(line).unwrap();
+            span.get(key)
+                .and_then(reshuffle_obs::json::Json::as_num)
+                .unwrap()
+        };
+        let stage = field("stage.synthesize", "span");
+        assert_eq!(field("synth.derive", "parent"), stage);
+        assert_eq!(field("synth.verify", "parent"), stage);
 
         // A cache hit under tracing emits the lookup span.
         let cache = SynthCache::new();

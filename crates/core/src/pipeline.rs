@@ -466,8 +466,10 @@ impl Parsed {
 
     /// Attaches a trace context: every subsequent stage transition
     /// emits a `stage.*` span under it, state-graph builds emit
-    /// `bfs.markings`/`bfs.encode` child spans, and cache consultations
-    /// emit `cache.lookup` spans. Tracing is observation only — it
+    /// `bfs.markings`/`bfs.encode` child spans, the synthesize stage
+    /// emits a `synth.derive` and a `synth.verify` child span per
+    /// candidate it synthesizes, and cache consultations emit
+    /// `cache.lookup` spans. Tracing is observation only — it
     /// never changes what the pipeline produces.
     pub fn with_trace(mut self, span: SpanCtx) -> Parsed {
         self.ctx.span = span;
@@ -868,6 +870,9 @@ impl Resolved {
         let cand_cache = ctx.cache.as_ref().filter(|_| selecting);
         let cand_trail = trail(None, ctx.reduce.as_ref(), &ctx.csc, style, verify);
         let shared_hits = AtomicU64::new(0);
+        // Each candidate's derivation (next-state functions, minimized
+        // and mapped) and its check get child spans of this stage.
+        let span = sp.ctx();
         let outcomes = stage_map(cands, |c| {
             let cand_key = mix(c.fp, "key", &[cand_trail]);
             let cycle_of = |synthesis: &Synthesis| -> Result<u64> {
@@ -889,12 +894,16 @@ impl Resolved {
                     return Ok((synthesis, cycle_bits));
                 }
             }
+            let derive = span.span("synth.derive");
             let netlist = match style {
                 ImplStyle::ComplexGate => synthesize_complex_gates(&c.sg)?.netlist,
                 ImplStyle::GeneralizedC => synthesize_gc(&c.sg)?.netlist,
             };
+            derive.end(&[]);
             if verify {
+                let check = span.span("synth.verify");
                 verify_against_sg(&c.sg, &netlist)?;
+                check.end(&[]);
             }
             let synthesis = Synthesis {
                 stg: c.stg,

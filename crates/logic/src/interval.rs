@@ -11,6 +11,13 @@
 //! *diagram* sizes, and the result is polished to prime + irredundant
 //! with BDD oracles. The result satisfies the same contract as
 //! [`minimize`](crate::minimize): `on ⊆ f` and `f ∩ off = ∅`.
+//!
+//! The don't-care set enters as a cube list: the exact ISOP of the codes
+//! in neither list ([`dont_care_isop`]). Many functions over the same
+//! reachable codes share it, so [`minimize_codes_with_dc`] takes it
+//! precomputed; [`minimize_codes`] computes its own. The ISOP depends
+//! only on the function, not on the manager that built the diagram, so
+//! both give the same cover.
 
 use crate::bdd::{Bdd, NodeRef, FALSE};
 use crate::cover::Cover;
@@ -20,24 +27,20 @@ use crate::cube::Cube;
 /// and off-set `off_codes` (everything else don't-care) over `num_vars`
 /// variables. The two code lists must be disjoint.
 ///
-/// Returns a prime, irredundant cover `f` with `on ⊆ f ⊆ ¬off`, plus
-/// the [`Bdd`] artifacts so callers can run further checks against the
-/// same diagrams.
+/// Returns a prime, irredundant cover `f` with `on ⊆ f ⊆ ¬off`.
 pub fn minimize_codes(num_vars: usize, on_codes: &[u64], off_codes: &[u64]) -> Cover {
-    let (cover, _bdd) = minimize_codes_with_bdd(num_vars, on_codes, off_codes);
-    cover
+    let dc = dont_care_isop(num_vars, &[on_codes, off_codes].concat());
+    minimize_codes_with_dc(num_vars, on_codes, off_codes, &dc)
 }
 
-/// Artifacts of a [`minimize_codes`] run: the manager plus the on/off
-/// diagrams, for callers that want to verify against them.
-#[derive(Debug)]
-pub struct IntervalArtifacts {
-    /// The BDD manager holding both diagrams.
-    pub bdd: Bdd,
-    /// Characteristic function of the on-set.
-    pub on: NodeRef,
-    /// Characteristic function of the off-set.
-    pub off: NodeRef,
+/// The exact cube cover (interval ISOP with lower = upper) of the codes
+/// over `num_vars` variables that are not in `care_codes`.
+pub fn dont_care_isop(num_vars: usize, care_codes: &[u64]) -> Cover {
+    let mut bdd = Bdd::new();
+    let care = bdd.from_codes(care_codes, num_vars);
+    let outside = bdd.not(care);
+    let (_, cubes) = bdd.isop(outside, outside);
+    Cover::from_cubes(num_vars, cubes)
 }
 
 /// When the exact on/dc covers extracted from the diagrams stay under
@@ -46,46 +49,56 @@ pub struct IntervalArtifacts {
 /// locally instead (prime + irredundant, but no REDUCE restarts).
 const ESPRESSO_HANDOFF_CUBES: usize = 4096;
 
-/// [`minimize_codes`], also returning the diagrams it built.
-pub fn minimize_codes_with_bdd(
+/// [`minimize_codes`] with its don't-care cover precomputed: `dc` must
+/// be [`dont_care_isop`] of the codes in `on_codes` or `off_codes`,
+/// in which case the result is the cover [`minimize_codes`] returns.
+///
+/// The off-set diagram is built only for the large-cover fallback (and
+/// the debug checks): the espresso loop needs `dc` alone.
+pub fn minimize_codes_with_dc(
     num_vars: usize,
     on_codes: &[u64],
     off_codes: &[u64],
-) -> (Cover, IntervalArtifacts) {
+    dc: &Cover,
+) -> Cover {
     let mut bdd = Bdd::new();
     let on = bdd.from_codes(on_codes, num_vars);
-    let off = bdd.from_codes(off_codes, num_vars);
-    debug_assert_eq!(bdd.and(on, off), FALSE, "on/off sets must be disjoint");
-    // Exact cube covers of the on- and don't-care sets, extracted from
-    // the diagrams (lower = upper makes the ISOP exact). These compress
-    // a million minterms into the handful of cubes the structure really
+    // The exact cube cover of the on-set, extracted from its diagram
+    // (lower = upper makes the ISOP exact). With `dc`, it compresses a
+    // million minterms into the handful of cubes the structure really
     // has, which the cube-list espresso loop then minimizes exactly as
     // it would have minimized the raw minterm lists — only feasibly so.
     let (_, on_cubes) = bdd.isop(on, on);
-    let reach = bdd.or(on, off);
-    let dc = bdd.not(reach);
-    let (_, dc_cubes) = bdd.isop(dc, dc);
-    let cover = if on_cubes.len() + dc_cubes.len() <= ESPRESSO_HANDOFF_CUBES {
-        let on_cover = Cover::from_cubes(num_vars, on_cubes);
-        let dc_cover = Cover::from_cubes(num_vars, dc_cubes);
-        crate::espresso::minimize(&on_cover, &dc_cover)
-    } else {
-        // Safety valve: even the exact covers are huge. Take the
-        // interval ISOP (irredundant by construction) and polish it to
-        // primes against the off-set diagram.
-        let upper = bdd.not(off);
-        let (_f, cubes) = bdd.isop(on, upper);
-        let mut cover = Cover::from_cubes(num_vars, expand_cubes(&bdd, off, cubes));
-        cover.weed();
-        irredundant(&mut bdd, on, &mut cover);
-        cover
-    };
-    debug_assert!({
-        let f = bdd.from_cover(&cover);
-        let nf = bdd.not(f);
-        bdd.and(on, nf) == FALSE && bdd.and(f, off) == FALSE
-    });
-    (cover, IntervalArtifacts { bdd, on, off })
+    if on_cubes.len() + dc.len() <= ESPRESSO_HANDOFF_CUBES {
+        let cover = crate::espresso::minimize(&Cover::from_cubes(num_vars, on_cubes), dc);
+        debug_assert!(meets_contract(&mut bdd, num_vars, on, off_codes, &cover));
+        return cover;
+    }
+    // Safety valve: even the exact covers are huge. Take the interval
+    // ISOP (irredundant by construction) and polish it to primes
+    // against the off-set diagram.
+    let off = bdd.from_codes(off_codes, num_vars);
+    let upper = bdd.not(off);
+    let (_f, cubes) = bdd.isop(on, upper);
+    let mut cover = Cover::from_cubes(num_vars, expand_cubes(&bdd, off, cubes));
+    cover.weed();
+    irredundant(&mut bdd, on, &mut cover);
+    debug_assert!(meets_contract(&mut bdd, num_vars, on, off_codes, &cover));
+    cover
+}
+
+/// Disjoint on and off sets, and `on ⊆ f ⊆ ¬off` (debug checks only).
+fn meets_contract(
+    bdd: &mut Bdd,
+    num_vars: usize,
+    on: NodeRef,
+    off_codes: &[u64],
+    f: &Cover,
+) -> bool {
+    let off = bdd.from_codes(off_codes, num_vars);
+    let f = bdd.from_cover(f);
+    let nf = bdd.not(f);
+    bdd.and(on, off) == FALSE && bdd.and(on, nf) == FALSE && bdd.and(f, off) == FALSE
 }
 
 /// EXPAND against the off-set diagram: greedily raise literals while the
@@ -189,6 +202,66 @@ mod tests {
                 "trial {trial}: interval {f} vs espresso {esp}"
             );
         }
+    }
+
+    /// The don't-care cover as a per-function derivation computes it:
+    /// the exact ISOP of `¬(on ∨ off)`, from separately built diagrams.
+    fn own_dc(num_vars: usize, on: &[u64], off: &[u64]) -> Cover {
+        let mut bdd = Bdd::new();
+        let on = bdd.from_codes(on, num_vars);
+        let off = bdd.from_codes(off, num_vars);
+        let care = bdd.or(on, off);
+        let dc = bdd.not(care);
+        let (_, cubes) = bdd.isop(dc, dc);
+        Cover::from_cubes(num_vars, cubes)
+    }
+
+    #[test]
+    fn precomputed_dont_care_matches_minimize_codes() {
+        // Seeded functions with codes in neither list. The care codes
+        // are handed over in another order, with repeats, as a caller
+        // sharing one reachable-code list would.
+        let mut seed = 0x2545_F491_4F6C_DD1Du64;
+        for trial in 0..48 {
+            let nv = 3 + trial % 6;
+            let (mut on, mut off) = (Vec::new(), Vec::new());
+            for m in 0..(1u64 << nv) {
+                seed ^= seed << 13;
+                seed ^= seed >> 7;
+                seed ^= seed << 17;
+                match seed % 3 {
+                    0 => on.push(m),
+                    1 => off.push(m),
+                    _ => {}
+                }
+            }
+            let mut care: Vec<u64> = off.iter().chain(&on).chain(&on).copied().collect();
+            care.reverse();
+            let dc = dont_care_isop(nv, &care);
+            assert_eq!(dc, own_dc(nv, &on, &off), "trial {trial}");
+            let f = minimize_codes_with_dc(nv, &on, &off, &dc);
+            assert_eq!(f, minimize_codes(nv, &on, &off), "trial {trial}");
+            check_contract(&f, nv, &on, &off);
+        }
+    }
+
+    #[test]
+    fn precomputed_dont_care_matches_on_the_large_cover_fallback() {
+        // Even parity over 13 variables: its exact ISOP is its 4,096
+        // minterms, and the codes in neither list add thousands more,
+        // so both entry points take the interval-ISOP fallback.
+        let nv = 13;
+        let on: Vec<u64> = (0..1u64 << nv)
+            .filter(|m| m.count_ones() % 2 == 0)
+            .collect();
+        let off = [0b1u64, 0b10];
+        let dc = dont_care_isop(nv, &[&on[..], &off].concat());
+        assert_eq!(dc, own_dc(nv, &on, &off));
+        assert!(on.len() + dc.len() > ESPRESSO_HANDOFF_CUBES);
+        let f = minimize_codes_with_dc(nv, &on, &off, &dc);
+        assert_eq!(f, minimize_codes(nv, &on, &off));
+        check_contract(&f, nv, &on, &off);
+        assert!(f.len() < 20, "{f}");
     }
 
     #[test]

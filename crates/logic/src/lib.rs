@@ -17,7 +17,9 @@
 //!   near-linear minterm-list loader and interval ISOP extraction;
 //! * [`minimize_codes`] — BDD-backed minimization for functions given
 //!   as huge minterm lists (million-state next-state tables), where the
-//!   cube-list algorithms above would be quadratic in the state count.
+//!   cube-list algorithms above would be quadratic in the state count;
+//!   [`minimize_codes_with_dc`] takes the don't-care cover
+//!   ([`dont_care_isop`]) precomputed, for functions sharing one.
 //!
 //! An exact Quine–McCluskey minimizer is compiled into the tests only,
 //! where it cross-checks espresso on small functions.
@@ -54,4 +56,4 @@ pub use cover::Cover;
 pub use cube::{mask, Cube, MAX_VARS};
 pub use espresso::{cost, minimize, verify_minimized, Cost};
 pub use factor::{factor, sop_expr, Expr};
-pub use interval::{minimize_codes, minimize_codes_with_bdd};
+pub use interval::{dont_care_isop, minimize_codes, minimize_codes_with_dc};

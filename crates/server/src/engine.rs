@@ -4,12 +4,15 @@
 //! shutdown choreography (half-close every parked connection so idle
 //! workers wake immediately), the endpoints both tiers answer alike
 //! (`/healthz`, `/shutdown`, 404, 405), and the transport half of the
-//! ops surface. What differs between tiers — `POST /synthesize` and
-//! the tier's own counters — is the [`Service`] trait.
+//! ops surface. A request whose handler panics is answered 500 and its
+//! connection closed; the worker lives on. What differs between tiers —
+//! `POST /synthesize` and the tier's own counters — is the [`Service`]
+//! trait.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -31,6 +34,7 @@ pub(crate) struct EngineStats {
     pub request_timeouts: AtomicU64,
     pub bad_requests: AtomicU64,
     pub write_errors: AtomicU64,
+    pub panics: AtomicU64,
 }
 
 /// Everything the accept loop, workers and the service share.
@@ -147,7 +151,7 @@ impl EngineState {
     /// The transport counters as `(member, help, value)`: each one's
     /// `/stats` member, and its `/metrics` counter named the tier
     /// prefix + member + `_total`.
-    fn transport(&self) -> [(&'static str, &'static str, u64); 7] {
+    fn transport(&self) -> [(&'static str, &'static str, u64); 8] {
         let s = &self.stats;
         let n = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
         [
@@ -181,6 +185,11 @@ impl EngineState {
                 "write_errors",
                 "Responses that failed to write (client gone).",
                 n(&s.write_errors),
+            ),
+            (
+                "panics",
+                "Requests whose handler panicked (answered 500).",
+                n(&s.panics),
             ),
         ]
     }
@@ -585,9 +594,18 @@ fn serve_connection(state: &EngineState, svc: &dyn Service, stream: TcpStream) {
         };
         state.stats.requests.fetch_add(1, Ordering::Relaxed);
         let t_serve = Instant::now();
-        let response = route(state, svc, &request);
+        // A panicking handler must neither end this worker nor leave the
+        // client waiting: answer 500 and close, since the handler's
+        // state is unknown.
+        let routed = panic::catch_unwind(AssertUnwindSafe(|| route(state, svc, &request)));
+        let panicked = routed.is_err();
+        let response = routed.unwrap_or_else(|_| {
+            state.stats.panics.fetch_add(1, Ordering::Relaxed);
+            engine_error(state, 500, "internal error: the request handler panicked")
+        });
         let shutdown_requested = request.method == "POST" && request.path == "/shutdown";
-        let close = request.close
+        let close = panicked
+            || request.close
             || served == max
             || shutdown_requested
             || state.stop.load(Ordering::SeqCst);
@@ -607,5 +625,55 @@ fn serve_connection(state: &EngineState, svc: &dyn Service, stream: TcpStream) {
         if close {
             return;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::ClientConn;
+
+    /// A tier whose every synthesis panics.
+    struct Panicking;
+
+    impl Service for Panicking {
+        fn synthesize(&self, _: &SynthRequest<'_>) -> Response {
+            panic!("synthesis blew up");
+        }
+
+        fn stats(&self) -> Vec<Stat> {
+            Vec::new()
+        }
+
+        fn stats_doc(&self) -> Vec<(&'static str, Json)> {
+            Vec::new()
+        }
+
+        fn metrics(&self, _: &mut PromWriter) {}
+    }
+
+    #[test]
+    fn a_panicking_run_is_a_500_and_the_worker_survives() {
+        // One worker: a panic that ended it would leave nothing serving.
+        let cfg = ServerConfig::new().with_threads(1);
+        let state = Arc::new(EngineState::new(cfg));
+        let mut engine = Engine::start(state.clone(), Arc::new(Panicking)).unwrap();
+        let addr = engine.addr().to_string();
+        let ask = |raw: &str| {
+            ClientConn::connect_timeout(&addr, Duration::from_secs(5), Duration::from_secs(10))
+                .and_then(|mut conn| conn.exchange(raw.as_bytes()))
+                .unwrap_or_else(|e| panic!("no answer within 10 s: {e}"))
+        };
+        let body = r#"{"g": ".model m\n.end\n"}"#;
+        let response = ask(&format!(
+            "POST /synthesize HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        ));
+        assert_eq!(response.status, 500, "{}", response.body_str());
+        assert_eq!(response.header("connection"), Some("close"));
+        assert_eq!(state.stats.panics.load(Ordering::Relaxed), 1);
+        let health = ask("GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n");
+        assert_eq!(health.status, 200, "{}", health.body_str());
+        engine.join();
     }
 }

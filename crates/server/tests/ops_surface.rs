@@ -139,6 +139,7 @@ const BACKEND_STATS: &[&str] = &[
     "executed",
     "in_flight",
     "lattice_prefix_hits",
+    "panics",
     "prereduce_places_removed",
     "prereduce_transitions_removed",
     "request_timeouts",
@@ -170,6 +171,7 @@ const BACKEND_METRICS: &[&str] = &[
     "reshuffle_follower_timeouts_total counter {}",
     "reshuffle_in_flight gauge {}",
     "reshuffle_lattice_prefix_hits_total counter {}",
+    "reshuffle_panics_total counter {}",
     "reshuffle_prereduce_places_removed_total counter {}",
     "reshuffle_prereduce_transitions_removed_total counter {}",
     "reshuffle_queue_wait_seconds histogram {}",
@@ -193,6 +195,7 @@ const ROUTER_STATS: &[&str] = &[
     "backends_configured",
     "bad_requests",
     "connections",
+    "panics",
     "request_timeouts",
     "requests",
     "retries",
@@ -217,6 +220,7 @@ const ROUTER_METRICS: &[&str] = &[
     "reshuffle_routed_total counter {backend=#0} {backend=#1}",
     "reshuffle_router_bad_requests_total counter {}",
     "reshuffle_router_connections_total counter {}",
+    "reshuffle_router_panics_total counter {}",
     "reshuffle_router_queue_wait_seconds histogram {}",
     "reshuffle_router_request_duration_seconds histogram {}",
     "reshuffle_router_request_timeouts_total counter {}",

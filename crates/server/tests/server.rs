@@ -544,13 +544,16 @@ fn every_response_echoes_a_trace_id_and_spans_share_it() {
     assert_eq!(trace.len(), 32, "{trace}");
     assert!(trace.bytes().all(|b| b.is_ascii_hexdigit()), "{trace}");
     // ...and every span the request emitted — the request root, the
-    // pipeline stages, and the state-graph build — carries that id.
+    // pipeline stages, the state-graph build, and the synthesize
+    // stage's derivation and check — carries that id.
     let lines = ring.lines();
     for name in [
         "request",
         "stage.expand",
         "stage.synthesize",
         "bfs.markings",
+        "synth.derive",
+        "synth.verify",
     ] {
         assert!(
             lines

@@ -2,26 +2,35 @@
 //!
 //! For each non-input signal `a`, every reachable state is classified:
 //! the *implied value* of `a` is 1 if `a` is high and stable or low and
-//! excited (rising), and 0 symmetrically. Binary codes reached by no
+//! excited (rising), and 0 symmetrically. Only `+` and `-` edges excite
+//! a signal; toggles and dummies do not. Binary codes reached by no
 //! state form the external don't-care set. Codes that appear with both
 //! implied values are *CSC-conflicting* for `a`; logic cannot be derived
 //! for them, and the reduction cost function penalizes them.
+//!
+//! [`next_state_tables`] classifies every signal in one pass over the
+//! states: each state's implied values form one word, and the words are
+//! grouped by code. [`NextStateTables::table`] then splits one signal's
+//! codes into on, off and conflicting lists without another visit to
+//! the graph. All signals share the reachable codes
+//! ([`NextStateTables::reachable`]), and so, when conflict-free, the
+//! same don't-care set. [`implied_value`] is the per-state definition.
 
 use reshuffle_petri::{Polarity, SignalEdge, SignalId};
 
-use crate::sg::StateGraph;
+use crate::sg::{StateGraph, StateId};
 
 /// The on/off/conflict partition of binary codes for one signal.
 #[derive(Debug, Clone)]
 pub struct NextStateTable {
     /// The signal being implemented.
     pub signal: SignalId,
-    /// Codes whose implied next value is 1 (minus conflicts).
+    /// Codes whose implied next value is 1 (minus conflicts), ascending.
     pub on: Vec<u64>,
-    /// Codes whose implied next value is 0 (minus conflicts).
+    /// Codes whose implied next value is 0 (minus conflicts), ascending.
     pub off: Vec<u64>,
     /// Codes implied both 1 and 0 by different states (CSC conflicts
-    /// affecting this signal).
+    /// affecting this signal), ascending.
     pub conflicting: Vec<u64>,
     /// Number of variables (signals) in each code.
     pub num_vars: usize,
@@ -34,8 +43,65 @@ impl NextStateTable {
     }
 }
 
+/// The implied next values of every signal of a graph, grouped by
+/// binary code. Bit `i` of a word stands for the signal with index `i`.
+#[derive(Debug, Clone)]
+pub struct NextStateTables {
+    num_vars: usize,
+    /// The distinct reachable codes, ascending.
+    codes: Vec<u64>,
+    /// Per code: the signals some state with that code implies 1.
+    high: Vec<u64>,
+    /// Per code: the signals some state with that code implies 0.
+    low: Vec<u64>,
+}
+
+impl NextStateTables {
+    /// Number of variables (signals) in each code.
+    pub fn num_vars(&self) -> usize {
+        self.num_vars
+    }
+
+    /// The distinct reachable codes, ascending: the care set of every
+    /// signal whose table is conflict-free.
+    pub fn reachable(&self) -> &[u64] {
+        &self.codes
+    }
+
+    /// Number of codes that `sig` conflicts on.
+    pub fn conflicts(&self, sig: SignalId) -> usize {
+        let bit = 1u64 << sig.index();
+        self.high
+            .iter()
+            .zip(&self.low)
+            .filter(|&(&h, &l)| h & l & bit != 0)
+            .count()
+    }
+
+    /// The on/off/conflict partition of `sig`'s reachable codes.
+    pub fn table(&self, sig: SignalId) -> NextStateTable {
+        let bit = 1u64 << sig.index();
+        let mut table = NextStateTable {
+            signal: sig,
+            on: Vec::new(),
+            off: Vec::new(),
+            conflicting: Vec::new(),
+            num_vars: self.num_vars,
+        };
+        for ((&code, &h), &l) in self.codes.iter().zip(&self.high).zip(&self.low) {
+            // Every listed code has a state, so at least one bit is set.
+            match (h & bit != 0, l & bit != 0) {
+                (true, false) => table.on.push(code),
+                (false, true) => table.off.push(code),
+                _ => table.conflicting.push(code),
+            }
+        }
+        table
+    }
+}
+
 /// The implied next value of `sig` in state `s`.
-pub fn implied_value(sg: &StateGraph, s: crate::sg::StateId, sig: SignalId) -> bool {
+pub fn implied_value(sg: &StateGraph, s: StateId, sig: SignalId) -> bool {
     let cur = sg.value(s, sig);
     let rise = SignalEdge {
         signal: sig,
@@ -53,45 +119,57 @@ pub fn implied_value(sg: &StateGraph, s: crate::sg::StateId, sig: SignalId) -> b
     }
 }
 
-/// Builds the next-state table for one signal.
-pub fn next_state_table(sg: &StateGraph, sig: SignalId) -> NextStateTable {
-    let mut on = Vec::new();
-    let mut off = Vec::new();
-    for s in sg.state_ids() {
-        let code = sg.code(s);
-        if implied_value(sg, s, sig) {
-            on.push(code);
-        } else {
-            off.push(code);
-        }
-    }
-    on.sort_unstable();
-    on.dedup();
-    off.sort_unstable();
-    off.dedup();
-    // Conflicts: codes in both.
-    let mut conflicting = Vec::new();
-    let (mut i, mut j) = (0, 0);
-    while i < on.len() && j < off.len() {
-        match on[i].cmp(&off[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                conflicting.push(on[i]);
-                i += 1;
-                j += 1;
+/// Classifies every signal of `sg` in one pass over its states: per
+/// state, the word of implied values is `(code & !falling) | (!code &
+/// rising)`, where `rising` and `falling` are the signals whose `+` or
+/// `-` edge the state enables. Bit `i` of that word equals
+/// [`implied_value`] for signal `i`.
+pub fn next_state_tables(sg: &StateGraph) -> NextStateTables {
+    let (rising, falling): (Vec<u64>, Vec<u64>) = sg
+        .events()
+        .iter()
+        .map(|ev| match ev.edge {
+            Some(SignalEdge {
+                signal,
+                polarity: Polarity::Rise,
+            }) => (1 << signal.index(), 0),
+            Some(SignalEdge {
+                signal,
+                polarity: Polarity::Fall,
+            }) => (0, 1 << signal.index()),
+            _ => (0, 0),
+        })
+        .unzip();
+    let mut implied: Vec<(u64, u64)> = sg
+        .state_ids()
+        .map(|s| {
+            let (mut rise, mut fall) = (0, 0);
+            for e in sg.succ(s).events() {
+                rise |= rising[e.index()];
+                fall |= falling[e.index()];
             }
+            let code = sg.code(s);
+            (code, (code & !fall) | (!code & rise))
+        })
+        .collect();
+    implied.sort_unstable();
+    let mut tables = NextStateTables {
+        num_vars: sg.num_signals(),
+        codes: Vec::new(),
+        high: Vec::new(),
+        low: Vec::new(),
+    };
+    for (code, next) in implied {
+        if tables.codes.last() == Some(&code) {
+            *tables.high.last_mut().expect("parallel to codes") |= next;
+            *tables.low.last_mut().expect("parallel to codes") |= !next;
+        } else {
+            tables.codes.push(code);
+            tables.high.push(next);
+            tables.low.push(!next);
         }
     }
-    on.retain(|c| !conflicting.contains(c));
-    off.retain(|c| !conflicting.contains(c));
-    NextStateTable {
-        signal: sig,
-        on,
-        off,
-        conflicting,
-        num_vars: sg.num_signals(),
-    }
+    tables
 }
 
 #[cfg(test)]
@@ -119,8 +197,10 @@ b- a1+ a2+
 ";
         let sg = build_state_graph(&parse_g(src).unwrap()).unwrap();
         let b = sg.signal_by_name("b").unwrap();
-        let t = next_state_table(&sg, b);
+        let tables = next_state_tables(&sg);
+        let t = tables.table(b);
         assert!(t.is_conflict_free());
+        assert_eq!(tables.conflicts(b), 0);
         // ON: code a1=1,a2=1 (any b) plus b=1 with not both low.
         // Verify the defining corners: (1,1,0) is ON, (0,0,1) is OFF.
         let a1 = sg.signal_by_name("a1").unwrap().index();
@@ -131,12 +211,11 @@ b- a1+ a2+
         assert!(t.on.contains(&on_code), "{t:?}");
         assert!(t.off.contains(&off_code), "{t:?}");
         // Codes partition: on + off = reachable codes.
-        assert_eq!(t.on.len() + t.off.len(), {
-            let mut codes: Vec<u64> = sg.state_ids().map(|s| sg.code(s)).collect();
-            codes.sort_unstable();
-            codes.dedup();
-            codes.len()
-        });
+        let mut codes: Vec<u64> = sg.state_ids().map(|s| sg.code(s)).collect();
+        codes.sort_unstable();
+        codes.dedup();
+        assert_eq!(t.on.len() + t.off.len(), codes.len());
+        assert_eq!(tables.reachable(), codes);
     }
 
     #[test]
@@ -155,9 +234,83 @@ Req+ Ack+
 ";
         let sg = build_state_graph(&parse_g(FIG1).unwrap()).unwrap();
         let ack = sg.signal_by_name("Ack").unwrap();
-        let t = next_state_table(&sg, ack);
+        let tables = next_state_tables(&sg);
+        let t = tables.table(ack);
         // States 11* and 1*1 share a code but imply Ack=1 and Ack=0.
         assert_eq!(t.conflicting.len(), 1);
+        assert_eq!(tables.conflicts(ack), 1);
         assert!(!t.is_conflict_free());
+    }
+
+    /// The one-pass tables against [`implied_value`], state by state:
+    /// for every signal, a code is on, off or conflicting exactly as
+    /// the states carrying it imply, and each list ascends.
+    #[test]
+    fn tables_match_implied_value_per_state() {
+        const TOGGLES: &str = "\
+.model t2
+.inputs a
+.outputs b
+.graph
+a~ b~
+b~ a~
+.marking { <b~,a~> }
+.end
+";
+        const DUMMIES: &str = "\
+.model d
+.inputs a
+.outputs b
+.dummy t
+.graph
+a+ t
+t b+
+b+ a-
+a- b-
+b- a+
+.marking { <b-,a+> }
+.end
+";
+        const FIG1: &str = "\
+.model fig1
+.inputs Req
+.outputs Ack
+.graph
+Ack+ Req-
+Req- Req+ Ack-
+Ack- Ack+
+Req+ Ack+
+.marking { <Req+,Ack+> <Ack-,Ack+> }
+.end
+";
+        for src in [TOGGLES, DUMMIES, FIG1] {
+            let sg = build_state_graph(&parse_g(src).unwrap()).unwrap();
+            let tables = next_state_tables(&sg);
+            for i in 0..sg.num_signals() {
+                let sig = SignalId::from_index(i);
+                let (mut ones, mut zeros) = (Vec::new(), Vec::new());
+                for s in sg.state_ids() {
+                    let side = if implied_value(&sg, s, sig) {
+                        &mut ones
+                    } else {
+                        &mut zeros
+                    };
+                    side.push(sg.code(s));
+                }
+                for side in [&mut ones, &mut zeros] {
+                    side.sort_unstable();
+                    side.dedup();
+                }
+                let t = tables.table(sig);
+                let both: Vec<u64> = ones.iter().filter(|c| zeros.contains(c)).copied().collect();
+                ones.retain(|c| !both.contains(c));
+                zeros.retain(|c| !both.contains(c));
+                let at = format!("{} signal {i}", sg.name());
+                assert_eq!(t.on, ones, "{at}");
+                assert_eq!(t.off, zeros, "{at}");
+                assert_eq!(t.conflicting, both, "{at}");
+                assert_eq!(tables.conflicts(sig), both.len(), "{at}");
+            }
+        }
     }
 }

@@ -1,18 +1,29 @@
 //! Deriving minimized next-state functions from a state graph.
+//!
+//! [`derive_all_functions`] derives every non-input signal of a graph
+//! from one pass over its states ([`next_state_tables`]). Each signal's
+//! function is its on-set minimized against a don't-care set: the codes
+//! no state reaches, plus, under [`ConflictPolicy::DontCare`], the
+//! codes the signal conflicts on. All signals share the reachable
+//! codes, so every conflict-free signal has the same don't-care set. It
+//! is built once per graph, and only when some signal is conflict-free;
+//! a signal with conflicting codes gets its own. Which minimizer runs
+//! is decided once per graph too, by the number of reachable codes.
 
-use reshuffle_logic::{complement, minimize, minimize_codes, Cover};
+use reshuffle_logic::{complement, dont_care_isop, minimize, minimize_codes_with_dc, Cover};
 use reshuffle_petri::SignalId;
-use reshuffle_sg::nextstate::{next_state_table, NextStateTable};
+use reshuffle_sg::nextstate::next_state_tables;
 use reshuffle_sg::StateGraph;
 
 use crate::error::{Result, SynthError};
 
-/// Above this many reachable codes per table the cube-list espresso
+/// Above this many reachable codes per graph the cube-list espresso
 /// path (quadratic-or-worse in the minterm count) is replaced by the
-/// BDD-backed interval minimizer [`minimize_codes`], whose cost tracks
-/// the decision-diagram sizes instead. The corpus-sized functions stay
-/// on the cube-list path so their covers — and the literal counts
-/// pinned in `BENCH_tables.json` — are bit-for-bit unchanged.
+/// BDD-backed interval minimizer [`minimize_codes_with_dc`], whose cost
+/// tracks the decision-diagram sizes instead. The corpus-sized
+/// functions stay on the cube-list path so their covers — and the
+/// literal counts pinned in `BENCH_tables.json` — are bit-for-bit
+/// unchanged.
 const SCALABLE_MINTERM_THRESHOLD: usize = 4096;
 
 /// The minimized next-state function of one signal.
@@ -22,8 +33,6 @@ pub struct SignalFunction {
     pub signal: SignalId,
     /// Minimized cover of the next-state function.
     pub cover: Cover,
-    /// The raw on/off/conflict partition it was derived from.
-    pub table: NextStateTable,
 }
 
 impl SignalFunction {
@@ -52,65 +61,65 @@ pub enum ConflictPolicy {
     DontCare,
 }
 
-/// Derives and minimizes the next-state function of `signal`.
-///
-/// The don't-care set is the binary codes reached by no state (plus
-/// conflicting codes under [`ConflictPolicy::DontCare`]).
+/// Derives and minimizes the next-state functions of all non-input
+/// signals, in signal order.
 ///
 /// # Errors
 ///
-/// [`SynthError::CscViolation`] if the signal has conflicting codes and
-/// `policy` is [`ConflictPolicy::Reject`].
-pub fn derive_function(
-    sg: &StateGraph,
-    signal: SignalId,
-    policy: ConflictPolicy,
-) -> Result<SignalFunction> {
-    let table = next_state_table(sg, signal);
-    if !table.conflicting.is_empty() && policy == ConflictPolicy::Reject {
-        return Err(SynthError::CscViolation {
-            signal: sg.signal(signal).name.clone(),
-            conflicts: table.conflicting.len(),
-        });
-    }
-    let nv = table.num_vars;
-    let reachable = table.on.len() + table.off.len() + table.conflicting.len();
-    let cover = if reachable <= SCALABLE_MINTERM_THRESHOLD {
-        let on = Cover::from_minterms(nv, &table.on);
-        let off = Cover::from_minterms(nv, &table.off);
-        // dc = everything not in on or off (unreachable codes + conflicts).
-        let dc = complement(&on.or(&off));
-        minimize(&on, &dc)
-    } else {
-        // Million-state tables: same contract (on ⊆ f ⊆ on ∪ dc),
-        // derived through BDDs so the cost does not explode with the
-        // state count. Conflicting codes are in neither list, i.e.
-        // don't-care — identical to the cube-list path above.
-        minimize_codes(nv, &table.on, &table.off)
-    };
-    Ok(SignalFunction {
-        signal,
-        cover,
-        table,
-    })
-}
-
-/// Derives functions for all non-input signals.
-///
-/// # Errors
-///
-/// Propagates the first [`SynthError::CscViolation`] under
-/// [`ConflictPolicy::Reject`].
+/// Under [`ConflictPolicy::Reject`], the [`SynthError::CscViolation`]
+/// of the first signal (in signal order) that has conflicting codes,
+/// before anything is minimized.
 pub fn derive_all_functions(
     sg: &StateGraph,
     policy: ConflictPolicy,
 ) -> Result<Vec<SignalFunction>> {
-    let mut out = Vec::new();
-    for i in 0..sg.num_signals() {
-        let s = SignalId::from_index(i);
-        if sg.signal(s).kind.is_noninput() {
-            out.push(derive_function(sg, s, policy)?);
+    let tables = next_state_tables(sg);
+    let signals: Vec<SignalId> = (0..sg.num_signals())
+        .map(SignalId::from_index)
+        .filter(|&s| sg.signal(s).kind.is_noninput())
+        .collect();
+    if policy == ConflictPolicy::Reject {
+        for &s in &signals {
+            let conflicts = tables.conflicts(s);
+            if conflicts > 0 {
+                return Err(SynthError::CscViolation {
+                    signal: sg.signal(s).name.clone(),
+                    conflicts,
+                });
+            }
         }
+    }
+    let nv = tables.num_vars();
+    let reachable = tables.reachable();
+    let cube_list = reachable.len() <= SCALABLE_MINTERM_THRESHOLD;
+    // The don't-care cover of everything outside `care`: its cube-list
+    // complement, or on the BDD path its exact ISOP. Either depends only
+    // on the set of care codes, not on their order.
+    let dont_care = |care: &[u64]| {
+        if cube_list {
+            complement(&Cover::from_minterms(nv, care))
+        } else {
+            dont_care_isop(nv, care)
+        }
+    };
+    let mut shared_dc = None;
+    let mut out = Vec::with_capacity(signals.len());
+    for signal in signals {
+        let t = tables.table(signal);
+        let own_dc;
+        let dc = if t.is_conflict_free() {
+            &*shared_dc.get_or_insert_with(|| dont_care(reachable))
+        } else {
+            // Conflicting codes are in neither list, i.e. don't-care.
+            own_dc = dont_care(&[t.on.as_slice(), &t.off].concat());
+            &own_dc
+        };
+        let cover = if cube_list {
+            minimize(&Cover::from_minterms(nv, &t.on), dc)
+        } else {
+            minimize_codes_with_dc(nv, &t.on, &t.off, dc)
+        };
+        out.push(SignalFunction { signal, cover });
     }
     Ok(out)
 }
@@ -129,6 +138,12 @@ mod tests {
     use reshuffle_petri::parse_g;
     use reshuffle_sg::build_state_graph;
 
+    /// The derived function of `signal`.
+    fn derive(sg: &StateGraph, signal: SignalId, policy: ConflictPolicy) -> Result<SignalFunction> {
+        let fs = derive_all_functions(sg, policy)?;
+        Ok(fs.into_iter().find(|f| f.signal == signal).unwrap())
+    }
+
     const PIPELINE: &str = "\
 .model ok
 .inputs a
@@ -146,7 +161,7 @@ b- a+
     fn buffer_becomes_wire() {
         let sg = build_state_graph(&parse_g(PIPELINE).unwrap()).unwrap();
         let b = sg.signal_by_name("b").unwrap();
-        let f = derive_function(&sg, b, ConflictPolicy::Reject).unwrap();
+        let f = derive(&sg, b, ConflictPolicy::Reject).unwrap();
         // b's next value equals a: a single positive literal.
         assert!(f.is_wire(), "{}", f.cover);
         assert_eq!(f.literals(), 1);
@@ -168,10 +183,10 @@ Req+ Ack+
 ";
         let sg = build_state_graph(&parse_g(FIG1).unwrap()).unwrap();
         let ack = sg.signal_by_name("Ack").unwrap();
-        let e = derive_function(&sg, ack, ConflictPolicy::Reject).unwrap_err();
+        let e = derive(&sg, ack, ConflictPolicy::Reject).unwrap_err();
         assert!(matches!(e, SynthError::CscViolation { .. }));
         // Estimation mode still succeeds.
-        let f = derive_function(&sg, ack, ConflictPolicy::DontCare).unwrap();
+        let f = derive(&sg, ack, ConflictPolicy::DontCare).unwrap();
         assert!(f.literals() <= 2);
     }
 
@@ -193,7 +208,7 @@ b- a1+ a2+
 ";
         let sg = build_state_graph(&parse_g(src).unwrap()).unwrap();
         let b = sg.signal_by_name("b").unwrap();
-        let f = derive_function(&sg, b, ConflictPolicy::Reject).unwrap();
+        let f = derive(&sg, b, ConflictPolicy::Reject).unwrap();
         // Classic majority: b' = a1 a2 + b (a1 + a2): 2-3 cubes.
         assert!(f.cover.len() <= 3, "{}", f.cover);
         // Must evaluate correctly on every reachable state.

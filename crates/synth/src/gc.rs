@@ -74,15 +74,13 @@ pub fn derive_gc_function(sg: &StateGraph, signal: SignalId) -> Result<GcFunctio
             set_off.push(code);
         }
     }
-    for (name, on, off) in [("set", &set_on, &set_off), ("reset", &reset_on, &reset_off)] {
-        let mut overlap = 0;
-        for c in on.iter() {
-            if off.contains(c) {
-                overlap += 1;
-            }
-        }
+    for (on, off) in [(&mut set_on, &mut set_off), (&mut reset_on, &mut reset_off)] {
+        // The minimizer and the complement weed their input first, so
+        // sorting the code lists leaves the covers unchanged.
+        on.sort_unstable();
+        off.sort_unstable();
+        let overlap = overlap(on, off);
         if overlap > 0 {
-            let _ = name;
             return Err(SynthError::CscViolation {
                 signal: sg.signal(signal).name.clone(),
                 conflicts: overlap,
@@ -136,6 +134,20 @@ pub fn synthesize_gc(sg: &StateGraph) -> Result<GcImpl> {
         functions.push(f);
     }
     Ok(GcImpl { netlist, functions })
+}
+
+/// How many entries of `on`, repeats counted, also appear in `off`;
+/// both lists ascend.
+fn overlap(on: &[u64], off: &[u64]) -> usize {
+    let mut j = 0;
+    on.iter()
+        .filter(|&&code| {
+            while off.get(j).is_some_and(|&o| o < code) {
+                j += 1;
+            }
+            off.get(j) == Some(&code)
+        })
+        .count()
 }
 
 /// If `set` is the single literal `x` and `reset` is `x'`, returns `x`.
@@ -227,5 +239,12 @@ Req+ Ack+
 ";
         let sg = build_state_graph(&parse_g(FIG1).unwrap()).unwrap();
         assert!(synthesize_gc(&sg).is_err());
+    }
+
+    #[test]
+    fn overlap_counts_repeated_on_codes() {
+        assert_eq!(overlap(&[1, 1, 2, 5, 9], &[1, 3, 5, 5]), 3);
+        assert_eq!(overlap(&[], &[1]), 0);
+        assert_eq!(overlap(&[4, 4], &[]), 0);
     }
 }

@@ -52,9 +52,7 @@ pub use csc_insert::{
     resolve_csc, resolve_csc_analyzed, resolve_csc_from, CscOptions, CscResolution,
 };
 pub use error::{Result, SynthError};
-pub use func::{
-    derive_all_functions, derive_function, literal_estimate, ConflictPolicy, SignalFunction,
-};
+pub use func::{derive_all_functions, literal_estimate, ConflictPolicy, SignalFunction};
 pub use gc::{derive_gc_function, synthesize_gc, GcFunction, GcImpl};
 pub use library::{GateType, Library};
 pub use netlist::{Netlist, Node, NodeId};
