@@ -799,7 +799,76 @@ Go- Req~
             .expect("resolve span");
         assert!(resolve.contains("\"tried\":"), "{resolve}");
         assert!(resolve.contains("\"rebuilt\":0"), "{resolve}");
+
+        // The reduce, resolve and synthesize spans report the stage's
+        // cover-memo hits and misses.
+        let ring = Arc::new(RingSink::new(4096));
+        let tracer = Tracer::new(true, SinkHandle::new(ring.clone() as Arc<dyn Sink>));
+        let opts = opts.with_reduce(ReduceOptions::default());
+        Pipeline::from_g(PCREQ_G)
+            .unwrap()
+            .with_trace(tracer.root(TraceId::derive(0x5eed, 20)))
+            .run(&opts)
+            .unwrap();
+        let lines = ring.lines();
+        for name in ["stage.reduce", "stage.resolve", "stage.synthesize"] {
+            let span = lines
+                .iter()
+                .find(|l| l.contains(&format!("\"name\":\"{name}\"")))
+                .unwrap_or_else(|| panic!("no {name} span in {lines:#?}"));
+            for key in ["memo_hits", "memo_misses"] {
+                assert!(span.contains(&format!("\"{key}\":")), "{span}");
+            }
+        }
+
+        // A lone scaled_pipeline(3): r1, r2 and r3 all follow go and
+        // share one minimization, and done has its own.
+        let ring = Arc::new(RingSink::new(256));
+        let tracer = Tracer::new(true, SinkHandle::new(ring.clone() as Arc<dyn Sink>));
+        Pipeline::from_g(SCALED3_G)
+            .unwrap()
+            .with_trace(tracer.root(TraceId::derive(0x5eed, 21)))
+            .run(&PipelineOptions::default())
+            .unwrap();
+        let synthesize = ring
+            .lines()
+            .into_iter()
+            .find(|l| l.contains("\"name\":\"stage.synthesize\""))
+            .expect("synthesize span");
+        assert!(synthesize.contains("\"memo_hits\":2"), "{synthesize}");
+        assert!(synthesize.contains("\"memo_misses\":2"), "{synthesize}");
     }
+
+    /// `scaled_pipeline(3)` of the bench crate's examples: `go` forks
+    /// three request/acknowledge branches that `done` joins.
+    const SCALED3_G: &str = "\
+.model scaled3
+.inputs go a1 a2 a3
+.outputs done r1 r2 r3
+.graph
+go+ r1+
+r1+ a1+
+a1+ done+
+go+ r2+
+r2+ a2+
+a2+ done+
+go+ r3+
+r3+ a3+
+a3+ done+
+done+ go-
+go- r1-
+r1- a1-
+a1- done-
+go- r2-
+r2- a2-
+a2- done-
+go- r3-
+r3- a3-
+a3- done-
+done- go+
+.marking { <done-,go+> }
+.end
+";
 
     #[test]
     fn cache_distinguishes_options_and_specs() {

@@ -34,8 +34,8 @@ use reshuffle_sg::csc::analyze_csc;
 use reshuffle_sg::props::speed_independence;
 use reshuffle_sg::{build_state_graph_stats, BuildOptions, StateGraph};
 use reshuffle_synth::{
-    literal_estimate, resolve_csc_analyzed, synthesize_complex_gates, synthesize_gc,
-    verify_against_sg, CscOptions, Netlist,
+    literal_estimate_with, resolve_csc_with, synthesize_complex_gates_with, synthesize_gc,
+    verify_against_sg, CoverMemo, CscOptions, Netlist,
 };
 use reshuffle_timing::{simulate, DelayModel, SimOptions};
 
@@ -152,6 +152,7 @@ impl Pipeline {
                 diag: Diagnostics::default(),
                 cache: None,
                 span: SpanCtx::default(),
+                memo: CoverMemo::new(),
             },
         }
     }
@@ -185,6 +186,9 @@ struct Ctx {
     /// and state-graph builds emit BFS child spans. Disabled by default.
     span: SpanCtx,
     cache: Option<SynthCache>,
+    /// The run's minimized covers: reduce, resolve and synthesize
+    /// minimize each distinct function once, on any thread.
+    memo: CoverMemo,
 }
 
 impl Ctx {
@@ -251,9 +255,10 @@ impl Chain {
         SgCounts::of(&self.primary().sg)
     }
 
-    /// Runs one stage over every live candidate: `f` returns the
-    /// refined candidate plus two counters, summed over candidates and
-    /// reported under `fields` on the stage span. The first counter is
+    /// Runs one stage over every live candidate, each sharing the run's
+    /// memo: `f` returns the refined candidate plus two counters, summed
+    /// over candidates and reported under `fields` on the stage span,
+    /// next to the stage's memo hits and misses. The first counter is
     /// the report's candidate count; reduce's second is its prune
     /// count, resolve's (graphs rebuilt) is a span field only.
     fn step<F>(
@@ -264,11 +269,14 @@ impl Chain {
         f: F,
     ) -> Result<Chain>
     where
-        F: Fn(Candidate) -> Result<(Candidate, usize, usize)> + Sync,
+        F: Fn(Candidate, &CoverMemo) -> Result<(Candidate, usize, usize)> + Sync,
     {
         let t = Instant::now();
         let sp = self.ctx.span.span(span);
-        let outcomes = stage_map(self.cands, f);
+        let memo = &self.ctx.memo;
+        let before = (memo.hits(), memo.misses());
+        let outcomes = stage_map(self.cands, |c| f(c, memo));
+        let memo_fields = memo_fields(memo, before);
         enforce_live(&outcomes)?;
         let (mut first, mut second) = (0usize, 0usize);
         self.cands = outcomes
@@ -289,9 +297,20 @@ impl Chain {
         sp.end(&[
             (fields[0], FieldVal::U64(first as u64)),
             (fields[1], FieldVal::U64(second as u64)),
+            memo_fields[0],
+            memo_fields[1],
         ]);
         Ok(self)
     }
+}
+
+/// A stage's memo hits and misses since `before` (the memo's hits and
+/// misses when the stage began), as span fields.
+fn memo_fields(memo: &CoverMemo, before: (u64, u64)) -> [(&'static str, FieldVal<'static>); 2] {
+    [
+        ("memo_hits", FieldVal::U64(memo.hits() - before.0)),
+        ("memo_misses", FieldVal::U64(memo.misses() - before.1)),
+    ]
 }
 
 /// Applies one stage's work to every live candidate, in parallel when
@@ -700,18 +719,23 @@ impl Expanded {
         let mut chain = self.0;
         chain.ctx.reduce = Some(opts.clone());
         chain
-            .step(Stage::Reduce, "stage.reduce", ["scored", "pruned"], |c| {
-                let r = reshuffle_reduce::reduce_concurrency_from(&c.stg, c.sg, opts)
-                    .map_err(PipelineError::Reduce)?;
-                let reduced = Candidate {
-                    stg: r.stg,
-                    sg: r.sg,
-                    moves: r.steps,
-                    known_conflicts: Some(r.csc_conflicts),
-                    ..c
-                };
-                Ok((reduced, r.scored, r.pruned))
-            })
+            .step(
+                Stage::Reduce,
+                "stage.reduce",
+                ["scored", "pruned"],
+                |c, memo| {
+                    let r = reshuffle_reduce::reduce_concurrency_with(&c.stg, c.sg, opts, memo)
+                        .map_err(PipelineError::Reduce)?;
+                    let reduced = Candidate {
+                        stg: r.stg,
+                        sg: r.sg,
+                        moves: r.steps,
+                        known_conflicts: Some(r.csc_conflicts),
+                        ..c
+                    };
+                    Ok((reduced, r.scored, r.pruned))
+                },
+            )
             .map(Reduced)
     }
 }
@@ -756,32 +780,37 @@ impl Reduced {
         let mut chain = self.0;
         chain.ctx.csc = opts.clone();
         chain
-            .step(Stage::Resolve, "stage.resolve", ["tried", "rebuilt"], |c| {
-                if c.known_conflicts == Some(0) {
-                    return Ok((c, 0, 0));
-                }
-                // One analysis serves both the conflict check and the
-                // resolver; the resolver never re-analyzes a graph it
-                // was handed an analysis for.
-                let analysis = analyze_csc(&c.sg);
-                if analysis.has_csc() {
+            .step(
+                Stage::Resolve,
+                "stage.resolve",
+                ["tried", "rebuilt"],
+                |c, memo| {
+                    if c.known_conflicts == Some(0) {
+                        return Ok((c, 0, 0));
+                    }
+                    // One analysis serves both the conflict check and the
+                    // resolver; the resolver never re-analyzes a graph it
+                    // was handed an analysis for.
+                    let analysis = analyze_csc(&c.sg);
+                    if analysis.has_csc() {
+                        let resolved = Candidate {
+                            known_conflicts: Some(0),
+                            ..c
+                        };
+                        return Ok((resolved, 0, 0));
+                    }
+                    let r = resolve_csc_with(&c.stg, c.sg, &analysis, opts, memo)
+                        .map_err(PipelineError::Synth)?;
                     let resolved = Candidate {
+                        stg: r.stg,
+                        sg: r.sg,
+                        inserted: r.inserted,
                         known_conflicts: Some(0),
                         ..c
                     };
-                    return Ok((resolved, 0, 0));
-                }
-                let r = resolve_csc_analyzed(&c.stg, c.sg, &analysis, opts)
-                    .map_err(PipelineError::Synth)?;
-                let resolved = Candidate {
-                    stg: r.stg,
-                    sg: r.sg,
-                    inserted: r.inserted,
-                    known_conflicts: Some(0),
-                    ..c
-                };
-                Ok((resolved, r.tried, r.rebuilt))
-            })
+                    Ok((resolved, r.tried, r.rebuilt))
+                },
+            )
             .map(Resolved)
     }
 }
@@ -854,6 +883,8 @@ impl Resolved {
             }
         }
         let sp = ctx.span.span("stage.synthesize");
+        let memo = &ctx.memo;
+        let memo_before = (memo.hits(), memo.misses());
         let selecting = ctx.selecting;
         // Only a pending selection needs the timed cycle; it is scored
         // under the same delay model the reduce stage optimized.
@@ -896,7 +927,7 @@ impl Resolved {
             }
             let derive = span.span("synth.derive");
             let netlist = match style {
-                ImplStyle::ComplexGate => synthesize_complex_gates(&c.sg)?.netlist,
+                ImplStyle::ComplexGate => synthesize_complex_gates_with(&c.sg, memo)?.netlist,
                 ImplStyle::GeneralizedC => synthesize_gc(&c.sg)?.netlist,
             };
             derive.end(&[]);
@@ -930,14 +961,16 @@ impl Resolved {
         // estimate, timed cycle bits, enumeration index), strictly
         // improving so the earliest candidate wins ties. Like the
         // cycle, the literal estimate is only paid for a pending
-        // selection: a lone candidate's score is never compared.
+        // selection: a lone candidate's score is never compared. A
+        // complex-gate candidate's functions are in the memo, derived
+        // by its synthesis just above.
         let mut best: Option<((usize, u32, u64, usize), usize)> = None;
         for (i, outcome) in outcomes.iter().enumerate() {
             let Ok((s, cycle_bits)) = outcome else {
                 continue;
             };
             let literals = if selecting {
-                literal_estimate(&s.sg)
+                literal_estimate_with(&s.sg, memo)
             } else {
                 0
             };
@@ -961,7 +994,8 @@ impl Resolved {
             Some(ranked),
             None,
         );
-        sp.end(&[("ranked", FieldVal::U64(ranked as u64))]);
+        let [hits, misses] = memo_fields(memo, memo_before);
+        sp.end(&[("ranked", FieldVal::U64(ranked as u64)), hits, misses]);
         if let Some(cache) = &ctx.cache {
             cache.insert(key, synthesis.clone());
         }

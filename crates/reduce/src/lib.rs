@@ -10,7 +10,7 @@
 //! state graph incrementally as the product of the old graph with the
 //! new place ([`reshuffle_sg::restrict`]), and ranks candidates by
 //! remaining CSC conflicts, then the literal estimate of
-//! [`reshuffle_synth::literal_estimate`], then the timed cycle metric of
+//! [`reshuffle_synth::literal_estimate_with`], then the timed cycle metric of
 //! `reshuffle-timing` — optionally under a hard cycle-time bound.
 //!
 //! Moves that would delay an input transition, deadlock the system,
@@ -34,7 +34,7 @@ use reshuffle_sg::csc::analyze_csc;
 use reshuffle_sg::props::{all_events_fire, speed_independence};
 use reshuffle_sg::restrict::restrict_with_place;
 use reshuffle_sg::{build_state_graph, EventId, SgError, StateGraph};
-use reshuffle_synth::literal_estimate;
+use reshuffle_synth::{literal_estimate_with, CoverMemo};
 use reshuffle_timing::{simulate, DelayModel, SimOptions, TimingError};
 
 /// Errors from concurrency reduction.
@@ -263,9 +263,7 @@ pub fn reduce_concurrency(stg: &Stg, opts: &ReduceOptions) -> Result<Reduction> 
     reduce_concurrency_from(stg, sg, opts)
 }
 
-/// [`reduce_concurrency`] for callers that already built the
-/// specification's state graph (`sg` must be the state graph of `stg`);
-/// avoids rebuilding the most expensive artifact.
+/// [`reduce_concurrency_with`] on a fresh memo.
 ///
 /// # Errors
 ///
@@ -275,9 +273,26 @@ pub fn reduce_concurrency_from(
     sg: StateGraph,
     opts: &ReduceOptions,
 ) -> Result<Reduction> {
+    reduce_concurrency_with(stg, sg, opts, &CoverMemo::new())
+}
+
+/// [`reduce_concurrency`] for callers that already built the
+/// specification's state graph (`sg` must be the state graph of `stg`);
+/// avoids rebuilding the most expensive artifact. Each node's literal
+/// estimate minimizes only the functions `memo` has not seen.
+///
+/// # Errors
+///
+/// See [`reduce_concurrency`].
+pub fn reduce_concurrency_with(
+    stg: &Stg,
+    sg: StateGraph,
+    opts: &ReduceOptions,
+    memo: &CoverMemo,
+) -> Result<Reduction> {
     check_delay("input_delay", opts.input_delay)?;
     check_delay("gate_delay", opts.gate_delay)?;
-    let (conflicts, literals, cycle) = evaluate(stg, &sg, opts)?;
+    let (conflicts, literals, cycle) = evaluate(stg, &sg, opts, memo)?;
     let root = Node {
         stg: stg.clone(),
         sg,
@@ -324,7 +339,7 @@ pub fn reduce_concurrency_from(
                 continue;
             }
             scored += 1;
-            let Ok((conflicts, literals, cycle)) = evaluate(&stg2, &sg2, opts) else {
+            let Ok((conflicts, literals, cycle)) = evaluate(&stg2, &sg2, opts, memo) else {
                 continue; // e.g. the move deadlocks the timed simulation
             };
             if matches!(opts.max_cycle_time, Some(b) if cycle > b) {
@@ -403,9 +418,10 @@ fn evaluate(
     stg: &Stg,
     sg: &StateGraph,
     opts: &ReduceOptions,
+    memo: &CoverMemo,
 ) -> std::result::Result<(usize, u32, f64), TimingError> {
     let conflicts = analyze_csc(sg).num_csc_conflicts();
-    let literals = literal_estimate(sg);
+    let literals = literal_estimate_with(sg, memo);
     let delays = DelayModel::uniform(stg, opts.input_delay, opts.gate_delay);
     let run = simulate(stg, &delays, &SimOptions::default())?;
     Ok((conflicts, literals, run.period))

@@ -447,7 +447,7 @@ fn options_from_json(spec: Option<&Json>) -> Result<PipelineOptions, String> {
                 Json::Obj(_) => {
                     let mut eopts = ExpansionOptions::default();
                     if let Some(n) = value.get("max_reshufflings") {
-                        eopts.max_reshufflings = num_field(n, "expand.max_reshufflings")? as usize;
+                        eopts.max_reshufflings = count_field(n, "expand.max_reshufflings")?;
                     }
                     opts = opts.with_expand(eopts);
                 }
@@ -465,10 +465,10 @@ fn options_from_json(spec: Option<&Json>) -> Result<PipelineOptions, String> {
                         };
                     }
                     if let Some(v) = value.get("max_moves") {
-                        ropts.max_moves = num_field(v, "reduce.max_moves")? as usize;
+                        ropts.max_moves = count_field(v, "reduce.max_moves")?;
                     }
                     if let Some(v) = value.get("max_expansions") {
-                        ropts.max_expansions = num_field(v, "reduce.max_expansions")? as usize;
+                        ropts.max_expansions = count_field(v, "reduce.max_expansions")?;
                     }
                     if let Some(v) = value.get("input_delay") {
                         ropts.input_delay = num_field(v, "reduce.input_delay")?;
@@ -486,10 +486,10 @@ fn options_from_json(spec: Option<&Json>) -> Result<PipelineOptions, String> {
                 };
                 let mut copts = CscOptions::default();
                 if let Some(v) = value.get("max_signals") {
-                    copts.max_signals = num_field(v, "csc.max_signals")? as usize;
+                    copts.max_signals = count_field(v, "csc.max_signals")?;
                 }
                 if let Some(v) = value.get("rank_pool") {
-                    copts.rank_pool = num_field(v, "csc.rank_pool")? as usize;
+                    copts.rank_pool = count_field(v, "csc.rank_pool")?;
                 }
                 opts = opts.with_csc(copts);
             }
@@ -508,6 +508,19 @@ fn num_field(value: &Json, what: &str) -> Result<f64, String> {
         .as_num()
         .filter(|n| *n >= 0.0)
         .ok_or_else(|| format!("{what} must be a non-negative number"))
+}
+
+/// Largest count a request may give: every whole number up to it is
+/// exact in a JSON number (an `f64`).
+const MAX_COUNT: f64 = (1u64 << 53) as f64;
+
+/// A count: a whole number from 0 to 2^53, never rounded or clamped.
+fn count_field(value: &Json, what: &str) -> Result<usize, String> {
+    value
+        .as_num()
+        .filter(|n| (0.0..=MAX_COUNT).contains(n) && n.fract() == 0.0)
+        .and_then(|n| usize::try_from(n as u64).ok())
+        .ok_or_else(|| format!("{what} must be a whole number from 0 to 2^53"))
 }
 
 impl Service for SynthService {

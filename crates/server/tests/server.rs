@@ -231,6 +231,33 @@ fn bad_requests_get_4xx() {
     server.stop().unwrap();
 }
 
+#[test]
+fn counts_that_are_not_whole_or_exceed_2_pow_53_get_400_naming_the_field() {
+    let server = Server::start(ServerConfig::new()).unwrap();
+    let addr = server.addr();
+    for (options, field) in [
+        ("{\"reduce\": {\"max_moves\": 2.5}}", "reduce.max_moves"),
+        ("{\"csc\": {\"rank_pool\": 1e300}}", "csc.rank_pool"),
+    ] {
+        let body = format!(
+            "{{\"g\": {}, \"options\": {options}}}",
+            Json::Str(XYZ_G.into()).render()
+        );
+        let (status, body) = post(addr, "/synthesize", &body);
+        assert_eq!(status, 400, "{options}: {body}");
+        assert!(body.contains(field), "{options}: {body}");
+    }
+    // Whole counts up to 2^53 are accepted as given.
+    let body = format!(
+        "{{\"g\": {}, \"options\": {{\"csc\": {{\"max_signals\": 9007199254740992}}}}}}",
+        Json::Str(XYZ_G.into()).render()
+    );
+    let (status, body) = post(addr, "/synthesize", &body);
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(stat(&stats(addr), "executed"), 1.0);
+    server.stop().unwrap();
+}
+
 /// One raw exchange over a fresh connection. The 10 s read timeout
 /// outlasts the server's 5 s idle deadline, so a server that never
 /// answers fails the test instead of hanging it.

@@ -78,6 +78,14 @@ impl NextStateTables {
             .count()
     }
 
+    /// True if `a` and `b` have the same table: every code implies the
+    /// same values for both.
+    pub fn same_table(&self, a: SignalId, b: SignalId) -> bool {
+        let (i, j) = (a.index(), b.index());
+        let agree = |&w: &u64| (w >> i) & 1 == (w >> j) & 1;
+        self.high.iter().all(agree) && self.low.iter().all(agree)
+    }
+
     /// The on/off/conflict partition of `sig`'s reachable codes.
     pub fn table(&self, sig: SignalId) -> NextStateTable {
         let bit = 1u64 << sig.index();
@@ -310,6 +318,15 @@ Req+ Ack+
                 assert_eq!(t.off, zeros, "{at}");
                 assert_eq!(t.conflicting, both, "{at}");
                 assert_eq!(tables.conflicts(sig), both.len(), "{at}");
+            }
+            // Two signals have the same table exactly when their lists
+            // agree.
+            for a in (0..sg.num_signals()).map(SignalId::from_index) {
+                for b in (0..sg.num_signals()).map(SignalId::from_index) {
+                    let (ta, tb) = (tables.table(a), tables.table(b));
+                    let equal = (ta.on, ta.off, ta.conflicting) == (tb.on, tb.off, tb.conflicting);
+                    assert_eq!(tables.same_table(a, b), equal, "{} {a:?} {b:?}", sg.name());
+                }
             }
         }
     }

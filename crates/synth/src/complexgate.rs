@@ -10,6 +10,7 @@ use reshuffle_sg::StateGraph;
 use crate::error::Result;
 use crate::func::{derive_all_functions, ConflictPolicy, SignalFunction};
 use crate::mapping::Mapper;
+use crate::memo::CoverMemo;
 use crate::netlist::Netlist;
 
 /// A synthesized complex-gate implementation.
@@ -22,14 +23,14 @@ pub struct ComplexGateImpl {
 }
 
 /// Synthesizes a complex-gate circuit for every non-input signal of the
-/// state graph.
+/// state graph, minimizing each function `memo` has not seen.
 ///
 /// # Errors
 ///
 /// [`crate::SynthError::CscViolation`] if any signal's coding conflicts
 /// make its function ill-defined.
-pub fn synthesize_complex_gates(sg: &StateGraph) -> Result<ComplexGateImpl> {
-    let functions = derive_all_functions(sg, ConflictPolicy::Reject)?;
+pub fn synthesize_complex_gates_with(sg: &StateGraph, memo: &CoverMemo) -> Result<ComplexGateImpl> {
+    let functions = derive_all_functions(sg, ConflictPolicy::Reject, memo)?;
     let mut netlist = Netlist::new(sg.signals().to_vec());
     let mut mapper = Mapper::new();
     for f in &functions {
@@ -38,6 +39,15 @@ pub fn synthesize_complex_gates(sg: &StateGraph) -> Result<ComplexGateImpl> {
         netlist.set_driver(f.signal, root)?;
     }
     Ok(ComplexGateImpl { netlist, functions })
+}
+
+/// [`synthesize_complex_gates_with`] on a fresh memo.
+///
+/// # Errors
+///
+/// See [`synthesize_complex_gates_with`].
+pub fn synthesize_complex_gates(sg: &StateGraph) -> Result<ComplexGateImpl> {
+    synthesize_complex_gates_with(sg, &CoverMemo::new())
 }
 
 #[cfg(test)]

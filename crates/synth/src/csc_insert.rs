@@ -25,7 +25,8 @@ use reshuffle_sg::restrict::insert_series_pair;
 use reshuffle_sg::{build_state_graph, StateGraph};
 
 use crate::error::{Result, SynthError};
-use crate::func::literal_estimate;
+use crate::func::literal_estimate_with;
+use crate::memo::CoverMemo;
 
 /// Result of CSC resolution.
 #[derive(Debug, Clone)]
@@ -90,10 +91,7 @@ pub fn resolve_csc_from(stg: &Stg, sg: StateGraph, opts: &CscOptions) -> Result<
     resolve_csc_analyzed(stg, sg, &analysis, opts)
 }
 
-/// [`resolve_csc_from`] for callers that already analyzed the state
-/// graph's coding (`analysis` must be `analyze_csc(&sg)`); the resolver
-/// never re-analyzes a graph it was handed an analysis for — each STG
-/// in the search is analyzed exactly once.
+/// [`resolve_csc_with`] on a fresh memo.
 ///
 /// # Errors
 ///
@@ -103,6 +101,25 @@ pub fn resolve_csc_analyzed(
     sg: StateGraph,
     analysis: &CscReport,
     opts: &CscOptions,
+) -> Result<CscResolution> {
+    resolve_csc_with(stg, sg, analysis, opts, &CoverMemo::new())
+}
+
+/// [`resolve_csc_from`] for callers that already analyzed the state
+/// graph's coding (`analysis` must be `analyze_csc(&sg)`); the resolver
+/// never re-analyzes a graph it was handed an analysis for — each STG
+/// in the search is analyzed exactly once. The rank pool's literal
+/// estimates minimize only the functions `memo` has not seen.
+///
+/// # Errors
+///
+/// See [`resolve_csc`].
+pub fn resolve_csc_with(
+    stg: &Stg,
+    sg: StateGraph,
+    analysis: &CscReport,
+    opts: &CscOptions,
+    memo: &CoverMemo,
 ) -> Result<CscResolution> {
     let mut current = stg.clone();
     let mut sg = sg;
@@ -127,7 +144,7 @@ pub fn resolve_csc_analyzed(
             });
         }
         let name = format!("csc{}", inserted.len());
-        let round = best_insertion(&current, &sg, &name, conflicts, opts);
+        let round = best_insertion(&current, &sg, &name, conflicts, opts, memo);
         tried += round.tried;
         rebuilt += round.rebuilt;
         match round.best {
@@ -166,6 +183,7 @@ fn best_insertion(
     signal_name: &str,
     current_conflicts: usize,
     opts: &CscOptions,
+    memo: &CoverMemo,
 ) -> Round {
     let transitions: Vec<TransitionId> = stg.transitions().collect();
     let full_builds = stg.has_toggle_transitions();
@@ -207,7 +225,7 @@ fn best_insertion(
         .into_iter()
         .filter(|(c, _, _)| Some(*c) == best_c)
         .take(opts.rank_pool)
-        .min_by_key(|(_, _, sg2)| literal_estimate(sg2))
+        .min_by_key(|(_, _, sg2)| literal_estimate_with(sg2, memo))
         .map(|(c, cand, sg2)| (cand, sg2, c));
     Round {
         best,

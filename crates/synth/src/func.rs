@@ -6,9 +6,17 @@
 //! no state reaches, plus, under [`ConflictPolicy::DontCare`], the
 //! codes the signal conflicts on. All signals share the reachable
 //! codes, so every conflict-free signal has the same don't-care set. It
-//! is built once per graph, and only when some signal is conflict-free;
-//! a signal with conflicting codes gets its own. Which minimizer runs
-//! is decided once per graph too, by the number of reachable codes.
+//! is built once per graph, and only when some conflict-free signal is
+//! minimized; a signal with conflicting codes gets its own. Which
+//! minimizer runs is decided once per graph too, by the number of
+//! reachable codes.
+//!
+//! Every minimization goes through the run's [`CoverMemo`], keyed by
+//! the variable count, the minimizer path and the on and off codes. A
+//! signal whose table equals an earlier signal's in the same graph
+//! takes that signal's cover (the scaled controller's request outputs
+//! all follow `go`); a function the run minimized before, in another
+//! graph or under the other policy, comes from the memo.
 
 use reshuffle_logic::{complement, dont_care_isop, minimize, minimize_codes_with_dc, Cover};
 use reshuffle_petri::SignalId;
@@ -16,6 +24,7 @@ use reshuffle_sg::nextstate::next_state_tables;
 use reshuffle_sg::StateGraph;
 
 use crate::error::{Result, SynthError};
+use crate::memo::CoverMemo;
 
 /// Above this many reachable codes per graph the cube-list espresso
 /// path (quadratic-or-worse in the minterm count) is replaced by the
@@ -62,7 +71,8 @@ pub enum ConflictPolicy {
 }
 
 /// Derives and minimizes the next-state functions of all non-input
-/// signals, in signal order.
+/// signals, in signal order, minimizing each function `memo` has not
+/// seen.
 ///
 /// # Errors
 ///
@@ -72,6 +82,7 @@ pub enum ConflictPolicy {
 pub fn derive_all_functions(
     sg: &StateGraph,
     policy: ConflictPolicy,
+    memo: &CoverMemo,
 ) -> Result<Vec<SignalFunction>> {
     let tables = next_state_tables(sg);
     let signals: Vec<SignalId> = (0..sg.num_signals())
@@ -103,22 +114,40 @@ pub fn derive_all_functions(
         }
     };
     let mut shared_dc = None;
-    let mut out = Vec::with_capacity(signals.len());
+    // The graph's distinct functions so far, as (signal, index into
+    // `out`): a signal with the same table takes that cover, even when
+    // the memo stores nothing.
+    let mut distinct: Vec<(SignalId, usize)> = Vec::new();
+    let mut out: Vec<SignalFunction> = Vec::with_capacity(signals.len());
     for signal in signals {
+        if let Some(&(_, i)) = distinct
+            .iter()
+            .find(|&&(s, _)| tables.same_table(s, signal))
+        {
+            memo.record_hit();
+            let cover = out[i].cover.clone();
+            out.push(SignalFunction { signal, cover });
+            continue;
+        }
+        distinct.push((signal, out.len()));
         let t = tables.table(signal);
-        let own_dc;
-        let dc = if t.is_conflict_free() {
-            &*shared_dc.get_or_insert_with(|| dont_care(reachable))
-        } else {
-            // Conflicting codes are in neither list, i.e. don't-care.
-            own_dc = dont_care(&[t.on.as_slice(), &t.off].concat());
-            &own_dc
-        };
-        let cover = if cube_list {
-            minimize(&Cover::from_minterms(nv, &t.on), dc)
-        } else {
-            minimize_codes_with_dc(nv, &t.on, &t.off, dc)
-        };
+        let conflict_free = t.is_conflict_free();
+        let key = memo.key(nv, !cube_list, t.on, t.off);
+        let cover = memo.cover(key, |on, off| {
+            let own_dc;
+            let dc = if conflict_free {
+                &*shared_dc.get_or_insert_with(|| dont_care(reachable))
+            } else {
+                // Conflicting codes are in neither list, i.e. don't-care.
+                own_dc = dont_care(&[on, off].concat());
+                &own_dc
+            };
+            if cube_list {
+                minimize(&Cover::from_minterms(nv, on), dc)
+            } else {
+                minimize_codes_with_dc(nv, on, off, dc)
+            }
+        });
         out.push(SignalFunction { signal, cover });
     }
     Ok(out)
@@ -126,10 +155,15 @@ pub fn derive_all_functions(
 
 /// Total literal count over all non-input signals — the logic-complexity
 /// estimate used by the reduction search (conflicting codes as DC).
-pub fn literal_estimate(sg: &StateGraph) -> u32 {
-    derive_all_functions(sg, ConflictPolicy::DontCare)
+pub fn literal_estimate_with(sg: &StateGraph, memo: &CoverMemo) -> u32 {
+    derive_all_functions(sg, ConflictPolicy::DontCare, memo)
         .map(|fs| fs.iter().map(SignalFunction::literals).sum())
         .unwrap_or(u32::MAX)
+}
+
+/// [`literal_estimate_with`] on a fresh memo.
+pub fn literal_estimate(sg: &StateGraph) -> u32 {
+    literal_estimate_with(sg, &CoverMemo::new())
 }
 
 #[cfg(test)]
@@ -140,7 +174,7 @@ mod tests {
 
     /// The derived function of `signal`.
     fn derive(sg: &StateGraph, signal: SignalId, policy: ConflictPolicy) -> Result<SignalFunction> {
-        let fs = derive_all_functions(sg, policy)?;
+        let fs = derive_all_functions(sg, policy, &CoverMemo::new())?;
         Ok(fs.into_iter().find(|f| f.signal == signal).unwrap())
     }
 

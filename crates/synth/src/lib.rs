@@ -5,8 +5,10 @@
 //! signal insertion when needed, maps the logic onto a 2-input gate
 //! library, and verifies the mapped netlist against the specification:
 //!
-//! * [`derive_all_functions`] / [`literal_estimate`] — next-state logic
-//!   (the estimate also drives the concurrency-reduction cost function);
+//! * [`derive_all_functions`] / [`literal_estimate_with`] — next-state
+//!   logic (the estimate also drives the concurrency-reduction cost
+//!   function), minimized once per distinct function of a run through
+//!   its [`CoverMemo`];
 //! * [`resolve_csc`] — state-signal insertion (STG-level series
 //!   insertion in place of petrify's regions; see its module docs);
 //! * [`synthesize_complex_gates`] — complex-gate style (Fig. 3(d));
@@ -44,16 +46,21 @@ mod func;
 mod gc;
 pub mod library;
 pub mod mapping;
+mod memo;
 pub mod netlist;
 pub mod verify;
 
-pub use complexgate::{synthesize_complex_gates, ComplexGateImpl};
+pub use complexgate::{synthesize_complex_gates, synthesize_complex_gates_with, ComplexGateImpl};
 pub use csc_insert::{
-    resolve_csc, resolve_csc_analyzed, resolve_csc_from, CscOptions, CscResolution,
+    resolve_csc, resolve_csc_analyzed, resolve_csc_from, resolve_csc_with, CscOptions,
+    CscResolution,
 };
 pub use error::{Result, SynthError};
-pub use func::{derive_all_functions, literal_estimate, ConflictPolicy, SignalFunction};
+pub use func::{
+    derive_all_functions, literal_estimate, literal_estimate_with, ConflictPolicy, SignalFunction,
+};
 pub use gc::{derive_gc_function, synthesize_gc, GcFunction, GcImpl};
 pub use library::{GateType, Library};
+pub use memo::CoverMemo;
 pub use netlist::{Netlist, Node, NodeId};
 pub use verify::{check_against_sg, verify_against_sg, verify_complete, Mismatch};

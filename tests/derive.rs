@@ -1,13 +1,16 @@
-//! Shared derivation against the per-signal reference.
+//! Memoized shared derivation against the per-signal reference.
 //!
 //! `derive_all_functions` classifies every signal of a graph in one
-//! pass over its states and gives every conflict-free signal the same
-//! don't-care set, the unreachable codes. The reference here rebuilds
+//! pass over its states, gives every conflict-free signal the same
+//! don't-care set, the unreachable codes, and minimizes only the
+//! functions its `CoverMemo` has not seen. The reference here rebuilds
 //! the per-signal derivation from public primitives: each signal's
 //! table from `implied_value`, state by state, then its own don't-care
 //! set — `complement` and `minimize` up to 4096 reachable codes,
 //! `minimize_codes` above. Both must give the same covers (`==`), or the
-//! same CSC violation, under both conflict policies.
+//! same CSC violation, under both conflict policies. Each sweep derives
+//! every graph through one memo, so a cover stored for one graph or
+//! policy answers all the others with an equal key.
 //!
 //! The `#[ignore]`d sweep covers every reshuffling of the generated
 //! families, their reduce results, every CSC candidate the resolver
@@ -26,14 +29,16 @@ use reshuffle_sg::nextstate::implied_value;
 use reshuffle_sg::props::speed_independence;
 use reshuffle_sg::restrict::insert_series_pair;
 use reshuffle_sg::{build_state_graph, StateGraph};
-use reshuffle_synth::{derive_all_functions, literal_estimate, ConflictPolicy, CscOptions};
+use reshuffle_synth::{
+    derive_all_functions, literal_estimate, ConflictPolicy, CoverMemo, CscOptions,
+};
 use reshuffle_synth::{resolve_csc_analyzed, SynthError};
 
 /// Covers in signal order, or the violating signal and its conflicts.
 type Derived = Result<Vec<(SignalId, Cover)>, (String, usize)>;
 
-fn shared(sg: &StateGraph, policy: ConflictPolicy) -> Derived {
-    match derive_all_functions(sg, policy) {
+fn shared(sg: &StateGraph, policy: ConflictPolicy, memo: &CoverMemo) -> Derived {
+    match derive_all_functions(sg, policy, memo) {
         Ok(fs) => Ok(fs.into_iter().map(|f| (f.signal, f.cover)).collect()),
         Err(SynthError::CscViolation { signal, conflicts }) => Err((signal, conflicts)),
         Err(e) => panic!("derive_all_functions: {e}"),
@@ -86,12 +91,12 @@ fn per_signal(sg: &StateGraph, policy: ConflictPolicy) -> Derived {
     Ok(out)
 }
 
-/// Asserts shared == per-signal under both policies; returns whether
-/// some signal of `sg` has conflicting codes.
-fn check(at: &str, sg: &StateGraph) -> bool {
+/// Asserts shared == per-signal under both policies, deriving through
+/// `memo`; returns whether some signal of `sg` has conflicting codes.
+fn check(at: &str, sg: &StateGraph, memo: &CoverMemo) -> bool {
     let mut conflicting = false;
     for policy in [ConflictPolicy::Reject, ConflictPolicy::DontCare] {
-        let got = shared(sg, policy);
+        let got = shared(sg, policy, memo);
         conflicting |= got.is_err();
         assert_eq!(got, per_signal(sg, policy), "{at}: {policy:?}");
     }
@@ -117,6 +122,7 @@ fn modes() -> [(&'static str, PipelineOptions); 4] {
 
 #[test]
 fn shared_derivation_equals_per_signal_on_the_corpus_and_scaled_specs() {
+    let memo = CoverMemo::new();
     let mut graphs = 0;
     let mut conflicting = Vec::new();
     for (name, src) in examples::ALL {
@@ -140,7 +146,7 @@ fn shared_derivation_equals_per_signal_on_the_corpus_and_scaled_specs() {
         }
         for (at, sg) in sgs {
             graphs += 1;
-            if check(&at, &sg) {
+            if check(&at, &sg, &memo) {
                 conflicting.push(at);
             }
         }
@@ -154,7 +160,7 @@ fn shared_derivation_equals_per_signal_on_the_corpus_and_scaled_specs() {
             (format!("padded{n}"), examples::scaled_pipeline_padded(n)),
         ] {
             let sg = build_state_graph(&parse_g(&src).unwrap()).unwrap();
-            assert!(!check(&at, &sg), "{at}: unexpected CSC conflict");
+            assert!(!check(&at, &sg, &memo), "{at}: unexpected CSC conflict");
             graphs += 1;
         }
     }
@@ -167,6 +173,7 @@ fn shared_derivation_equals_per_signal_on_the_corpus_and_scaled_specs() {
         );
     }
     assert!(graphs >= 60, "too few graphs checked: {graphs}");
+    assert!(memo.hits() > memo.misses(), "{memo:?}");
 }
 
 /// The candidate the CSC search builds for `(x, y)`: `name+` in series
@@ -187,9 +194,9 @@ fn insertion(
 
 /// Walks the greedy CSC search from `(stg, sg)` as the resolver does,
 /// checking every candidate of every round's ranked pool (the
-/// least-conflict candidates, at most `rank_pool` of them). Returns the
-/// number of ranked candidates checked.
-fn walk_ranked(label: &str, stg: &Stg, sg: &StateGraph) -> usize {
+/// least-conflict candidates, at most `rank_pool` of them) through
+/// `memo`. Returns the number of ranked candidates checked.
+fn walk_ranked(label: &str, stg: &Stg, sg: &StateGraph, memo: &CoverMemo) -> usize {
     let opts = CscOptions::default();
     let mut parent = stg.clone();
     let mut parent_sg = sg.clone();
@@ -232,7 +239,7 @@ fn walk_ranked(label: &str, stg: &Stg, sg: &StateGraph) -> usize {
             .take(opts.rank_pool)
             .collect();
         for (i, (_, _, cand_sg)) in pool.iter().enumerate() {
-            check(&format!("{label}: {name} ranked #{i}"), cand_sg);
+            check(&format!("{label}: {name} ranked #{i}"), cand_sg, memo);
             ranked += 1;
         }
         let (c, next, next_sg) = pool
@@ -265,6 +272,7 @@ fn shared_derivation_equals_per_signal_across_families() {
         families.push(examples::pulses(k, true));
         families.push(examples::ring(k));
     }
+    let memo = CoverMemo::new();
     let mut checked = [0; 3];
     let all = ExpansionOptions {
         max_reshufflings: 4096,
@@ -273,15 +281,15 @@ fn shared_derivation_equals_per_signal_across_families() {
         let spec = parse_g(src).unwrap();
         for (i, r) in expand_handshakes(&spec, &all).unwrap().iter().enumerate() {
             let at = format!("{}#{i}", spec.name);
-            check(&at, &r.sg);
+            check(&at, &r.sg, &memo);
             checked[0] += 1;
-            checked[2] += walk_ranked(&at, &r.stg, &r.sg);
+            checked[2] += walk_ranked(&at, &r.stg, &r.sg, &memo);
             let reduced = reduce_concurrency_from(&r.stg, r.sg.clone(), &ReduceOptions::default());
             if let Ok(red) = reduced {
                 let at = format!("{at} reduced");
-                check(&at, &red.sg);
+                check(&at, &red.sg, &memo);
                 checked[1] += 1;
-                checked[2] += walk_ranked(&at, &red.stg, &red.sg);
+                checked[2] += walk_ranked(&at, &red.stg, &red.sg, &memo);
             }
         }
     }
@@ -291,7 +299,7 @@ fn shared_derivation_equals_per_signal_across_families() {
             (format!("padded{n}"), examples::scaled_pipeline_padded(n)),
         ] {
             let sg = build_state_graph(&parse_g(&src).unwrap()).unwrap();
-            assert!(!check(&at, &sg), "{at}: unexpected CSC conflict");
+            assert!(!check(&at, &sg, &memo), "{at}: unexpected CSC conflict");
         }
     }
     let [reshufflings, reductions, ranked] = checked;

@@ -11,7 +11,7 @@ use reshuffle::{
 use reshuffle_bench::examples::{self, XYZ_G};
 use reshuffle_petri::parse_g;
 use reshuffle_sg::{build_state_graph, csc::analyze_csc, props::speed_independence};
-use reshuffle_synth::{derive_all_functions, verify_against_sg, ConflictPolicy};
+use reshuffle_synth::{derive_all_functions, verify_against_sg, ConflictPolicy, CoverMemo};
 use reshuffle_timing::{simulate, DelayModel, SimOptions};
 
 /// One-shot builder run: parse, then every stage `opts` selects.
@@ -35,7 +35,8 @@ fn parse_to_netlist_step_by_step() {
     assert!(csc.has_csc(), "xyz must be CSC-clean");
 
     // Stage 4: next-state functions for the two outputs.
-    let funcs = derive_all_functions(&sg, ConflictPolicy::Reject).expect("functions");
+    let memo = CoverMemo::new();
+    let funcs = derive_all_functions(&sg, ConflictPolicy::Reject, &memo).expect("functions");
     assert_eq!(funcs.len(), 2);
     for f in &funcs {
         assert!(!f.cover.is_empty(), "empty cover for an output");
