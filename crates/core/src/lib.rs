@@ -735,6 +735,7 @@ Go- Req~
             "stage.synthesize",
             "bfs.markings",
             "bfs.encode",
+            "sg.si_gate",
             "synth.derive",
             "synth.verify",
         ] {
@@ -755,6 +756,16 @@ Go- Req~
         let stage = field("stage.synthesize", "span");
         assert_eq!(field("synth.derive", "parent"), stage);
         assert_eq!(field("synth.verify", "parent"), stage);
+        // The complete spec's gate sits next to the build's spans under
+        // the expand stage, and reports what it checked.
+        let expand = field("stage.expand", "span");
+        assert_eq!(field("sg.si_gate", "parent"), expand);
+        assert_eq!(field("bfs.markings", "parent"), expand);
+        assert_eq!(
+            field("sg.si_gate", "states"),
+            field("stage.expand", "states")
+        );
+        assert_eq!(field("sg.si_gate", "violations"), 0.0);
 
         // A cache hit under tracing emits the lookup span.
         let cache = SynthCache::new();

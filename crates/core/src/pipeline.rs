@@ -361,17 +361,19 @@ fn enforce_live<T>(cands: &[Result<T>]) -> Result<()> {
 }
 
 /// Rejects specifications that are not speed-independent, reporting
-/// the violation-witness count.
-fn gate_speed_independence(sg: &StateGraph) -> Result<()> {
+/// the violation-witness count, under an `sg.si_gate` span.
+fn gate_speed_independence(sg: &StateGraph, span: &SpanCtx) -> Result<()> {
+    let gate = span.span("sg.si_gate");
     let si = speed_independence(sg);
-    if si.is_speed_independent() {
+    let violations = si.nondeterminism.len() + si.noncommutativity.len() + si.nonpersistency.len();
+    gate.end(&[
+        ("states", FieldVal::U64(sg.num_states() as u64)),
+        ("violations", FieldVal::U64(violations as u64)),
+    ]);
+    if violations == 0 {
         Ok(())
     } else {
-        Err(PipelineError::NotSpeedIndependent {
-            violations: si.nondeterminism.len()
-                + si.noncommutativity.len()
-                + si.nonpersistency.len(),
-        })
+        Err(PipelineError::NotSpeedIndependent { violations })
     }
 }
 
@@ -485,7 +487,9 @@ impl Parsed {
 
     /// Attaches a trace context: every subsequent stage transition
     /// emits a `stage.*` span under it, state-graph builds emit
-    /// `bfs.markings`/`bfs.encode` child spans, the synthesize stage
+    /// `bfs.markings`/`bfs.encode` child spans, a complete
+    /// specification's speed-independence check an `sg.si_gate` child
+    /// span (with `states` and `violations`), the synthesize stage
     /// emits a `synth.derive` and a `synth.verify` child span per
     /// candidate it synthesizes, and cache consultations emit
     /// `cache.lookup` spans. Tracing is observation only — it
@@ -532,7 +536,7 @@ impl Parsed {
                 (sg, SgCounts::of_build(&stats))
             }
         };
-        gate_speed_independence(&sg)?;
+        gate_speed_independence(&sg, &sp.ctx())?;
         self.ctx
             .diag
             .record(Stage::Expand, t.elapsed(), Some(counts), Some(1), Some(0));
@@ -579,11 +583,11 @@ impl Parsed {
         let enumerated = expansion.reshufflings.len();
         let pruned = expansion.stats.pruned();
         self.ctx.diag.lattice_prefix_hits = expansion.stats.prefix_hits;
+        // Lattice pruning keeps only speed-independent reshufflings.
         let cands: Vec<CandResult> = expansion
             .reshufflings
             .into_iter()
             .map(|r| {
-                gate_speed_independence(&r.sg)?;
                 // The candidate's own canonical fingerprint keys its
                 // shared cache slot — identical to a standalone run of
                 // the same complete STG.
@@ -599,7 +603,6 @@ impl Parsed {
                 })
             })
             .collect();
-        enforce_live(&cands)?;
         self.ctx.selecting = true;
         let mut chain = Chain {
             cands,

@@ -17,7 +17,7 @@
 //! the anchors they individually wait for.
 
 use reshuffle_petri::TransitionId;
-use reshuffle_sg::conc::concurrent;
+use reshuffle_sg::conc::concurrent_pairs;
 use reshuffle_sg::props::{all_events_fire, speed_independence};
 use reshuffle_sg::restrict::restrict_with_place;
 use reshuffle_sg::EventId;
@@ -64,6 +64,7 @@ impl LatticePoint {
 /// following cycle would refill the ordering place before the RTZ
 /// transition consumes it. Sorted by transition id.
 pub(crate) fn anchors(base: &BaseExpansion) -> Vec<Vec<TransitionId>> {
+    let pairs = concurrent_pairs(&base.sg);
     base.rtz
         .iter()
         .map(|&t| {
@@ -76,7 +77,7 @@ pub(crate) fn anchors(base: &BaseExpansion) -> Vec<Vec<TransitionId>> {
                     };
                     !base.rtz.contains(&u)
                         && base.stg.transitions_of_edge(ue).len() == 1
-                        && concurrent(&base.sg, te, ue)
+                        && (pairs.contains(&(te, ue)) || pairs.contains(&(ue, te)))
                         && feasible_alone(base, u, t)
                 })
                 .take(63) // LatticePoint masks are u64 bitmasks

@@ -316,9 +316,9 @@ pub fn reduce_concurrency_with(
     let mut heap: BinaryHeap<Reverse<(Score, usize)>> = BinaryHeap::new();
     heap.push(Reverse((nodes[0].score(), 0)));
 
-    // Serializing places only ever break symmetry, so an asymmetric
-    // root spec stays asymmetric along every path — skip the per-node
-    // automorphism brute force entirely in that (common) case.
+    // Below a root spec with no automorphism, skip the per-node brute
+    // force and keep every move: a shortcut, not an invariant, since a
+    // move can create a symmetry (`tests/reduction.rs` pins one).
     let maybe_symmetric = !signal_automorphisms(stg).is_empty();
 
     let mut expansions = 0usize;
@@ -434,8 +434,8 @@ fn evaluate(
 /// under a signal automorphism of the node's STG are dominated — they
 /// score identically by symmetry — so only the lexicographically least
 /// representative of each orbit is kept; the second value counts the
-/// discarded mirrors. `maybe_symmetric` is the root spec's verdict:
-/// when it had no automorphisms, no derived node can have any either.
+/// discarded mirrors. With `maybe_symmetric` false, every move is kept
+/// without computing the node's automorphisms.
 fn candidate_moves(node: &Node, maybe_symmetric: bool) -> (Vec<(Stg, StateGraph, String)>, usize) {
     let mut out: Vec<(Stg, StateGraph, String, TransitionId, TransitionId)> = Vec::new();
     for (a, b) in concurrent_pairs(&node.sg) {

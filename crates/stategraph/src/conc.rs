@@ -2,50 +2,38 @@
 //!
 //! Two edges `a`, `b` are concurrent iff the SG contains a diamond
 //! `s1 -a-> s2`, `s1 -b-> s3`, `s2 -b-> s4`, `s3 -a-> s4`. The reduction
-//! search enumerates concurrent pairs as candidates for `FwdRed`.
+//! search enumerates concurrent pairs as candidates for `FwdRed`. A
+//! diamond starts where both edges are enabled, so [`concurrent_pairs`]
+//! tests only the pairs in each state's [`StateGraph::excitation`].
 
 use reshuffle_petri::SignalEdge;
 
-use crate::sg::{StateGraph, StateId};
-
-/// True if edges `a` and `b` are concurrent (a complete diamond exists).
-pub fn concurrent(sg: &StateGraph, a: SignalEdge, b: SignalEdge) -> bool {
-    if a == b {
-        return false;
-    }
-    sg.state_ids().any(|s| diamond_at(sg, s, a, b).is_some())
-}
-
-/// If a diamond on `a`,`b` starts at `s1`, returns its four corners
-/// `(s1, s2, s3, s4)`.
-pub fn diamond_at(
-    sg: &StateGraph,
-    s1: StateId,
-    a: SignalEdge,
-    b: SignalEdge,
-) -> Option<(StateId, StateId, StateId, StateId)> {
-    let s2 = sg.step_edge(s1, a)?;
-    let s3 = sg.step_edge(s1, b)?;
-    let s4a = sg.step_edge(s2, b)?;
-    let s4b = sg.step_edge(s3, a)?;
-    (s4a == s4b).then_some((s1, s2, s3, s4a))
-}
+use crate::sg::StateGraph;
 
 /// All unordered concurrent pairs of distinct edges appearing in the
-/// graph, sorted deterministically.
+/// graph, in `(signal, polarity)` order of the first edge, then of the
+/// second: one pass over the states, testing each pair of edges a state
+/// enables for a diamond there until the pair has one.
 pub fn concurrent_pairs(sg: &StateGraph) -> Vec<(SignalEdge, SignalEdge)> {
-    let mut edges: Vec<SignalEdge> = sg.events().iter().filter_map(|e| e.edge).collect();
-    edges.sort_by_key(|e| (e.signal, e.polarity));
-    edges.dedup();
-    let mut out = Vec::new();
-    for (i, &a) in edges.iter().enumerate() {
-        for &b in &edges[i + 1..] {
-            if concurrent(sg, a, b) {
-                out.push((a, b));
+    // Edge numbers ascend in `(signal, polarity)` order.
+    let number = |e: SignalEdge| 3 * e.signal.index() + e.polarity as usize;
+    let n = 3 * sg.num_signals();
+    let mut found = vec![None; n * n];
+    let step = |from, e| sg.step_edge(from, e);
+    for s in sg.state_ids() {
+        let mut edges = sg.excitation(s).edges();
+        while let Some(a) = edges.next() {
+            for b in edges.clone() {
+                let pair = &mut found[number(a) * n + number(b)];
+                if pair.is_none() {
+                    let ab = step(s, a).and_then(|sa| step(sa, b));
+                    let ba = step(s, b).and_then(|sb| step(sb, a));
+                    *pair = (ab.is_some() && ab == ba).then_some((a, b));
+                }
             }
         }
     }
-    out
+    found.into_iter().flatten().collect()
 }
 
 #[cfg(test)]
@@ -59,6 +47,12 @@ mod tests {
             signal: sg.signal_by_name(name).unwrap(),
             polarity: pol,
         }
+    }
+
+    /// True if `concurrent_pairs` lists `a` and `b`, in either order.
+    fn concurrent(sg: &StateGraph, a: SignalEdge, b: SignalEdge) -> bool {
+        let pairs = concurrent_pairs(sg);
+        pairs.contains(&(a, b)) || pairs.contains(&(b, a))
     }
 
     const FIG1: &str = "\

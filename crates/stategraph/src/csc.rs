@@ -4,8 +4,8 @@
 //! codes enables the same set of non-input signal events (Section 2).
 //! CSC is necessary and sufficient for deriving logic; the number of
 //! remaining conflicts drives the cost function of the reduction search.
-
-use std::collections::HashMap;
+//! [`analyze_csc`] compares the [`StateGraph::excitation`] masks of
+//! equally coded states, restricted to non-input signals.
 
 use crate::sg::{StateGraph, StateId};
 
@@ -65,31 +65,25 @@ impl CscReport {
     }
 }
 
-/// Computes all USC/CSC conflicts by bucketing states on their codes.
+/// Computes all USC/CSC conflicts, ordered by `(a, b)`: the states
+/// sorted by code, and each pair of equally coded states compared on
+/// its non-input excitation.
 pub fn analyze_csc(sg: &StateGraph) -> CscReport {
-    let mut buckets: HashMap<u64, Vec<StateId>> = HashMap::new();
-    for s in sg.state_ids() {
-        buckets.entry(sg.code(s)).or_default().push(s);
-    }
+    let noninput = !sg.input_signals();
+    let excited = |s| {
+        let x = sg.excitation(s);
+        [x.rise, x.fall, x.toggle].map(|mask| mask & noninput)
+    };
+    let mut states: Vec<(u64, StateId)> = sg.state_ids().map(|s| (sg.code(s), s)).collect();
+    states.sort_unstable();
     let mut conflicts = Vec::new();
-    for (&code, states) in &buckets {
-        if states.len() < 2 {
-            continue;
-        }
-        for (i, &a) in states.iter().enumerate() {
-            let ea = sg.enabled_noninput_edges(a);
-            for &b in &states[i + 1..] {
-                let eb = sg.enabled_noninput_edges(b);
-                conflicts.push(CodingConflict {
-                    a: a.min(b),
-                    b: a.max(b),
-                    code,
-                    csc: ea != eb,
-                });
-            }
+    for (i, &(code, a)) in states.iter().enumerate() {
+        for &(_, b) in states[i + 1..].iter().take_while(|&&(c, _)| c == code) {
+            let csc = excited(a) != excited(b);
+            conflicts.push(CodingConflict { a, b, code, csc });
         }
     }
-    conflicts.sort_by_key(|c| (c.a, c.b));
+    conflicts.sort_unstable_by_key(|c| (c.a, c.b));
     CscReport { conflicts }
 }
 
@@ -122,9 +116,9 @@ Req+ Ack+
         assert_eq!(rep.num_csc_conflicts(), 1);
         let c = rep.conflicts.iter().find(|c| c.csc).unwrap();
         // One of the two states enables Ack- (an output), the other not.
-        let ea = sg.enabled_noninput_edges(c.a);
-        let eb = sg.enabled_noninput_edges(c.b);
-        assert_ne!(ea, eb);
+        let ack = sg.signal_by_name("Ack").unwrap().index();
+        let falls = |s| sg.excitation(s).fall >> ack & 1;
+        assert_ne!(falls(c.a), falls(c.b));
     }
 
     #[test]

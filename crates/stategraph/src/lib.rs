@@ -49,4 +49,4 @@ pub use build::{
     build_state_graph, build_state_graph_stats, build_state_graph_with, BuildOptions, BuildStats,
 };
 pub use error::{Result, SgError};
-pub use sg::{Arcs, ArcsIter, EventId, EventInfo, StateGraph, StateId};
+pub use sg::{Arcs, ArcsIter, EventId, EventInfo, Excitation, StateGraph, StateId};

@@ -9,14 +9,14 @@
 //! for them, and the reduction cost function penalizes them.
 //!
 //! [`next_state_tables`] classifies every signal in one pass over the
-//! states: each state's implied values form one word, and the words are
-//! grouped by code. [`NextStateTables::table`] then splits one signal's
-//! codes into on, off and conflicting lists without another visit to
-//! the graph. All signals share the reachable codes
+//! states: each state's implied values form one word, read off its
+//! [`StateGraph::excitation`], and the words are grouped by code.
+//! [`NextStateTables::table`] then splits one signal's codes into on,
+//! off and conflicting lists without another visit to the graph. All signals share the reachable codes
 //! ([`NextStateTables::reachable`]), and so, when conflict-free, the
 //! same don't-care set. [`implied_value`] is the per-state definition.
 
-use reshuffle_petri::{Polarity, SignalEdge, SignalId};
+use reshuffle_petri::SignalId;
 
 use crate::sg::{StateGraph, StateId};
 
@@ -110,54 +110,20 @@ impl NextStateTables {
 
 /// The implied next value of `sig` in state `s`.
 pub fn implied_value(sg: &StateGraph, s: StateId, sig: SignalId) -> bool {
-    let cur = sg.value(s, sig);
-    let rise = SignalEdge {
-        signal: sig,
-        polarity: Polarity::Rise,
-    };
-    let fall = SignalEdge {
-        signal: sig,
-        polarity: Polarity::Fall,
-    };
-    if cur {
-        // High: stays 1 unless a falling edge is excited.
-        !sg.enables_edge(s, fall)
-    } else {
-        sg.enables_edge(s, rise)
-    }
+    sg.excitation(s).implied(sg.code(s)) >> sig.index() & 1 == 1
 }
 
 /// Classifies every signal of `sg` in one pass over its states: per
-/// state, the word of implied values is `(code & !falling) | (!code &
-/// rising)`, where `rising` and `falling` are the signals whose `+` or
-/// `-` edge the state enables. Bit `i` of that word equals
-/// [`implied_value`] for signal `i`.
+/// state, the word of implied values is [`Excitation::implied`] of its
+/// code, whose bit `i` is [`implied_value`] for signal `i`.
+///
+/// [`Excitation::implied`]: crate::Excitation::implied
 pub fn next_state_tables(sg: &StateGraph) -> NextStateTables {
-    let (rising, falling): (Vec<u64>, Vec<u64>) = sg
-        .events()
-        .iter()
-        .map(|ev| match ev.edge {
-            Some(SignalEdge {
-                signal,
-                polarity: Polarity::Rise,
-            }) => (1 << signal.index(), 0),
-            Some(SignalEdge {
-                signal,
-                polarity: Polarity::Fall,
-            }) => (0, 1 << signal.index()),
-            _ => (0, 0),
-        })
-        .unzip();
     let mut implied: Vec<(u64, u64)> = sg
         .state_ids()
         .map(|s| {
-            let (mut rise, mut fall) = (0, 0);
-            for e in sg.succ(s).events() {
-                rise |= rising[e.index()];
-                fall |= falling[e.index()];
-            }
             let code = sg.code(s);
-            (code, (code & !fall) | (!code & rise))
+            (code, sg.excitation(s).implied(code))
         })
         .collect();
     implied.sort_unstable();

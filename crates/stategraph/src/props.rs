@@ -4,6 +4,9 @@
 //!
 //! Checks return structured *violation reports* rather than errors, so
 //! callers can both assert properties in tests and display diagnostics.
+//! Each reads a state's enabled edges from [`StateGraph::excitation`].
+//! Witnesses come in state, then arc (event), then `(signal, polarity)`
+//! order.
 
 use reshuffle_petri::SignalEdge;
 
@@ -48,7 +51,8 @@ pub struct PersistencyWitness {
 /// Returns all determinism violations (empty = deterministic).
 pub fn nondeterminism_witnesses(sg: &StateGraph) -> Vec<NondeterminismWitness> {
     let mut out = Vec::new();
-    for s in sg.state_ids() {
+    // Only a state in which two arcs carry one edge can branch on it.
+    for s in sg.state_ids().filter(|&s| sg.excitation(s).repeated) {
         let succ = sg.succ(s);
         for i in 0..succ.len() {
             let (e1, t1) = succ.get(i);
@@ -77,10 +81,13 @@ pub fn nondeterminism_witnesses(sg: &StateGraph) -> Vec<NondeterminismWitness> {
 pub fn commutativity_witnesses(sg: &StateGraph) -> Vec<CommutativityWitness> {
     let mut out = Vec::new();
     for s in sg.state_ids() {
-        let edges = sg.enabled_edges(s);
-        for (i, &a) in edges.iter().enumerate() {
-            for &b in &edges[i + 1..] {
-                let (Some(sa), Some(sb)) = (sg.step_edge(s, a), sg.step_edge(s, b)) else {
+        let mut edges = sg.excitation(s).edges();
+        while let Some(a) = edges.next() {
+            let Some(sa) = sg.step_edge(s, a) else {
+                continue;
+            };
+            for b in edges.clone() {
+                let Some(sb) = sg.step_edge(s, b) else {
                     continue;
                 };
                 let (Some(sab), Some(sba)) = (sg.step_edge(sa, b), sg.step_edge(sb, a)) else {
@@ -105,31 +112,25 @@ pub fn commutativity_witnesses(sg: &StateGraph) -> Vec<CommutativityWitness> {
 /// fires, and *input* events may only be disabled by other input events
 /// (the environment's choice), never by the circuit's own events.
 pub fn persistency_witnesses(sg: &StateGraph) -> Vec<PersistencyWitness> {
+    let inputs = sg.input_signals();
+    let is_input = |e: SignalEdge| inputs >> e.signal.index() & 1 == 1;
     let mut out = Vec::new();
     for s in sg.state_ids() {
-        let edges = sg.enabled_edges(s);
+        let enabled = sg.excitation(s);
         for (ev, t) in sg.succ(s) {
             let Some(fired) = sg.event(ev).edge else {
                 continue;
             };
-            let fired_is_input = sg.signal(fired.signal).kind == reshuffle_petri::SignalKind::Input;
-            for &other in &edges {
-                if other == fired {
-                    continue;
-                }
-                let other_is_input =
-                    sg.signal(other.signal).kind == reshuffle_petri::SignalKind::Input;
+            for disabled in enabled.minus(&sg.excitation(t)).edges() {
                 // Input events may disable input events.
-                if fired_is_input && other_is_input {
+                if disabled == fired || (is_input(fired) && is_input(disabled)) {
                     continue;
                 }
-                if !sg.enables_edge(t, other) {
-                    out.push(PersistencyWitness {
-                        state: s,
-                        disabled: other,
-                        by: fired,
-                    });
-                }
+                out.push(PersistencyWitness {
+                    state: s,
+                    disabled,
+                    by: fired,
+                });
             }
         }
     }

@@ -6,7 +6,9 @@
 //! events with the same [`SignalEdge`] label); most properties
 //! (determinism, persistency, concurrency, excitation regions) are
 //! defined at the *edge* level, merging instances, exactly as in the
-//! paper.
+//! paper. [`StateGraph::excitation`] is the one place that decides
+//! which edges a state enables: three bit masks over signals (rising,
+//! falling, toggling) that every per-state property reads.
 //!
 //! # Storage layout
 //!
@@ -38,7 +40,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
-use reshuffle_petri::{Signal, SignalEdge, SignalId, SignalKind};
+use reshuffle_petri::{Polarity, Signal, SignalEdge, SignalId, SignalKind};
 
 use crate::error::{Result, SgError};
 
@@ -132,6 +134,63 @@ impl<'a> IntoIterator for Arcs<'a> {
 impl fmt::Debug for Arcs<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// The signal edges one state enables ([`StateGraph::excitation`]): bit
+/// `i` of `rise`, `fall` or `toggle` is set when an arc of the state
+/// carries edge `+`, `-` or `~` of signal `i`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Excitation {
+    /// Signals with an enabled `+` edge.
+    pub rise: u64,
+    /// Signals with an enabled `-` edge.
+    pub fall: u64,
+    /// Signals with an enabled `~` edge.
+    pub toggle: u64,
+    /// True if two arcs carry one edge (two instances, `a+` and `a+/2`).
+    pub repeated: bool,
+}
+
+impl Excitation {
+    /// Signals with some enabled edge.
+    pub fn signals(&self) -> u64 {
+        self.rise | self.fall | self.toggle
+    }
+
+    /// The edges enabled here and not in `other`.
+    pub fn minus(&self, other: &Excitation) -> Excitation {
+        Excitation {
+            rise: self.rise & !other.rise,
+            fall: self.fall & !other.fall,
+            toggle: self.toggle & !other.toggle,
+            repeated: false,
+        }
+    }
+
+    /// The implied next value of every signal in a state with code
+    /// `code`: 1 if high and not falling, or low and rising.
+    pub fn implied(&self, code: u64) -> u64 {
+        (code & !self.fall) | (!code & self.rise)
+    }
+
+    /// The enabled edges in `(signal, polarity)` order.
+    pub fn edges(&self) -> impl Iterator<Item = SignalEdge> + Clone {
+        let mut rest = *self;
+        std::iter::from_fn(move || {
+            let i = rest.signals().trailing_zeros();
+            let bit = 1u64.checked_shl(i)?;
+            let (mask, polarity) = if rest.rise & bit != 0 {
+                (&mut rest.rise, Polarity::Rise)
+            } else if rest.fall & bit != 0 {
+                (&mut rest.fall, Polarity::Fall)
+            } else {
+                (&mut rest.toggle, Polarity::Toggle)
+            };
+            *mask &= !bit;
+            let signal = SignalId::from_index(i as usize);
+            Some(SignalEdge { signal, polarity })
+        })
     }
 }
 
@@ -364,34 +423,31 @@ impl StateGraph {
             .map(|i| arcs.targets[i])
     }
 
-    /// True if some event with the given edge is enabled in `s`.
-    pub fn enables_edge(&self, s: StateId, edge: SignalEdge) -> bool {
-        self.succ(s)
-            .events
-            .iter()
-            .any(|&ev| self.events[ev.index()].edge == Some(edge))
+    /// The signal edges that state `s` enables, dummies left out: the
+    /// one place that decides it for every per-state property.
+    pub fn excitation(&self, s: StateId) -> Excitation {
+        let (mut x, mut arcs) = (Excitation::default(), 0);
+        for &e in self.succ(s).events {
+            if let Some(edge) = self.events[e.index()].edge {
+                let bit = 1 << edge.signal.index();
+                match edge.polarity {
+                    Polarity::Rise => x.rise |= bit,
+                    Polarity::Fall => x.fall |= bit,
+                    Polarity::Toggle => x.toggle |= bit,
+                }
+                arcs += 1;
+            }
+        }
+        // Fewer distinct edges than arcs carrying one: some edge repeats.
+        x.repeated = arcs > x.rise.count_ones() + x.fall.count_ones() + x.toggle.count_ones();
+        x
     }
 
-    /// The distinct signal edges enabled in `s`.
-    pub fn enabled_edges(&self, s: StateId) -> Vec<SignalEdge> {
-        let mut edges: Vec<SignalEdge> = self
-            .succ(s)
-            .events
-            .iter()
-            .filter_map(|&ev| self.events[ev.index()].edge)
-            .collect();
-        edges.sort_by_key(|e| (e.signal, e.polarity));
-        edges.dedup();
-        edges
-    }
-
-    /// The distinct *non-input* signal edges enabled in `s` (the set CSC
-    /// compares between equally-coded states).
-    pub fn enabled_noninput_edges(&self, s: StateId) -> Vec<SignalEdge> {
-        self.enabled_edges(s)
-            .into_iter()
-            .filter(|e| self.signals[e.signal.index()].kind.is_noninput())
-            .collect()
+    /// The input signals, one bit per signal.
+    pub fn input_signals(&self) -> u64 {
+        (0..self.signals.len())
+            .filter(|&i| self.signals[i].kind == SignalKind::Input)
+            .fold(0, |mask, i| mask | 1 << i)
     }
 
     /// Total number of arcs.
@@ -427,13 +483,11 @@ impl StateGraph {
     /// Renders the code of state `s` with one char per signal, `*`-marked
     /// for enabled signals, in signal order — like Fig. 1(d): `1*0*`.
     pub fn render_state(&self, s: StateId) -> String {
+        let (code, excited) = (self.code(s), self.excitation(s).signals());
         let mut out = String::new();
-        let enabled = self.enabled_edges(s);
         for sig in 0..self.signals.len() {
-            let sig_id = SignalId::from_index(sig);
-            let v = if self.value(s, sig_id) { '1' } else { '0' };
-            out.push(v);
-            if enabled.iter().any(|e| e.signal == sig_id) {
+            out.push(if code >> sig & 1 == 1 { '1' } else { '0' });
+            if excited >> sig & 1 == 1 {
                 out.push('*');
             }
         }
@@ -444,7 +498,6 @@ impl StateGraph {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use reshuffle_petri::Polarity;
 
     fn sig(name: &str, kind: SignalKind) -> Signal {
         Signal {
@@ -569,6 +622,36 @@ pub(crate) mod tests {
         assert_ne!(g1.fingerprint(), g2.fingerprint());
         assert_ne!(g1, g2);
         assert_eq!(g1, diamond());
+    }
+
+    #[test]
+    fn excitation_masks_the_enabled_edges() {
+        let g = diamond();
+        let x = g.excitation(0);
+        assert_eq!((x.rise, x.fall, x.toggle, x.repeated), (0b11, 0, 0, false));
+        assert_eq!(g.excitation(1).rise, 0b10);
+        assert_eq!(g.excitation(3), Excitation::default());
+        let edge = |i, polarity| SignalEdge {
+            signal: SignalId::from_index(i),
+            polarity,
+        };
+        // Edges come in (signal, polarity) order.
+        let x = Excitation {
+            rise: 0b101,
+            fall: 0b100,
+            toggle: 0b010,
+            repeated: false,
+        };
+        let want = [
+            edge(0, Polarity::Rise),
+            edge(1, Polarity::Toggle),
+            edge(2, Polarity::Rise),
+            edge(2, Polarity::Fall),
+        ];
+        assert!(x.edges().eq(want));
+        assert_eq!(x.minus(&g.excitation(0)).rise, 0b100);
+        // Rising excites a low signal, falling a high one.
+        assert_eq!(x.implied(0b110), 0b011);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! for reset. This is the implementation style of the paper's Fig. 3(c).
 
 use reshuffle_logic::{complement, factor, minimize, Cover};
-use reshuffle_petri::{Polarity, SignalEdge, SignalId, SignalKind};
+use reshuffle_petri::{SignalId, SignalKind};
 use reshuffle_sg::StateGraph;
 
 use crate::error::{Result, SynthError};
@@ -48,27 +48,21 @@ pub struct GcImpl {
 /// the signal at the same level (a CSC conflict visible to this signal).
 pub fn derive_gc_function(sg: &StateGraph, signal: SignalId) -> Result<GcFunction> {
     let nv = sg.num_signals();
-    let rise = SignalEdge {
-        signal,
-        polarity: Polarity::Rise,
-    };
-    let fall = SignalEdge {
-        signal,
-        polarity: Polarity::Fall,
-    };
+    let bit = 1u64 << signal.index();
     let mut set_on = Vec::new();
     let mut set_off = Vec::new();
     let mut reset_on = Vec::new();
     let mut reset_off = Vec::new();
     for s in sg.state_ids() {
         let code = sg.code(s);
-        if sg.value(s, signal) {
-            if sg.enables_edge(s, fall) {
+        let x = sg.excitation(s);
+        if code & bit != 0 {
+            if x.fall & bit != 0 {
                 reset_on.push(code);
             } else {
                 reset_off.push(code);
             }
-        } else if sg.enables_edge(s, rise) {
+        } else if x.rise & bit != 0 {
             set_on.push(code);
         } else {
             set_off.push(code);

@@ -63,4 +63,4 @@ pub use gc::{derive_gc_function, synthesize_gc, GcFunction, GcImpl};
 pub use library::{GateType, Library};
 pub use memo::CoverMemo;
 pub use netlist::{Netlist, Node, NodeId};
-pub use verify::{check_against_sg, verify_against_sg, verify_complete, Mismatch};
+pub use verify::{check_against_sg, verify_against_sg, Mismatch};

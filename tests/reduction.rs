@@ -6,8 +6,11 @@
 //! interleavings).
 
 use reshuffle_bench::examples;
+use reshuffle_handshake::{expand_handshakes, ExpansionOptions};
 use reshuffle_petri::parse_g;
+use reshuffle_petri::structural::{insert_causal_place, signal_automorphisms};
 use reshuffle_reduce::{reduce_concurrency, ReduceOptions};
+use reshuffle_sg::conc::concurrent_pairs;
 use reshuffle_sg::{build_state_graph, csc::analyze_csc, props::speed_independence, StateGraph};
 use reshuffle_synth::literal_estimate;
 
@@ -130,6 +133,44 @@ fn symmetry_dominance_prunes_exactly_the_mirror_moves() {
             assert!(step.label.contains(" -> "), "{name}: malformed label");
         }
     }
+}
+
+#[test]
+fn a_serializing_move_can_create_a_symmetry_its_root_lacks() {
+    // The reduce search computes no automorphisms below a root spec
+    // that has none, and keeps every move there. That is a shortcut,
+    // not an invariant: pulses-c2's reshuffling that orders p1- before
+    // req- has no signal automorphism, and the legal move that orders
+    // p2- before req- as well gives it one (p1 <-> p2).
+    let spec = parse_g(&examples::pulses(2, true)).unwrap();
+    let all = ExpansionOptions {
+        max_reshufflings: 4096,
+    };
+    let root = expand_handshakes(&spec, &all)
+        .unwrap()
+        .into_iter()
+        .find(|r| r.choices == ["p1- -> req-"])
+        .expect("the reshuffling that orders only p1- before req-");
+    assert!(signal_automorphisms(&root.stg).is_empty());
+
+    let t = |label| root.stg.transition_by_label(label).unwrap();
+    let (p2_fall, req_fall) = (t("p2-"), t("req-"));
+    let (from, to) = (root.stg.edge_of(p2_fall), root.stg.edge_of(req_fall));
+    let (from, to) = (from.unwrap(), to.unwrap());
+    let pairs = concurrent_pairs(&root.sg);
+    assert!(
+        pairs.contains(&(from, to)) || pairs.contains(&(to, from)),
+        "p2- -> req- is a move the search considers"
+    );
+    let mut node = root.stg.clone();
+    insert_causal_place(&mut node, p2_fall, req_fall).unwrap();
+    let node_sg = build_state_graph(&node).unwrap();
+    assert!(speed_independence(&node_sg).is_speed_independent());
+    assert!(node_sg.deadlock_states().is_empty());
+    assert!(
+        !signal_automorphisms(&node).is_empty(),
+        "the move gave the node a symmetry"
+    );
 }
 
 #[test]
