@@ -18,7 +18,7 @@
 
 use reshuffle_petri::TransitionId;
 use reshuffle_sg::conc::concurrent_pairs;
-use reshuffle_sg::props::{all_events_fire, speed_independence};
+use reshuffle_sg::props::live_and_speed_independent;
 use reshuffle_sg::restrict::restrict_with_place;
 use reshuffle_sg::EventId;
 
@@ -78,22 +78,13 @@ pub(crate) fn anchors(base: &BaseExpansion) -> Vec<Vec<TransitionId>> {
                     !base.rtz.contains(&u)
                         && base.stg.transitions_of_edge(ue).len() == 1
                         && (pairs.contains(&(te, ue)) || pairs.contains(&(ue, te)))
-                        && feasible_alone(base, u, t)
+                        && restrict_with_place(&base.sg, EventId(u.0), EventId(t.0))
+                            .is_ok_and(|sg| live_and_speed_independent(&sg))
                 })
                 .take(63) // LatticePoint masks are u64 bitmasks
                 .collect()
         })
         .collect()
-}
-
-/// True if serializing `rtz` after `anchor` is feasible on its own.
-fn feasible_alone(base: &BaseExpansion, anchor: TransitionId, rtz: TransitionId) -> bool {
-    let Ok(sg) = restrict_with_place(&base.sg, EventId(anchor.0), EventId(rtz.0)) else {
-        return false; // the ordering place would be unsafe
-    };
-    sg.deadlock_states().is_empty()
-        && all_events_fire(&sg)
-        && speed_independence(&sg).is_speed_independent()
 }
 
 /// Enumerates lattice points, *eager first, lazy second*, then the

@@ -29,11 +29,13 @@ mod expand;
 mod lattice;
 mod prune;
 
+use std::collections::hash_map::{Entry, HashMap};
 use std::collections::HashSet;
 use std::fmt;
 
 use reshuffle_petri::structural::signal_automorphisms;
 use reshuffle_petri::Stg;
+use reshuffle_sg::props::live_and_speed_independent;
 use reshuffle_sg::{SgError, StateGraph};
 
 /// Errors from handshake expansion.
@@ -245,7 +247,8 @@ pub fn expand_handshakes_stats(stg: &Stg, opts: &ExpansionOptions) -> Result<Exp
 
     let mut stats = ExpansionStats::default();
     let mut out: Vec<Reshuffling> = Vec::new();
-    let mut seen_graphs: HashSet<u64> = HashSet::new();
+    // Gate verdicts by graph fingerprint: each distinct graph is gated once.
+    let mut verdicts: HashMap<u64, bool> = HashMap::new();
     let mut seen_keys: HashSet<String> = HashSet::new();
     let mut prefixes = prune::PrefixCache::default();
     for point in &points {
@@ -254,11 +257,19 @@ pub fn expand_handshakes_stats(stg: &Stg, opts: &ExpansionOptions) -> Result<Exp
         }
         stats.points += 1;
         let constraints = point.constraints(&base.rtz, &anchors);
-        let Some(r) = prune::realize(&base, &constraints, &mut prefixes) else {
+        let Some(sg) = prune::realize(&base, &constraints, &mut prefixes) else {
             stats.infeasible += 1;
             continue;
         };
-        if !seen_graphs.insert(r.sg.fingerprint()) {
+        let (live, repeat) = match verdicts.entry(sg.fingerprint()) {
+            Entry::Occupied(v) => (*v.get(), true),
+            Entry::Vacant(v) => (*v.insert(live_and_speed_independent(&sg)), false),
+        };
+        if !live {
+            stats.infeasible += 1;
+            continue;
+        }
+        if repeat {
             stats.deduped_graphs += 1;
             continue; // implied orderings: same graph as an earlier point
         }
@@ -266,7 +277,7 @@ pub fn expand_handshakes_stats(stg: &Stg, opts: &ExpansionOptions) -> Result<Exp
             stats.deduped_symmetry += 1;
             continue; // mirror image of an earlier point
         }
-        out.push(r);
+        out.push(prune::reshuffling(&base, &constraints, sg));
     }
     stats.prefix_hits = prefixes.hits;
     stats.restriction_products = prefixes.products;
@@ -353,12 +364,11 @@ mod tests {
     /// The shared-prefix realization is an optimization, not a
     /// semantics change: for every lattice point, the trie path and a
     /// freshly chained `restrict_with_place` sequence must agree — same
-    /// feasibility verdict, equal state graphs. The trie's products plus
+    /// safety verdict, equal state graphs. The trie's products plus
     /// hits must equal the products the chain runs, counted apart, and
     /// the trie must run strictly fewer.
     #[test]
     fn trie_realization_matches_chained_for_every_point() {
-        use reshuffle_sg::props::all_events_fire;
         use reshuffle_sg::restrict::restrict_with_place;
         use reshuffle_sg::EventId;
         for src in [PULSE_G, SYMMETRIC_G] {
@@ -370,24 +380,19 @@ mod tests {
             let mut chained_products = 0u64;
             for point in &points {
                 let constraints = point.constraints(&base.rtz, &anchors);
-                // Reference: the chained path, gated exactly as realize.
-                let mut sg = Some(base.sg.clone());
+                // Reference: the chained path.
+                let mut chained = Some(base.sg.clone());
                 for &(b, r) in &constraints {
-                    sg = sg.and_then(|g| {
+                    chained = chained.and_then(|g| {
                         chained_products += 1;
                         restrict_with_place(&g, EventId(b.0), EventId(r.0)).ok()
                     });
                 }
-                let chained = sg.filter(|g| {
-                    g.deadlock_states().is_empty()
-                        && all_events_fire(g)
-                        && speed_independence(g).is_speed_independent()
-                });
                 let trie = prune::realize(&base, &constraints, &mut cache);
                 match (&chained, &trie) {
                     (None, None) => {}
-                    (Some(g), Some(r)) => {
-                        assert!(*g == r.sg, "{src}: point {constraints:?} drifted")
+                    (Some(g), Some(t)) => {
+                        assert!(g == t, "{src}: point {constraints:?} drifted")
                     }
                     _ => panic!(
                         "{src}: feasibility disagrees at {constraints:?}: \

@@ -9,6 +9,9 @@
 //! channels are dominated: a reshuffling and its mirror synthesize to
 //! relabelled copies of the same circuit).
 //!
+//! A point stays a state graph through all of that ([`realize`]); only
+//! a survivor gets its STG ([`reshuffling`]).
+//!
 //! Realization shares work across lattice points through a
 //! [`PrefixCache`]: points are constraint *sequences* in a fixed
 //! canonical order (RTZ transitions in `BaseExpansion::rtz` order, each
@@ -20,9 +23,8 @@
 
 use std::collections::HashMap;
 
-use reshuffle_petri::structural::{insert_causal_place, map_transition};
+use reshuffle_petri::structural::map_transition;
 use reshuffle_petri::{SignalId, Stg, TransitionId};
-use reshuffle_sg::props::{all_events_fire, speed_independence};
 use reshuffle_sg::restrict::restrict_with_place;
 use reshuffle_sg::{EventId, StateGraph};
 
@@ -55,14 +57,14 @@ impl PrefixCache {
     }
 }
 
-/// Applies one lattice point's constraints to the base expansion and
-/// runs the semantic gates, reusing the longest memoized constraint
-/// prefix from `cache`. `None` means the point is pruned.
+/// Derives the state graph of one lattice point's constraints over the
+/// base expansion, reusing the longest memoized constraint prefix from
+/// `cache`. `None` means an ordering place went unsafe.
 pub(crate) fn realize(
     base: &BaseExpansion,
     constraints: &[(TransitionId, TransitionId)],
     cache: &mut PrefixCache,
-) -> Option<Reshuffling> {
+) -> Option<StateGraph> {
     // Longest memoized prefix: the chained path would have re-executed
     // those products (or, for a memoized failure, executed the failing
     // prefix before bailing) — count them as hits either way.
@@ -97,23 +99,29 @@ pub(crate) fn realize(
             }
         }
     }
-    if !sg.deadlock_states().is_empty() || !all_events_fire(&sg) {
-        return None;
-    }
-    if !speed_independence(&sg).is_speed_independent() {
-        return None;
-    }
+    Some(sg)
+}
+
+/// The reshuffling of a kept lattice point whose graph [`realize`]
+/// derived: the base STG with one ordering place per constraint, and
+/// the constraints as choice labels.
+pub(crate) fn reshuffling(
+    base: &BaseExpansion,
+    constraints: &[(TransitionId, TransitionId)],
+    sg: StateGraph,
+) -> Reshuffling {
     let mut stg = base.stg.clone();
     let mut choices = Vec::with_capacity(constraints.len());
     for &(before, rtz) in constraints {
-        insert_causal_place(&mut stg, before, rtz).ok()?;
+        stg.connect(before, rtz)
+            .expect("a fresh place takes both arcs");
         choices.push(format!(
             "{} -> {}",
             base.stg.transition_name(before),
             base.stg.transition_name(rtz)
         ));
     }
-    Some(Reshuffling { stg, sg, choices })
+    Reshuffling { stg, sg, choices }
 }
 
 /// A canonical key for a constraint set modulo the base expansion's

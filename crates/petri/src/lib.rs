@@ -12,7 +12,7 @@
 //!   edges `a+`, `a-`, `a~`), with interface roles per signal;
 //! * astg (`.g`) [parsing](parse_g) and [writing](write_g);
 //! * [structural transformations](structural) used by handshake
-//!   expansion and concurrency reduction;
+//!   expansion and CSC resolution;
 //! * [`canonical_fingerprint`] — declaration-order-invariant hashing of
 //!   STGs, the key of the facade's synthesis cache.
 //!

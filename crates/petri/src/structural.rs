@@ -1,75 +1,80 @@
 //! Structural (syntax-level) transformations on STGs.
 //!
-//! These are the building blocks of handshake expansion (Section 4 of
-//! the paper) and of STG-level concurrency reduction: inserting a causal
-//! place between two events, inserting a transition in series after an
-//! event, and dropping unused places.
+//! These are the building blocks of handshake expansion (Section 3 of
+//! the paper) and of CSC resolution: expanding a channel to four
+//! phases, inserting a state signal's edges in series after two events,
+//! signal automorphisms, and a behavior-preserving pre-reduction. A
+//! causal place between two events, the rewrite of both reshuffling
+//! and concurrency reduction, is [`Stg::connect`].
 
 use crate::error::{PetriError, Result};
 use crate::ids::{PlaceId, SignalId, TransitionId};
 use crate::marking::Marking;
-use crate::stg::{Polarity, SignalEdge, Stg, TransLabel};
+use crate::stg::{Polarity, SignalEdge, SignalKind, Stg, TransLabel};
 
-/// Inserts a causal constraint *"`to` waits for `from`"*: a fresh place
-/// with arcs `from -> p -> to`. This is the STG counterpart of forward
-/// concurrency reduction `FwdRed(to, from)` in the simple persistent
-/// case (Section 6).
+/// The postset places of `after` that a series insertion after it
+/// reroutes: those with a consumer and no input consumer, so an
+/// inserted edge never delays the environment.
 ///
 /// # Errors
 ///
-/// Returns an error if the place/arcs already exist.
-pub fn insert_causal_place(stg: &mut Stg, from: TransitionId, to: TransitionId) -> Result<PlaceId> {
-    stg.connect(from, to)
-}
-
-/// Inserts a new transition labelled `signal`/`polarity` in series after
-/// `after`: all postset places of `after` whose consumers are **all**
-/// accepted by `keep` are re-routed to be produced by the new transition,
-/// and a fresh place connects `after` to the new transition.
-///
-/// Used for state-signal insertion (`csc+` after event x): the new event
-/// then precedes every successor of `after` routed through it.
-///
-/// Returns the new transition.
-///
-/// # Errors
-///
-/// Returns [`PetriError::Structural`] if no postset place of `after` is
-/// eligible (the insertion would leave the new transition with no
-/// successors, i.e. dangling).
-pub fn insert_series_transition(
-    stg: &mut Stg,
-    after: TransitionId,
-    signal: SignalId,
-    polarity: Polarity,
-    keep: impl Fn(&Stg, TransitionId) -> bool,
-) -> Result<TransitionId> {
-    // Decide which postset places to reroute before mutating.
-    let eligible: Vec<PlaceId> = stg
-        .net()
+/// [`PetriError::Structural`] if there is none.
+pub fn series_places(stg: &Stg, after: TransitionId) -> Result<Vec<PlaceId>> {
+    let net = stg.net();
+    let places: Vec<PlaceId> = net
         .postset(after)
         .iter()
         .copied()
         .filter(|&p| {
-            let consumers = stg.net().consumers(p);
-            !consumers.is_empty() && consumers.iter().all(|&u| keep(stg, u))
+            let consumers = net.consumers(p);
+            !consumers.is_empty() && !consumers.iter().any(|&u| stg.is_input_transition(u))
         })
         .collect();
-    if eligible.is_empty() {
+    if places.is_empty() {
         return Err(PetriError::Structural(format!(
             "no postset place of {} is eligible for series insertion",
             stg.transition_name(after)
         )));
     }
-    let new_t = stg.add_edge_transition(signal, polarity);
-    for p in &eligible {
-        stg.net_mut().remove_arc_tp(after, *p);
-        stg.arc_tp(new_t, *p)?;
+    Ok(places)
+}
+
+/// Inserts a fresh internal state signal `name` (the CSC resolution
+/// move): `name+` in series after `x` and `name-` after `y`. Each
+/// inserted edge takes over the [`series_places`] of its event and
+/// waits for that event through a fresh link place. Returns the
+/// candidate STG and its `name+` and `name-` transitions, the last two.
+///
+/// # Errors
+///
+/// [`PetriError::Structural`] if `x == y` or either event has no series
+/// place; [`PetriError::DuplicateName`] if `name` is taken.
+pub fn insert_state_signal(
+    stg: &Stg,
+    name: &str,
+    x: TransitionId,
+    y: TransitionId,
+) -> Result<(Stg, TransitionId, TransitionId)> {
+    if x == y {
+        let x = stg.transition_name(x);
+        return Err(PetriError::Structural(format!("both edges after {x}")));
     }
-    let link = stg.add_place();
-    stg.arc_tp(after, link)?;
-    stg.arc_pt(link, new_t)?;
-    Ok(new_t)
+    let mut cand = stg.clone();
+    let signal = cand.add_signal(name, SignalKind::Internal)?;
+    let mut inserted = [x, y];
+    for (t, polarity) in inserted.iter_mut().zip([Polarity::Rise, Polarity::Fall]) {
+        let after = *t;
+        let places = series_places(&cand, after)?;
+        *t = cand.add_edge_transition(signal, polarity);
+        for p in places {
+            cand.net_mut().remove_arc_tp(after, p);
+            cand.arc_tp(*t, p)?;
+        }
+        let link = cand.add_place();
+        cand.arc_tp(after, link)?;
+        cand.arc_pt(link, *t)?;
+    }
+    Ok((cand, inserted[0], inserted[1]))
 }
 
 /// The four protocol transitions of one expanded handshake channel.
@@ -702,7 +707,7 @@ mod tests {
         let bm = g.transition_by_label("b-").unwrap();
         // Already ordered; adding a duplicate ordering place is fine as
         // long as the arc pair differs — connect() makes a fresh place.
-        let p = insert_causal_place(&mut g, am, bm).unwrap();
+        let p = g.connect(am, bm).unwrap();
         assert_eq!(g.net().producers(p), &[am]);
         assert_eq!(g.net().consumers(p), &[bm]);
         // Language unchanged: same number of reachable markings modulo
@@ -713,32 +718,46 @@ mod tests {
 
     #[test]
     fn series_insertion_reroutes_successors() {
-        let mut g = chain();
-        let csc = g.add_signal("csc", SignalKind::Internal).unwrap();
-        let bp = g.transition_by_label("b+").unwrap();
-        let t = insert_series_transition(&mut g, bp, csc, Polarity::Rise, |_, _| true).unwrap();
-        assert_eq!(g.transition_name(t), "csc+");
-        // b+ now leads only to the link place; csc+ produces into the
-        // former postset of b+.
-        assert_eq!(g.net().postset(bp).len(), 1);
+        let g = chain();
+        let ap = g.transition_by_label("a+").unwrap();
         let am = g.transition_by_label("a-").unwrap();
-        let pred_places = g.net().preset(am);
-        assert!(pred_places
+        let (cand, rise, fall) = insert_state_signal(&g, "csc", ap, am).unwrap();
+        assert_eq!(cand.transition_name(rise), "csc+");
+        assert_eq!(cand.transition_name(fall), "csc-");
+        assert_eq!(cand.signal_by_name("csc").map(|s| s.index()), Some(2));
+        // a+ now leads only to the link place; csc+ produces into the
+        // former postset of a+.
+        assert_eq!(cand.net().postset(ap).len(), 1);
+        let bp = cand.transition_by_label("b+").unwrap();
+        assert!(cand
+            .net()
+            .preset(bp)
             .iter()
-            .any(|&p| g.net().producers(p).contains(&t)));
-        // The trace now interleaves csc+: 5 states in the cycle.
-        let r = ReachabilityGraph::explore_default(g.net(), &g.initial_marking()).unwrap();
-        assert_eq!(r.len(), 5);
+            .any(|&p| cand.net().producers(p).contains(&rise)));
+        // The cycle now interleaves csc+ and csc-: 6 states.
+        let r = ReachabilityGraph::explore_default(cand.net(), &cand.initial_marking()).unwrap();
+        assert_eq!(r.len(), 6);
     }
 
     #[test]
-    fn series_insertion_respects_filter() {
-        let mut g = chain();
-        let csc = g.add_signal("csc", SignalKind::Internal).unwrap();
+    fn an_input_consumer_blocks_rerouting() {
+        let g = chain();
+        let ap = g.transition_by_label("a+").unwrap();
         let bp = g.transition_by_label("b+").unwrap();
-        // Filter rejects everything -> error.
-        let e = insert_series_transition(&mut g, bp, csc, Polarity::Rise, |_, _| false);
-        assert!(e.is_err());
+        let bm = g.transition_by_label("b-").unwrap();
+        // b+'s only successor is the input a-: nothing to reroute.
+        let e = series_places(&g, bp).unwrap_err();
+        assert!(matches!(e, PetriError::Structural(_)), "{e}");
+        let e = insert_state_signal(&g, "csc", ap, bp).unwrap_err();
+        assert!(matches!(e, PetriError::Structural(_)), "{e}");
+        assert!(insert_state_signal(&g, "csc", bp, ap).is_err());
+        // The rule holds per place: b-'s successor a+ is an input too.
+        assert!(insert_state_signal(&g, "csc", ap, bm).is_err());
+        // A taken name and one event twice are refused too.
+        let am = g.transition_by_label("a-").unwrap();
+        let e = insert_state_signal(&g, "b", ap, am).unwrap_err();
+        assert_eq!(e, PetriError::DuplicateName("b".into()));
+        assert!(insert_state_signal(&g, "csc", ap, ap).is_err());
     }
 
     /// A partial two-phase handshake: `r~ -> a~ -> r~` with a declared

@@ -4,22 +4,24 @@
 //! specification allows in parallel — shrinks the state graph, often
 //! removes CSC conflicts without extra state signals, and trades cycle
 //! time for logic. The search enumerates serializing moves from the
-//! concurrency relation of [`reshuffle_sg::conc`], applies each as a
-//! structural STG rewrite (an ordering place `from -> p -> to`,
-//! [`reshuffle_petri::structural::insert_causal_place`]), re-derives the
-//! state graph incrementally as the product of the old graph with the
-//! new place ([`reshuffle_sg::restrict`]), and ranks candidates by
-//! remaining CSC conflicts, then the literal estimate of
+//! concurrency relation of [`reshuffle_sg::conc`]. A move is an
+//! ordering place `from -> p -> to`; its state graph is derived as the
+//! product of the node's graph with the new place
+//! ([`reshuffle_sg::restrict`]), and candidates are ranked by remaining
+//! CSC conflicts, then the literal estimate of
 //! [`reshuffle_synth::literal_estimate_with`], then the timed cycle metric of
 //! `reshuffle-timing` — optionally under a hard cycle-time bound.
 //!
 //! Moves that would delay an input transition, deadlock the system,
 //! stop an event from ever firing, or break speed independence are
-//! discarded; consistency is preserved by construction (the rewrite
-//! only restricts the language, and state codes carry over). Mirror
-//! moves under a signal automorphism of the specification (symmetric
-//! fork/join branches, interchangeable channels) are dominated and
-//! pruned before scoring — see [`Reduction::pruned`].
+//! discarded ([`live_and_speed_independent`]); consistency is preserved
+//! by construction (the rewrite only restricts the language, and state
+//! codes carry over). Mirror moves under a signal automorphism of the
+//! specification (symmetric fork/join branches, interchangeable
+//! channels) are dominated and pruned before scoring — see
+//! [`Reduction::pruned`]. A move stays a graph until the search scores
+//! it: only a move whose graph no earlier node had gets its STG, the
+//! node's plus the ordering place ([`Stg::connect`]).
 
 #![warn(missing_docs)]
 
@@ -27,11 +29,11 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
 use std::fmt;
 
-use reshuffle_petri::structural::{insert_causal_place, map_transition, signal_automorphisms};
+use reshuffle_petri::structural::{map_transition, signal_automorphisms};
 use reshuffle_petri::{Stg, TransitionId};
 use reshuffle_sg::conc::concurrent_pairs;
 use reshuffle_sg::csc::analyze_csc;
-use reshuffle_sg::props::{all_events_fire, speed_independence};
+use reshuffle_sg::props::live_and_speed_independent;
 use reshuffle_sg::restrict::restrict_with_place;
 use reshuffle_sg::{build_state_graph, EventId, SgError, StateGraph};
 use reshuffle_synth::{literal_estimate_with, CoverMemo};
@@ -334,11 +336,14 @@ pub fn reduce_concurrency_with(
         expansions += 1;
         let (candidates, pruned) = candidate_moves(&nodes[id], maybe_symmetric);
         pruned_total += pruned;
-        for (stg2, sg2, label) in candidates {
+        for (from, to, sg2, label) in candidates {
             if !visited.insert(sg2.fingerprint()) {
                 continue;
             }
             scored += 1;
+            let mut stg2 = nodes[id].stg.clone();
+            stg2.connect(from, to)
+                .expect("a fresh place takes both arcs");
             let Ok((conflicts, literals, cycle)) = evaluate(&stg2, &sg2, opts, memo) else {
                 continue; // e.g. the move deadlocks the timed simulation
             };
@@ -427,17 +432,21 @@ fn evaluate(
     Ok((conflicts, literals, run.period))
 }
 
+/// A serializing move: `to` waits for `from`, the graph it derives,
+/// and its `from -> to` label.
+type Move = (TransitionId, TransitionId, StateGraph, String);
+
 /// Enumerates the legal serializing moves applicable to `node`: for each
 /// concurrent pair, each direction whose delayed edge is non-input and
 /// single-instance, with the state graph re-derived incrementally and
-/// the liveness/speed-independence gates applied. Mirror-image moves
+/// the liveness/speed-independence gate applied. Mirror-image moves
 /// under a signal automorphism of the node's STG are dominated — they
 /// score identically by symmetry — so only the lexicographically least
 /// representative of each orbit is kept; the second value counts the
 /// discarded mirrors. With `maybe_symmetric` false, every move is kept
 /// without computing the node's automorphisms.
-fn candidate_moves(node: &Node, maybe_symmetric: bool) -> (Vec<(Stg, StateGraph, String)>, usize) {
-    let mut out: Vec<(Stg, StateGraph, String, TransitionId, TransitionId)> = Vec::new();
+fn candidate_moves(node: &Node, maybe_symmetric: bool) -> (Vec<Move>, usize) {
+    let mut out: Vec<Move> = Vec::new();
     for (a, b) in concurrent_pairs(&node.sg) {
         for (from, to) in [(a, b), (b, a)] {
             // Never delay the environment: the waiting edge must be an
@@ -456,15 +465,7 @@ fn candidate_moves(node: &Node, maybe_symmetric: bool) -> (Vec<(Stg, StateGraph,
             let Ok(sg2) = restrict_with_place(&node.sg, EventId(from_t.0), EventId(to_t.0)) else {
                 continue; // the rewrite would make the net unsafe
             };
-            // Liveness: no deadlock, every event still fires somewhere.
-            if !sg2.deadlock_states().is_empty() || !all_events_fire(&sg2) {
-                continue;
-            }
-            if !speed_independence(&sg2).is_speed_independent() {
-                continue;
-            }
-            let mut stg2 = node.stg.clone();
-            if insert_causal_place(&mut stg2, from_t, to_t).is_err() {
+            if !live_and_speed_independent(&sg2) {
                 continue;
             }
             let label = format!(
@@ -472,7 +473,7 @@ fn candidate_moves(node: &Node, maybe_symmetric: bool) -> (Vec<(Stg, StateGraph,
                 node.stg.transition_name(from_t),
                 node.stg.transition_name(to_t)
             );
-            out.push((stg2, sg2, label, from_t, to_t));
+            out.push((from_t, to_t, sg2, label));
         }
     }
 
@@ -484,8 +485,8 @@ fn candidate_moves(node: &Node, maybe_symmetric: bool) -> (Vec<(Stg, StateGraph,
         Vec::new()
     };
     if !autos.is_empty() {
-        let labels: HashSet<String> = out.iter().map(|(_, _, l, _, _)| l.clone()).collect();
-        out.retain(|(_, _, label, from_t, to_t)| {
+        let labels: HashSet<String> = out.iter().map(|(.., l)| l.clone()).collect();
+        out.retain(|(from_t, to_t, _, label)| {
             for perm in &autos {
                 let (Some(mf), Some(mt)) = (
                     map_transition(&node.stg, *from_t, perm),
@@ -506,12 +507,7 @@ fn candidate_moves(node: &Node, maybe_symmetric: bool) -> (Vec<(Stg, StateGraph,
             true
         });
     }
-    (
-        out.into_iter()
-            .map(|(stg, sg, label, _, _)| (stg, sg, label))
-            .collect(),
-        pruned,
-    )
+    (out, pruned)
 }
 
 #[cfg(test)]

@@ -166,15 +166,22 @@ pub fn speed_independence(sg: &StateGraph) -> SpeedIndependenceReport {
     }
 }
 
-/// True if every event of the graph's event table labels at least one arc.
-pub fn all_events_fire(sg: &StateGraph) -> bool {
+/// The admission gate of the searches over derived graphs (the
+/// reshuffling lattice, concurrency reduction): no deadlock state,
+/// every event labels an arc, and speed independent. One pass over the
+/// arcs reads deadlock and liveness, before the SI check.
+pub fn live_and_speed_independent(sg: &StateGraph) -> bool {
     let mut fired = vec![false; sg.num_events()];
     for s in sg.state_ids() {
-        for &e in sg.succ(s).events() {
+        let arcs = sg.succ(s);
+        if arcs.is_empty() {
+            return false;
+        }
+        for &e in arcs.events() {
             fired[e.index()] = true;
         }
     }
-    fired.into_iter().all(|b| b)
+    fired.into_iter().all(|b| b) && speed_independence(sg).is_speed_independent()
 }
 
 #[cfg(test)]
@@ -201,7 +208,7 @@ Req+ Ack+
         let sg = build_state_graph(&parse_g(FIG1).unwrap()).unwrap();
         let rep = speed_independence(&sg);
         assert!(rep.is_speed_independent(), "{rep:?}");
-        assert!(all_events_fire(&sg));
+        assert!(live_and_speed_independent(&sg));
     }
 
     #[test]
@@ -224,9 +231,30 @@ b- p0
         let sg = build_state_graph(&parse_g(src).unwrap()).unwrap();
         let w = persistency_witnesses(&sg);
         assert!(!w.is_empty());
+        assert!(!live_and_speed_independent(&sg));
         // Both directions are violations: a+ disables b+ (output killed)
         // and b+ disables a+ (input disabled by an output).
         assert!(w.len() >= 2, "{w:?}");
+    }
+
+    #[test]
+    fn the_gate_rejects_a_deadlock_and_a_dead_event() {
+        // a+ then b+, once: both fire, then nothing is enabled.
+        let once = ".model once\n.inputs a\n.outputs b\n.graph\np0 a+\na+ b+\n\
+                    .marking { p0 }\n.end\n";
+        let sg = build_state_graph(&parse_g(once).unwrap()).unwrap();
+        assert!(speed_independence(&sg).is_speed_independent());
+        assert!(!sg.deadlock_states().is_empty());
+        assert!(!live_and_speed_independent(&sg));
+        // A live cycle beside an `x+` whose place is never marked.
+        let dead = ".model dead\n.inputs a\n.outputs b x\n.graph\na+ b+\nb+ a-\n\
+                    a- b-\nb- a+\np9 x+\nx+ p9\n.marking { <b-,a+> }\n.end\n";
+        let sg = build_state_graph(&parse_g(dead).unwrap()).unwrap();
+        assert!(speed_independence(&sg).is_speed_independent());
+        assert!(sg.deadlock_states().is_empty());
+        let x = sg.event_by_label("x+").unwrap();
+        assert!(sg.state_ids().all(|s| !sg.succ(s).events().contains(&x)));
+        assert!(!live_and_speed_independent(&sg));
     }
 
     #[test]

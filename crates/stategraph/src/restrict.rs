@@ -11,18 +11,23 @@
 //!   produces. [`restrict_with_place`] tracks `p`'s token;
 //! * CSC resolution inserts a state signal's two edges in series after
 //!   two events. [`insert_series_pair`] tracks the pending edges and the
-//!   new code bit.
+//!   new code bit, reading the rewrite off the parent STG by the STG
+//!   rewrite's own rerouting rule, [`series_places`].
 //!
 //! Each product is explored breadth-first over dense slots, arcs in the
 //! parent's event order, and written straight into the CSR arrays. So
 //! the result carries the one numbering of [`StateGraph`]: it equals
 //! the full build of the rewritten STG, code for code and arc for arc.
 
-use reshuffle_petri::{PetriError, PlaceId, Polarity, Stg, TransitionId, DEFAULT_STATE_BUDGET};
+use reshuffle_petri::structural::series_places;
+use reshuffle_petri::{
+    PetriError, PlaceId, Polarity, Signal, SignalEdge, SignalId, SignalKind, Stg, TransitionId,
+    DEFAULT_STATE_BUDGET,
+};
 
 use crate::build::{event_table, signal_table};
 use crate::error::{Result, SgError};
-use crate::sg::{EventId, StateGraph, StateId};
+use crate::sg::{EventId, EventInfo, StateGraph, StateId};
 
 /// Re-derives the state graph after adding one fresh, initially
 /// unmarked, 1-safe place with the arcs `from -> p -> to`.
@@ -90,33 +95,34 @@ pub fn restrict_with_place(sg: &StateGraph, from: EventId, to: EventId) -> Resul
     )
 }
 
-/// Derives the state graph of `cand` from the state graph `sg` of the
-/// STG it was made from, where `cand` adds one internal signal whose
-/// rising edge `rise` is inserted in series after one event `x` and
-/// whose falling edge `fall` after another event `y`
-/// ([`insert_series_transition`](reshuffle_petri::structural::insert_series_transition)).
+/// Derives the state graph of [`insert_state_signal`]`(stg, name, x,
+/// y)` from the state graph `sg` of `stg`, without building that STG:
+/// a fresh internal signal `name` whose rising edge is inserted in
+/// series after event `x` and whose falling edge after event `y`.
 ///
-/// Call `E_x` the places rerouted from `x` to `rise` (its postset), and
-/// `E_y` those rerouted from `y` to `fall`. A state of the result is a
-/// parent state `s`, two flags `a` (`rise` pending: `x` fired, `rise`
-/// not yet) and `b` (`fall` pending), and the new code bit `v`:
+/// Call `E_x` the [`series_places`] of `x`, the places the rewrite
+/// reroutes from `x` to `name+`, and `E_y` those of `y`. A state of the
+/// result is a parent state `s`, two flags `a` (`name+` pending: `x`
+/// fired, `name+` not yet) and `b` (`name-` pending), and the new code
+/// bit `v`:
 ///
 /// * a parent arc `s -e-> t` is kept unless `e` consumes a place of
 ///   `E_x` while `a` is set, or of `E_y` while `b` is set; `x` sets `a`
 ///   and `y` sets `b`;
-/// * `rise` fires while `a` is set and clears it, setting `v`; `fall`
+/// * `name+` fires while `a` is set and clears it, setting `v`; `name-`
 ///   fires while `b` is set and clears it, clearing `v`.
 ///
 /// The product is exact for a 1-safe, consistent parent without toggle
 /// edges, whose states correspond one to one to its markings: while
-/// `rise` is pending every place of `E_x` is empty in `cand`'s net and
-/// marked in the parent's marking, every other place agrees, so `cand`'s
-/// reachable markings are exactly the product's `(s, a, b)` triples.
-/// Codes are the parent's plus `v`; the event table and signals are
-/// `cand`'s. States are numbered in breadth-first order over arcs in
-/// event order — the numbering a full
-/// [`build_state_graph`](crate::build_state_graph) of `cand` produces,
-/// so the result equals that build, code for code and arc for arc.
+/// `name+` is pending every place of `E_x` is empty in the candidate's
+/// net and marked in the parent's marking, every other place agrees, so
+/// the candidate's reachable markings are exactly the product's
+/// `(s, a, b)` triples. Codes are the parent's plus `v`; the signal and
+/// event tables are the parent's plus `name` and its two events. States
+/// are numbered in breadth-first order over arcs in event order — the
+/// numbering a full [`build_state_graph`](crate::build_state_graph) of
+/// the candidate produces, so the result equals that build, code for
+/// code and arc for arc.
 ///
 /// The initial value of the new signal is inferred as the full build
 /// does: the product is explored from `v = 0`, and again from `v = 1`
@@ -124,29 +130,36 @@ pub fn restrict_with_place(sg: &StateGraph, from: EventId, to: EventId) -> Resul
 ///
 /// # Errors
 ///
-/// Rejects the candidate exactly when the full build of `cand` would:
+/// Rejects `(x, y)` exactly when [`insert_state_signal`] or the full
+/// build of its candidate would:
 ///
+/// * [`SgError::Petri`] with the rewrite's own error if `name` is taken
+///   or either event has no series place;
 /// * [`SgError::Petri`] with [`PetriError::UnsafePlace`] if `x` fires
-///   while `rise` is pending (or `y` while `fall` is), which puts a
+///   while `name+` is pending (or `y` while `name-` is), which puts a
 ///   second token on the link place (a 1-safe parent never lets it, so
 ///   this rejects only a parent graph that is not its STG's);
-/// * [`SgError::Inconsistent`] if, from either initial value, `rise`
-///   fires with `v = 1`, `fall` fires with `v = 0`, or one `(s, a, b)`
+/// * [`SgError::Inconsistent`] if, from either initial value, `name+`
+///   fires with `v = 1`, `name-` fires with `v = 0`, or one `(s, a, b)`
 ///   is reached with both values of `v`;
 /// * [`SgError::Petri`] with [`PetriError::StateBudgetExceeded`] if more
 ///   than [`DEFAULT_STATE_BUDGET`] states are reachable (the budget of
 ///   [`build_state_graph`](crate::build_state_graph));
-/// * [`SgError::TooManySignals`] if `cand` has more than 64 signals.
+/// * [`SgError::TooManySignals`] if the candidate has more than 64
+///   signals.
 ///
-/// [`SgError::Invalid`] reports a `cand` that is not such an insertion
-/// over `sg`'s STG, or that has toggle edges (build those in full).
+/// [`SgError::Invalid`] refuses `x == y`, and a parent with toggle
+/// edges, which unfold parity (build those candidates in full).
+///
+/// [`insert_state_signal`]: reshuffle_petri::structural::insert_state_signal
 pub fn insert_series_pair(
     sg: &StateGraph,
-    cand: &Stg,
-    rise: TransitionId,
-    fall: TransitionId,
+    stg: &Stg,
+    name: &str,
+    x: TransitionId,
+    y: TransitionId,
 ) -> Result<StateGraph> {
-    let shape = SeriesPair::of(sg, cand, rise, fall)?;
+    let shape = SeriesPair::new(stg, name, x, y)?;
     match shape.explore(sg, false, DEFAULT_STATE_BUDGET) {
         Err(SgError::Inconsistent { .. }) => shape.explore(sg, true, DEFAULT_STATE_BUDGET),
         done => done,
@@ -159,97 +172,54 @@ const IS_Y: u8 = 2;
 const WAITS_X: u8 = 4;
 const WAITS_Y: u8 = 8;
 
-/// The checked shape of one series-pair insertion.
+/// One state-signal insertion over a parent STG.
 struct SeriesPair<'a> {
-    cand: &'a Stg,
-    /// Name of the inserted signal (for error reports).
+    stg: &'a Stg,
+    /// Name of the inserted signal.
     name: &'a str,
     /// Per parent event: `IS_X`/`IS_Y` if it is `x`/`y`,
     /// `WAITS_X`/`WAITS_Y` if it consumes a place of `E_x`/`E_y`.
     role: Vec<u8>,
-    /// The events of `[rise, fall]`, and their link places.
-    inserted: [EventId; 2],
-    links: [PlaceId; 2],
-    bit: u64,
 }
 
 impl<'a> SeriesPair<'a> {
-    fn of(
-        sg: &StateGraph,
-        cand: &'a Stg,
-        rise: TransitionId,
-        fall: TransitionId,
-    ) -> Result<SeriesPair<'a>> {
-        let invalid = |why: &str| {
-            Err(SgError::Invalid(format!(
-                "not a series-pair insertion: {why}"
-            )))
-        };
-        if cand.num_signals() > 64 {
-            return Err(SgError::TooManySignals(cand.num_signals()));
+    fn new(stg: &'a Stg, name: &'a str, x: TransitionId, y: TransitionId) -> Result<Self> {
+        if x == y {
+            return Err(SgError::Invalid("both edges after one event".into()));
         }
-        let parent_events = sg.num_events();
-        let signal = match (cand.edge_of(rise), cand.edge_of(fall)) {
-            (Some(r), Some(f))
-                if r.signal == f.signal
-                    && r.polarity == Polarity::Rise
-                    && f.polarity == Polarity::Fall =>
-            {
-                r.signal
-            }
-            _ => return invalid("the inserted transitions are not one signal's rise and fall"),
-        };
-        if cand.num_signals() != sg.num_signals() + 1
-            || signal.index() != sg.num_signals()
-            || cand.net().num_transitions() != parent_events + 2
-            || rise.index() < parent_events
-            || fall.index() < parent_events
-        {
-            return invalid("the candidate must add one signal and its two transitions");
+        if stg.has_toggle_transitions() {
+            return Err(SgError::Invalid("toggle edges: build in full".into()));
         }
-        if cand.has_toggle_transitions() {
-            return invalid("toggle edges unfold parity; build the candidate in full");
+        if stg.signal_by_name(name).is_some() {
+            return Err(PetriError::DuplicateName(name.to_string()).into());
         }
-        let net = cand.net();
-        let mut role = vec![0u8; parent_events];
-        let mut links = [PlaceId::from_index(0); 2];
-        for (i, (t, is, waits)) in [(rise, IS_X, WAITS_X), (fall, IS_Y, WAITS_Y)]
-            .into_iter()
-            .enumerate()
-        {
-            let &[link] = net.preset(t) else {
-                return invalid("an inserted transition must have one input place");
-            };
-            let &[after] = net.producers(link) else {
-                return invalid("a link place must have one producer");
-            };
-            let Some(r) = role.get_mut(after.index()) else {
-                return invalid("a link place must be produced by a parent event");
-            };
-            *r |= is;
-            links[i] = link;
-            for &p in net.postset(t) {
+        if stg.num_signals() >= 64 {
+            return Err(SgError::TooManySignals(stg.num_signals() + 1));
+        }
+        let net = stg.net();
+        let mut role = vec![0u8; net.num_transitions()];
+        for (after, is, waits) in [(x, IS_X, WAITS_X), (y, IS_Y, WAITS_Y)] {
+            role[after.index()] |= is;
+            for p in series_places(stg, after)? {
                 for &u in net.consumers(p) {
-                    if let Some(r) = role.get_mut(u.index()) {
-                        *r |= waits;
-                    }
+                    role[u.index()] |= waits;
                 }
             }
         }
-        Ok(SeriesPair {
-            cand,
-            name: &cand.signal(signal).name,
-            role,
-            inserted: [EventId(rise.0), EventId(fall.0)],
-            links,
-            bit: 1u64 << signal.index(),
-        })
+        Ok(SeriesPair { stg, name, role })
     }
 
     /// Breadth-first product from the parent's initial state with the
     /// new bit set to `v0`. Slot `4s + 2a + b` indexes `(s, a, b)`.
     fn explore(&self, sg: &StateGraph, v0: bool, budget: usize) -> Result<StateGraph> {
-        let bit = self.bit;
+        // The rewrite appends the signal, then `name+` and its link
+        // place, then `name-` and its link place.
+        let signal = SignalId::from_index(self.stg.num_signals());
+        let bit = 1u64 << signal.index();
+        let n = self.stg.net().num_transitions() as u32;
+        let inserted = [EventId(n), EventId(n + 1)];
+        let np = self.stg.net().num_places();
+        let links = [PlaceId::from_index(np), PlaceId::from_index(np + 1)];
         let mut ids = vec![u32::MAX; 4 * sg.num_states()];
         let mut slots: Vec<usize> = Vec::new();
         let mut codes: Vec<u64> = Vec::new();
@@ -291,7 +261,7 @@ impl<'a> SeriesPair<'a> {
                 if (a && r & IS_X != 0) || (b && r & IS_Y != 0) {
                     let i = usize::from(r & IS_X == 0);
                     return Err(SgError::Petri(PetriError::UnsafePlace {
-                        place: self.links[i],
+                        place: links[i],
                         transition: TransitionId::from_index(e.index()),
                     }));
                 }
@@ -309,7 +279,7 @@ impl<'a> SeriesPair<'a> {
                     return Err(self.inconsistent("it rises while already 1"));
                 }
                 let target = visit(&mut slots, &mut codes, slot & !2, code | bit)?;
-                arc_events.push(self.inserted[0]);
+                arc_events.push(inserted[0]);
                 arc_targets.push(target);
             }
             if b {
@@ -317,15 +287,25 @@ impl<'a> SeriesPair<'a> {
                     return Err(self.inconsistent("it falls while already 0"));
                 }
                 let target = visit(&mut slots, &mut codes, slot & !1, code & !bit)?;
-                arc_events.push(self.inserted[1]);
+                arc_events.push(inserted[1]);
                 arc_targets.push(target);
             }
             succ_offsets.push(arc_events.len() as u32);
         }
+        let mut signals = signal_table(self.stg);
+        signals.push(Signal {
+            name: self.name.to_string(),
+            kind: SignalKind::Internal,
+        });
+        let mut events = event_table(self.stg);
+        events.extend([Polarity::Rise, Polarity::Fall].map(|polarity| EventInfo {
+            label: format!("{}{}", self.name, polarity.suffix()),
+            edge: Some(SignalEdge { signal, polarity }),
+        }));
         StateGraph::from_csr(
-            self.cand.name.clone(),
-            signal_table(self.cand),
-            event_table(self.cand),
+            self.stg.name.clone(),
+            signals,
+            events,
             codes,
             succ_offsets,
             arc_events,
@@ -349,6 +329,7 @@ mod tests {
     use crate::props::speed_independence;
     use crate::sg::tests::from_lists;
     use reshuffle_petri::parse_g;
+    use reshuffle_petri::structural::insert_state_signal;
 
     /// Mirror of the paper's Fig. 1: `Req` is the circuit's output, and
     /// the spec allows `Req+` concurrent with `Ack-`.
@@ -376,7 +357,7 @@ Req+ Ack+
 
         // Reference: rewrite the STG and rebuild from scratch.
         let mut stg2 = stg.clone();
-        reshuffle_petri::structural::insert_causal_place(&mut stg2, am, rp).unwrap();
+        stg2.connect(am, rp).unwrap();
         let rebuilt = build_state_graph(&stg2).unwrap();
         assert_eq!(reduced, rebuilt);
 
@@ -433,20 +414,20 @@ b- p1
         assert!(matches!(e, Err(SgError::Invalid(_))));
     }
 
-    /// The candidate the CSC search builds for `(x, y)`: signal `csc`
-    /// rising after `x` and falling after `y`, never delaying an input.
-    fn series_pair(stg: &Stg, x: &str, y: &str) -> (Stg, TransitionId, TransitionId) {
-        use reshuffle_petri::structural::insert_series_transition;
-        let mut cand = stg.clone();
-        let sig = cand
-            .add_signal("csc", reshuffle_petri::SignalKind::Internal)
-            .unwrap();
-        let keep = |g: &Stg, t: TransitionId| !g.is_input_transition(t);
+    /// Signal `csc` rising after `x` and falling after `y`: the graph
+    /// product over `sg`, and the full build of the rewritten STG.
+    fn series_pair(
+        sg: &StateGraph,
+        stg: &Stg,
+        x: &str,
+        y: &str,
+    ) -> (Result<StateGraph>, Result<StateGraph>) {
         let x = stg.transition_by_label(x).unwrap();
         let y = stg.transition_by_label(y).unwrap();
-        let rise = insert_series_transition(&mut cand, x, sig, Polarity::Rise, keep).unwrap();
-        let fall = insert_series_transition(&mut cand, y, sig, Polarity::Fall, keep).unwrap();
-        (cand, rise, fall)
+        let full = insert_state_signal(stg, "csc", x, y)
+            .map_err(SgError::from)
+            .and_then(|(cand, _, _)| build_state_graph(&cand));
+        (insert_series_pair(sg, stg, "csc", x, y), full)
     }
 
     /// The sequential Q-module handshake: one CSC conflict.
@@ -491,20 +472,40 @@ a- a+
         let sg = build_state_graph(&stg).unwrap();
         // csc+ after ri+, csc- after li-: the insertion that separates
         // the conflicting states.
-        let (cand, rise, fall) = series_pair(&stg, "ri+", "li-");
-        let derived = insert_series_pair(&sg, &cand, rise, fall).unwrap();
-        let rebuilt = build_state_graph(&cand).unwrap();
+        let (derived, rebuilt) = series_pair(&sg, &stg, "ri+", "li-");
+        let derived = derived.unwrap();
         assert_eq!(derived.num_states(), 10);
-        assert_eq!(derived, rebuilt);
+        assert_eq!(derived, rebuilt.unwrap());
         assert_eq!(analyze_csc(&derived).num_csc_conflicts(), 0);
 
         // The new signal starts at 1 when its fall comes first.
-        let (cand, rise, fall) = series_pair(&stg, "li-", "ri+");
-        let derived = insert_series_pair(&sg, &cand, rise, fall).unwrap();
-        let rebuilt = build_state_graph(&cand).unwrap();
+        let (derived, rebuilt) = series_pair(&sg, &stg, "li-", "ri+");
+        let derived = derived.unwrap();
         let csc = derived.signal_by_name("csc").unwrap();
         assert!(derived.value(derived.initial(), csc));
-        assert_eq!(derived, rebuilt);
+        assert_eq!(derived, rebuilt.unwrap());
+    }
+
+    #[test]
+    fn refused_rewrites_are_refused_by_the_product() {
+        let stg = parse_g(QMODULE).unwrap();
+        let sg = build_state_graph(&stg).unwrap();
+        let t = |label: &str| stg.transition_by_label(label).unwrap();
+        // `ro+`'s only successor is the input `ri+`: nothing to reroute.
+        let (derived, full) = series_pair(&sg, &stg, "ro+", "li-");
+        let e = derived.unwrap_err();
+        assert!(
+            matches!(e, SgError::Petri(PetriError::Structural(_))),
+            "{e:?}"
+        );
+        assert_eq!(full.unwrap_err(), e);
+        // A taken name.
+        let e = insert_series_pair(&sg, &stg, "lo", t("ri+"), t("li-")).unwrap_err();
+        assert_eq!(e, SgError::Petri(PetriError::DuplicateName("lo".into())));
+        assert!(insert_state_signal(&stg, "lo", t("ri+"), t("li-")).is_err());
+        // One event twice.
+        let e = insert_series_pair(&sg, &stg, "csc", t("ri+"), t("ri+")).unwrap_err();
+        assert!(matches!(e, SgError::Invalid(_)), "{e:?}");
     }
 
     #[test]
@@ -513,13 +514,13 @@ a- a+
         // choice takes b: two rises in a row.
         let stg = parse_g(CHOICE).unwrap();
         let sg = build_state_graph(&stg).unwrap();
-        let (cand, rise, fall) = series_pair(&stg, "a+", "b+");
-        let e = insert_series_pair(&sg, &cand, rise, fall).unwrap_err();
+        let (derived, full) = series_pair(&sg, &stg, "a+", "b+");
+        let e = derived.unwrap_err();
         assert!(
             matches!(&e, SgError::Inconsistent { witness, .. } if witness.contains("rises while already 1")),
             "{e:?}"
         );
-        let full = build_state_graph(&cand).unwrap_err();
+        let full = full.unwrap_err();
         assert!(matches!(full, SgError::Inconsistent { .. }), "{full:?}");
     }
 
@@ -529,13 +530,13 @@ a- a+
         // merge at one marking with both values.
         let stg = parse_g(CHOICE).unwrap();
         let sg = build_state_graph(&stg).unwrap();
-        let (cand, rise, fall) = series_pair(&stg, "b+", "a+");
-        let e = insert_series_pair(&sg, &cand, rise, fall).unwrap_err();
+        let (derived, full) = series_pair(&sg, &stg, "b+", "a+");
+        let e = derived.unwrap_err();
         assert!(
             matches!(&e, SgError::Inconsistent { witness, .. } if witness.contains("both values")),
             "{e:?}"
         );
-        let full = build_state_graph(&cand).unwrap_err();
+        let full = full.unwrap_err();
         assert!(matches!(full, SgError::Inconsistent { .. }), "{full:?}");
     }
 
@@ -572,8 +573,8 @@ a- a+
             states,
         )
         .unwrap();
-        let (cand, rise, fall) = series_pair(&stg, "ri+", "li-");
-        let e = insert_series_pair(&sg, &cand, rise, fall).unwrap_err();
+        let (derived, _) = series_pair(&sg, &stg, "ri+", "li-");
+        let e = derived.unwrap_err();
         assert!(
             matches!(e, SgError::Petri(PetriError::UnsafePlace { .. })),
             "{e:?}"
@@ -584,8 +585,9 @@ a- a+
     fn budget_and_toggles_are_refused() {
         let stg = parse_g(QMODULE).unwrap();
         let sg = build_state_graph(&stg).unwrap();
-        let (cand, rise, fall) = series_pair(&stg, "ri+", "li-");
-        let e = SeriesPair::of(&sg, &cand, rise, fall)
+        let ri = stg.transition_by_label("ri+").unwrap();
+        let li = stg.transition_by_label("li-").unwrap();
+        let e = SeriesPair::new(&stg, "csc", ri, li)
             .and_then(|shape| shape.explore(&sg, false, 9))
             .unwrap_err();
         assert_eq!(e, SgError::Petri(PetriError::StateBudgetExceeded(9)));
@@ -593,6 +595,7 @@ a- a+
             state_budget: 9,
             ..Default::default()
         };
+        let (cand, _, _) = insert_state_signal(&stg, "csc", ri, li).unwrap();
         assert!(crate::build_state_graph_with(&cand, &opts).is_err());
 
         // Toggle edges unfold parity: the product refuses, the search
@@ -603,8 +606,7 @@ a- a+
         )
         .unwrap();
         let sg = build_state_graph(&two_phase).unwrap();
-        let (cand, rise, fall) = series_pair(&two_phase, "b~", "a~");
-        let e = insert_series_pair(&sg, &cand, rise, fall).unwrap_err();
-        assert!(matches!(e, SgError::Invalid(_)), "{e:?}");
+        let (derived, _) = series_pair(&sg, &two_phase, "b~", "a~");
+        assert!(matches!(derived, Err(SgError::Invalid(_))), "{derived:?}");
     }
 }

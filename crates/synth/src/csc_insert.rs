@@ -2,23 +2,27 @@
 //!
 //! petrify resolves CSC with region-based bisection of the state graph;
 //! this crate substitutes a search over STG-level *serial transition
-//! insertions*. A candidate inserts `csc_k+` in series after event `x`
-//! and `csc_k-` after event `y` (never delaying input transitions); it
-//! is kept if the resulting STG is consistent, speed-independent,
-//! interface-preserving by construction, and strictly reduces the
-//! number of CSC conflicts. Candidates are ranked by (remaining
-//! conflicts, literal estimate).
+//! insertions*. A candidate inserts `cscJ+` in series after event `x`
+//! and `cscJ-` after event `y` (never delaying input transitions,
+//! [`insert_state_signal`]); it is kept if the resulting STG is
+//! consistent, speed-independent, interface-preserving by construction,
+//! and strictly reduces the number of CSC conflicts. Candidates are
+//! ranked by (remaining conflicts, literal estimate). Each round names
+//! its signal `cscJ` for the least `J` that names no signal yet, so a
+//! specification that already has a `csc0` gets a `csc1`.
 //!
-//! Each candidate's state graph is derived from its parent's by
-//! [`insert_series_pair`], a product with a small automaton, instead
-//! of being built from scratch. The derived graph equals the full
-//! build code for code and arc for arc, so the returned STG and graph
-//! are exactly what a from-scratch search would return. A parent with
-//! toggle edges unfolds `(marking, parity)` pairs, which the product
-//! does not model, so its candidates are all built in full.
+//! A candidate is its `(x, y)` pair and its state graph, derived from
+//! the parent's by [`insert_series_pair`], a product with a small
+//! automaton, instead of being built from scratch. The derived graph
+//! equals the full build code for code and arc for arc, so the search
+//! ranks graphs and applies [`insert_state_signal`] to the STG once per
+//! round, for the winner: the returned STG and graph are exactly what a
+//! from-scratch search would return. A parent with toggle edges unfolds
+//! `(marking, parity)` pairs, which the product does not model, so its
+//! candidates are all built in full.
 
-use reshuffle_petri::structural::insert_series_transition;
-use reshuffle_petri::{Polarity, SignalKind, Stg, TransitionId};
+use reshuffle_petri::structural::insert_state_signal;
+use reshuffle_petri::{Stg, TransitionId};
 use reshuffle_sg::csc::{analyze_csc, CscReport};
 use reshuffle_sg::props::speed_independence;
 use reshuffle_sg::restrict::insert_series_pair;
@@ -143,7 +147,10 @@ pub fn resolve_csc_with(
                 inserted: inserted.len(),
             });
         }
-        let name = format!("csc{}", inserted.len());
+        let name = (0..)
+            .map(|j| format!("csc{j}"))
+            .find(|name| current.signal_by_name(name).is_none())
+            .expect("finitely many signals leave a name free");
         let round = best_insertion(&current, &sg, &name, conflicts, opts, memo);
         tried += round.tried;
         rebuilt += round.rebuilt;
@@ -176,7 +183,8 @@ struct Round {
 }
 
 /// Tries every (x, y) insertion pair on `stg`, whose state graph is
-/// `sg`; returns the best strictly-improving candidate.
+/// `sg`; returns the best strictly-improving candidate, its STG built
+/// once, for the winner.
 fn best_insertion(
     stg: &Stg,
     sg: &StateGraph,
@@ -190,20 +198,18 @@ fn best_insertion(
     // Phase 1: collect feasible candidates with their conflict counts.
     let mut tried = 0usize;
     let mut rebuilt = 0usize;
-    let mut feasible: Vec<(usize, Stg, StateGraph)> = Vec::new();
-    for &tx in &transitions {
-        for &ty in &transitions {
-            if tx == ty {
-                continue;
-            }
-            let Some((cand, rise, fall)) = try_insertion(stg, signal_name, tx, ty) else {
-                continue;
-            };
+    let mut feasible: Vec<(usize, TransitionId, TransitionId, StateGraph)> = Vec::new();
+    for &x in &transitions {
+        for &y in &transitions {
+            // The rewrite and the product both refuse `x == y`.
             let built = if full_builds {
+                let Ok((cand, _, _)) = insert_state_signal(stg, signal_name, x, y) else {
+                    continue;
+                };
                 rebuilt += 1;
                 build_state_graph(&cand)
             } else {
-                insert_series_pair(sg, &cand, rise, fall)
+                insert_series_pair(sg, stg, signal_name, x, y)
             };
             let Ok(sg2) = built else {
                 continue;
@@ -214,41 +220,28 @@ fn best_insertion(
             tried += 1;
             let c = analyze_csc(&sg2).num_csc_conflicts();
             if c < current_conflicts {
-                feasible.push((c, cand, sg2));
+                feasible.push((c, x, y, sg2));
             }
         }
     }
     // Phase 2: among the least-conflict pool, rank by literal estimate.
-    feasible.sort_by_key(|(c, _, _)| *c);
-    let best_c = feasible.first().map(|(c, _, _)| *c);
+    feasible.sort_by_key(|(c, ..)| *c);
+    let best_c = feasible.first().map(|(c, ..)| *c);
     let best = feasible
         .into_iter()
-        .filter(|(c, _, _)| Some(*c) == best_c)
+        .filter(|(c, ..)| Some(*c) == best_c)
         .take(opts.rank_pool)
-        .min_by_key(|(_, _, sg2)| literal_estimate_with(sg2, memo))
-        .map(|(c, cand, sg2)| (cand, sg2, c));
+        .min_by_key(|(.., sg2)| literal_estimate_with(sg2, memo))
+        .map(|(c, x, y, sg2)| {
+            let (cand, _, _) = insert_state_signal(stg, signal_name, x, y)
+                .expect("the rewrite of a derived candidate succeeds");
+            (cand, sg2, c)
+        });
     Round {
         best,
         tried,
         rebuilt,
     }
-}
-
-/// Builds the candidate STG with `name+` inserted after `tx` and `name-`
-/// after `ty`, returning it with the two inserted transitions; `None` if
-/// the structural insertion is infeasible.
-fn try_insertion(
-    stg: &Stg,
-    name: &str,
-    tx: TransitionId,
-    ty: TransitionId,
-) -> Option<(Stg, TransitionId, TransitionId)> {
-    let mut cand = stg.clone();
-    let sig = cand.add_signal(name, SignalKind::Internal).ok()?;
-    let not_input = |g: &Stg, t: TransitionId| !g.is_input_transition(t);
-    let rise = insert_series_transition(&mut cand, tx, sig, Polarity::Rise, not_input).ok()?;
-    let fall = insert_series_transition(&mut cand, ty, sig, Polarity::Fall, not_input).ok()?;
-    Some((cand, rise, fall))
 }
 
 #[cfg(test)]
@@ -300,6 +293,18 @@ lo- li+
         assert_eq!(analyze_csc(&res.sg).num_csc_conflicts(), 0);
         assert!(res.tried > 0, "search effort not reported");
         // The resolved graph must synthesize and verify.
+        let imp = synthesize_complex_gates(&res.sg).unwrap();
+        verify_against_sg(&res.sg, &imp.netlist).unwrap();
+    }
+
+    #[test]
+    fn a_spec_signal_named_csc0_gets_a_fresh_name() {
+        // petrify names the signals it inserts `csc0`, `csc1`, ...: a
+        // spec that went through it may already have one.
+        let stg = parse_g(&QMODULE.replace("ro", "csc0")).unwrap();
+        let res = resolve_csc(&stg, &CscOptions::default()).unwrap();
+        assert_eq!(res.inserted, ["csc1"]);
+        assert_eq!(analyze_csc(&res.sg).num_csc_conflicts(), 0);
         let imp = synthesize_complex_gates(&res.sg).unwrap();
         verify_against_sg(&res.sg, &imp.netlist).unwrap();
     }

@@ -2,58 +2,49 @@
 //!
 //! The search derives each candidate's state graph from its parent's
 //! ([`insert_series_pair`]) instead of building the candidate STG from
-//! scratch. These suites walk the greedy search, round by round, from
-//! every reshuffling of the partial corpus entries and of generated
-//! families, and check every structurally feasible insertion `(x, y)`:
-//! the derived graph is accepted exactly when a full build succeeds, and
-//! accepted graphs equal the full build (`==`: the same codes and arcs
-//! under the one state numbering). Each walk must also end where
+//! scratch, and rewrites the STG ([`insert_state_signal`]) only for each
+//! round's winner. These suites walk the greedy search, round by round,
+//! from every reshuffling of the partial corpus entries and of generated
+//! families, and check every ordered pair `(x, y)`: the product refuses
+//! exactly the pairs whose rewrite or full build fails, and its graphs
+//! equal the full build (`==`: the same codes and arcs under the one
+//! state numbering). Each walk must also end where
 //! `resolve_csc_analyzed` ends, with the same derived graph: the search
 //! keeps each round winner's derived graph and builds none in full.
 //!
-//! The `#[ignore]`d suite runs the larger families and pins the slowest
-//! paper-path inputs end to end; run it in release:
+//! The three searches' counters (lattice, reduce, CSC) are pinned on
+//! the small families here, and on `ring3` and `pulses-c3` in the
+//! `#[ignore]`d suite, which also runs the larger families and pins the
+//! slowest paper-path inputs end to end; run it in release:
 //! `cargo test --release --test csc_product -- --ignored`.
 
-use reshuffle::{ExpansionOptions, Pipeline, PipelineOptions, Stage};
+use reshuffle::{ExpansionOptions, Pipeline, PipelineOptions, ReduceOptions, Stage};
 use reshuffle_bench::examples::{self, CREQ_G, HSLR_G, MFIG1_G, PCREQ_G};
-use reshuffle_handshake::expand_handshakes;
-use reshuffle_petri::structural::insert_series_transition;
-use reshuffle_petri::{parse_g, write_g, Polarity, SignalKind, Stg, TransitionId};
+use reshuffle_handshake::{expand_handshakes, expand_handshakes_stats};
+use reshuffle_petri::structural::insert_state_signal;
+use reshuffle_petri::{parse_g, write_g, Stg, TransitionId};
+use reshuffle_reduce::reduce_concurrency_from;
 use reshuffle_sg::csc::analyze_csc;
 use reshuffle_sg::props::speed_independence;
 use reshuffle_sg::restrict::insert_series_pair;
-use reshuffle_sg::{build_state_graph, StateGraph};
+use reshuffle_sg::{build_state_graph, SgError, StateGraph};
 use reshuffle_synth::{
-    literal_estimate, resolve_csc, resolve_csc_analyzed, synthesize_complex_gates, CscOptions,
+    literal_estimate, resolve_csc, resolve_csc_analyzed, resolve_csc_from,
+    synthesize_complex_gates, CscOptions,
 };
 
-/// The candidate the search builds for `(x, y)`: `name+` in series
-/// after `x`, `name-` after `y`, never delaying an input.
-fn insertion(
-    stg: &Stg,
-    name: &str,
-    x: TransitionId,
-    y: TransitionId,
-) -> Option<(Stg, TransitionId, TransitionId)> {
-    let mut cand = stg.clone();
-    let sig = cand.add_signal(name, SignalKind::Internal).ok()?;
-    let keep = |g: &Stg, t: TransitionId| !g.is_input_transition(t);
-    let rise = insert_series_transition(&mut cand, x, sig, Polarity::Rise, keep).ok()?;
-    let fall = insert_series_transition(&mut cand, y, sig, Polarity::Fall, keep).ok()?;
-    Some((cand, rise, fall))
-}
-
-/// Candidates checked and candidates both paths accepted.
+/// Ordered pairs checked, pairs the STG rewrite accepts, and pairs both
+/// the rewrite and its full build accept.
 #[derive(Debug, Default)]
 struct Tally {
+    pairs: usize,
     candidates: usize,
     accepted: usize,
 }
 
-/// Walks the greedy search from `(stg, sg)`, checking every feasible
-/// candidate of every round. `deep` also compares the conflict count,
-/// the SI verdict and the literal estimate of the two graphs.
+/// Walks the greedy search from `(stg, sg)`, checking every ordered
+/// pair of every round. `deep` also compares the conflict count, the SI
+/// verdict and the literal estimate of the two graphs.
 fn walk(label: &str, stg: &Stg, sg: &StateGraph, deep: bool, tally: &mut Tally) {
     let opts = CscOptions::default();
     let mut parent = stg.clone();
@@ -64,23 +55,24 @@ fn walk(label: &str, stg: &Stg, sg: &StateGraph, deep: bool, tally: &mut Tally) 
     while conflicts > 0 && inserted < opts.max_signals {
         let name = format!("csc{inserted}");
         let transitions: Vec<TransitionId> = parent.transitions().collect();
-        let mut feasible: Vec<(usize, Stg, StateGraph)> = Vec::new();
+        let mut feasible: Vec<(usize, TransitionId, TransitionId, StateGraph)> = Vec::new();
         for &x in &transitions {
             for &y in &transitions {
-                if x == y {
-                    continue;
-                }
-                let Some((cand, rise, fall)) = insertion(&parent, &name, x, y) else {
-                    continue;
-                };
-                tally.candidates += 1;
+                tally.pairs += 1;
                 let at = format!(
                     "{label}: {name} after ({}, {})",
                     parent.transition_name(x),
                     parent.transition_name(y)
                 );
-                let derived = insert_series_pair(&parent_sg, &cand, rise, fall);
-                let (derived, full) = match (derived, build_state_graph(&cand)) {
+                let full = match insert_state_signal(&parent, &name, x, y) {
+                    Ok((cand, _, _)) => {
+                        tally.candidates += 1;
+                        build_state_graph(&cand)
+                    }
+                    Err(e) => Err(SgError::from(e)),
+                };
+                let derived = insert_series_pair(&parent_sg, &parent, &name, x, y);
+                let (derived, full) = match (derived, full) {
                     (Ok(d), Ok(f)) => (d, f),
                     (Err(_), Err(_)) => continue,
                     (d, f) => panic!("{at}: derived {:?}, full build {:?}", d.err(), f.err()),
@@ -98,24 +90,24 @@ fn walk(label: &str, stg: &Stg, sg: &StateGraph, deep: bool, tally: &mut Tally) 
                 if si {
                     tried += 1;
                     if c < conflicts {
-                        feasible.push((c, cand, derived));
+                        feasible.push((c, x, y, derived));
                     }
                 }
             }
         }
         // The resolver's choice: fewest conflicts, then the least
         // literal estimate among the first `rank_pool` of them.
-        feasible.sort_by_key(|(c, _, _)| *c);
-        let Some(best) = feasible.first().map(|(c, _, _)| *c) else {
+        feasible.sort_by_key(|(c, ..)| *c);
+        let Some(best) = feasible.first().map(|(c, ..)| *c) else {
             break;
         };
-        let (c, next, next_sg) = feasible
+        let (c, x, y, next_sg) = feasible
             .into_iter()
-            .filter(|(c, _, _)| *c == best)
+            .filter(|(c, ..)| *c == best)
             .take(opts.rank_pool)
-            .min_by_key(|(_, _, g)| literal_estimate(g))
+            .min_by_key(|(.., g)| literal_estimate(g))
             .expect("the pool holds the best candidate");
-        parent = next;
+        parent = insert_state_signal(&parent, &name, x, y).unwrap().0;
         parent_sg = next_sg;
         conflicts = c;
         inserted += 1;
@@ -163,7 +155,9 @@ fn derived_candidate_graphs_equal_full_builds() {
         walk(name, &stg, &sg, false, &mut tally);
     }
     assert!(
-        tally.accepted > 1000 && tally.accepted < tally.candidates,
+        tally.accepted > 1000
+            && tally.accepted < tally.candidates
+            && tally.candidates < tally.pairs,
         "{tally:?}"
     );
 }
@@ -228,6 +222,160 @@ fn derived_graphs_equal_full_builds_on_the_larger_families() {
     assert!(tally.accepted > 10_000, "{tally:?}");
 }
 
+/// The three searches' counters on the partial `src`: the lattice's
+/// `ExpansionStats`, then one token per reshuffling. With `reduce`, the
+/// token leads with the reduce search's `scored/pruned/expansions`,
+/// and the CSC search runs on the reduction. The CSC part is
+/// `tried/rebuilt`, or `stall` when the search fails.
+fn search_counters(src: &str, reduce: bool) -> String {
+    let spec = parse_g(src).unwrap();
+    let e = expand_handshakes_stats(&spec, &ExpansionOptions::default()).unwrap();
+    let s = e.stats;
+    let mut out = format!(
+        "points {} infeasible {} graphs {} symmetry {} hits {} products {} |",
+        s.points,
+        s.infeasible,
+        s.deduped_graphs,
+        s.deduped_symmetry,
+        s.prefix_hits,
+        s.restriction_products
+    );
+    for r in e.reshufflings {
+        let (stg, sg) = if reduce {
+            let red = reduce_concurrency_from(&r.stg, r.sg, &ReduceOptions::default()).unwrap();
+            out += &format!(" {}/{}/{}:", red.scored, red.pruned, red.expansions);
+            (red.stg, red.sg)
+        } else {
+            out += " ";
+            (r.stg, r.sg)
+        };
+        match resolve_csc_from(&stg, sg, &CscOptions::default()) {
+            Ok(c) => out += &format!("{}/{}", c.tried, c.rebuilt),
+            Err(_) => out += "stall",
+        }
+    }
+    out
+}
+
+/// The partial inputs whose counters are pinned, by name.
+fn source(name: &str) -> String {
+    match name {
+        "hslr" => HSLR_G.to_string(),
+        "pcreq" => PCREQ_G.to_string(),
+        "pulses-s2" => examples::pulses(2, false),
+        "pulses-c2" => examples::pulses(2, true),
+        "pulses-c3" => examples::pulses(3, true),
+        "twochan2" => examples::two_channel(2),
+        "ring2" => examples::ring(2),
+        "ring3" => examples::ring(3),
+        _ => panic!("no source named {name}"),
+    }
+}
+
+/// Checks `(input, reduce, counters)` pins, reporting every one that
+/// moved.
+fn assert_counters(pins: &[(&str, bool, &str)]) {
+    let mut drift = String::new();
+    for &(name, reduce, pinned) in pins {
+        let got = search_counters(&source(name), reduce);
+        if got != pinned {
+            drift += &format!("{name} reduce={reduce}:\n{got}\n");
+        }
+    }
+    assert!(drift.is_empty(), "counters moved:\n{drift}");
+}
+
+/// The counters of the three searches: deriving, gating and
+/// deduplicating candidates on graphs, and building STGs only for the
+/// kept ones, must not move one of them.
+#[test]
+fn search_counters_are_pinned() {
+    assert_counters(&[
+        (
+            "hslr",
+            false,
+            "points 4 infeasible 0 graphs 1 symmetry 0 hits 1 products 3 | 32/0 \
+             32/0 stall",
+        ),
+        (
+            "hslr",
+            true,
+            "points 4 infeasible 0 graphs 1 symmetry 0 hits 1 products 3 | \
+             12/0/13:0/0 11/0/12:0/0 6/0/7:0/0",
+        ),
+        (
+            "pcreq",
+            false,
+            "points 16 infeasible 0 graphs 10 symmetry 0 hits 17 products 15 | \
+             32/0 32/0 10/0 10/0 10/0 12/0",
+        ),
+        (
+            "pcreq",
+            true,
+            "points 16 infeasible 0 graphs 10 symmetry 0 hits 17 products 15 | \
+             9/0/10:0/0 8/0/9:0/0 3/0/4:0/0 5/0/6:0/0 2/0/3:0/0 0/0/1:12/0",
+        ),
+        (
+            "pulses-s2",
+            false,
+            "points 256 infeasible 0 graphs 241 symmetry 0 hits 769 products \
+             255 | 142/0 142/0 72/0 72/0 76/0 74/0 80/0 80/0 72/0 76/0 80/0 \
+             76/0 82/0 80/0 86/0",
+        ),
+        (
+            "pulses-s2",
+            true,
+            "points 256 infeasible 0 graphs 241 symmetry 0 hits 769 products \
+             255 | 34/0/35:30/0 33/0/34:30/0 19/0/20:30/0 30/0/31:30/0 \
+             9/0/10:30/0 24/0/25:0/0 3/0/4:30/0 14/0/15:40/0 18/0/19:30/0 \
+             15/0/16:0/0 9/0/10:40/0 8/0/9:30/0 5/0/6:40/0 2/0/3:40/0 \
+             0/0/1:86/0",
+        ),
+        (
+            "pulses-c2",
+            false,
+            "points 256 infeasible 0 graphs 220 symmetry 15 hits 769 products \
+             255 | 108/0 108/0 108/0 108/0 116/0 108/0 108/0 54/0 54/0 104/0 \
+             108/0 54/0 60/0 114/0 60/0 54/0 108/0 54/0 60/0 54/0 66/0",
+        ),
+        (
+            "pulses-c2",
+            true,
+            "points 256 infeasible 0 graphs 220 symmetry 15 hits 769 products \
+             255 | 144/18/128:0/0 159/0/128:0/0 142/0/128:0/0 153/0/128:0/0 \
+             60/0/61:0/0 151/17/128:0/0 138/0/128:0/0 134/12/128:0/0 \
+             146/8/128:0/0 151/0/128:0/0 146/0/128:0/0 142/0/128:0/0 \
+             45/0/46:0/0 59/0/60:0/0 49/0/50:0/0 138/0/128:0/0 141/0/128:0/0 \
+             120/0/121:0/0 39/0/40:0/0 96/18/97:0/0 14/6/15:30/0",
+        ),
+        (
+            "twochan2",
+            false,
+            "points 4 infeasible 0 graphs 1 symmetry 0 hits 1 products 3 | \
+             232/0 232/0 stall",
+        ),
+        (
+            "twochan2",
+            true,
+            "points 4 infeasible 0 graphs 1 symmetry 0 hits 1 products 3 | \
+             12/0/13:146/0 11/0/12:146/0 6/0/7:178/0",
+        ),
+        (
+            "ring2",
+            false,
+            "points 16 infeasible 0 graphs 10 symmetry 0 hits 17 products 15 | \
+             stall stall stall stall stall 42/0",
+        ),
+        (
+            "ring2",
+            true,
+            "points 16 infeasible 0 graphs 10 symmetry 0 hits 17 products 15 | \
+             10/0/11:12/0 11/0/12:stall 11/0/12:12/0 7/0/8:16/0 7/0/8:16/0 \
+             4/0/5:16/0",
+        ),
+    ]);
+}
+
 #[test]
 #[ignore = "slow in debug; CI runs it in release"]
 fn slowest_paper_path_inputs_select_the_pinned_circuits() {
@@ -277,4 +425,69 @@ fn slowest_paper_path_inputs_select_the_pinned_circuits() {
         let described = done.synthesis().netlist.describe();
         assert_eq!(described.trim_end(), netlist, "{name}");
     }
+    assert_counters(&[
+        (
+            "ring3",
+            false,
+            "points 2054 infeasible 0 graphs 1990 symmetry 0 hits 9233 products \
+             2053 | stall stall 180/0 stall stall 206/0 180/0 stall stall stall \
+             stall 220/0 stall stall stall stall stall 184/0 106/0 stall 180/0 \
+             220/0 106/0 stall 218/0 stall 230/0 stall stall stall stall stall \
+             stall stall stall stall stall 106/0 stall 218/0 220/0 226/0 132/0 \
+             226/0 234/0 106/0 stall 210/0 106/0 stall 210/0 stall stall stall \
+             122/0 stall 242/0 122/0 stall 242/0 132/0 226/0 234/0 170/0",
+        ),
+        (
+            "ring3",
+            true,
+            "points 2054 infeasible 0 graphs 1990 symmetry 0 hits 9233 products \
+             2053 | 148/0/128:38/0 142/0/128:38/0 145/0/128:38/0 149/0/128:38/0 \
+             148/0/128:28/0 137/0/128:38/0 140/0/128:38/0 142/0/128:38/0 \
+             143/0/128:42/0 149/0/128:38/0 141/0/128:38/0 140/0/128:44/0 \
+             150/0/128:50/0 136/0/128:38/0 149/0/128:38/0 147/0/128:50/0 \
+             144/0/128:38/0 148/0/128:28/0 132/0/128:38/0 145/0/128:38/0 \
+             142/0/128:38/0 140/0/128:50/0 142/0/128:38/0 165/0/128:38/0 \
+             141/0/128:50/0 133/0/128:38/0 105/0/106:50/0 136/0/128:38/0 \
+             149/0/128:38/0 147/0/128:50/0 143/0/128:42/0 143/0/128:42/0 \
+             147/0/128:32/0 136/0/128:42/0 152/0/128:42/0 152/0/128:42/0 \
+             144/0/128:54/0 142/0/128:38/0 163/0/128:38/0 143/0/128:50/0 \
+             141/0/128:44/0 151/0/128:34/0 105/0/106:44/0 144/0/128:44/0 \
+             138/0/128:50/0 134/0/128:38/0 148/0/128:38/0 144/0/128:50/0 \
+             134/0/128:38/0 145/0/128:38/0 144/0/128:50/0 136/0/128:42/0 \
+             152/0/128:42/0 144/0/128:54/0 140/0/128:42/0 149/0/128:42/0 \
+             146/0/128:54/0 141/0/128:42/0 156/0/128:42/0 148/0/128:54/0 \
+             105/0/106:44/0 144/0/128:44/0 139/0/128:50/0 72/0/73:54/0",
+        ),
+        (
+            "pulses-c3",
+            false,
+            "points 4096 infeasible 0 graphs 3880 symmetry 160 hits 20481 \
+             products 4095 | 248/0 248/0 244/0 244/0 254/0 248/0 244/0 240/0 \
+             234/0 266/0 234/0 244/0 240/0 254/0 254/0 250/0 248/0 234/0 244/0 \
+             240/0 144/0 250/0 144/0 226/0 240/0 144/0 156/0 266/0 168/0 230/0 \
+             244/0 144/0 168/0 234/0 250/0 156/0 254/0 156/0 250/0 144/0 244/0 \
+             240/0 144/0 168/0 234/0 144/0 240/0 156/0 156/0 250/0 144/0 240/0 \
+             144/0 156/0 144/0 180/0",
+        ),
+        (
+            "pulses-c3",
+            true,
+            "points 4096 infeasible 0 graphs 3880 symmetry 160 hits 20481 \
+             products 4095 | 184/32/128:68/0 192/18/128:0/0 179/18/128:0/0 \
+             185/18/128:48/0 157/30/128:0/0 202/44/128:0/0 173/18/128:0/0 \
+             173/32/128:0/0 166/24/128:58/0 162/38/128:0/0 205/0/128:0/0 \
+             202/0/128:0/0 186/0/128:0/0 186/0/128:0/0 174/0/128:0/0 \
+             184/0/128:0/0 519/93/128:0/0 174/0/128:58/0 189/0/128:0/0 \
+             187/0/128:0/0 197/71/128:0/0 171/0/128:0/0 177/28/128:66/0 \
+             371/47/128:0/0 177/40/128:0/0 166/35/128:0/0 176/33/128:0/0 \
+             161/32/128:0/0 162/32/128:0/0 186/28/128:0/0 419/45/128:0/0 \
+             173/16/128:0/0 159/20/128:0/0 224/0/128:0/0 175/0/128:0/0 \
+             189/0/128:0/0 168/19/128:0/0 157/22/128:0/0 180/0/128:0/0 \
+             169/18/128:0/0 359/39/128:0/0 170/50/128:0/0 171/15/128:0/0 \
+             155/20/128:0/0 195/0/128:0/0 192/0/128:0/0 190/0/128:0/0 \
+             194/0/128:0/0 190/0/128:0/0 171/0/128:0/0 163/30/128:0/0 \
+             168/32/128:0/0 172/32/128:0/0 173/30/128:0/0 188/68/128:0/0 \
+             160/32/128:56/0",
+        ),
+    ]);
 }

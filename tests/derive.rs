@@ -21,14 +21,14 @@ use reshuffle::logic::{complement, minimize, minimize_codes, Cover};
 use reshuffle::{ExpansionOptions, Pipeline, PipelineOptions, ReduceOptions};
 use reshuffle_bench::examples;
 use reshuffle_handshake::expand_handshakes;
-use reshuffle_petri::structural::insert_series_transition;
-use reshuffle_petri::{parse_g, Polarity, SignalId, SignalKind, Stg, TransitionId};
+use reshuffle_petri::structural::insert_state_signal;
+use reshuffle_petri::{parse_g, SignalId, Stg, TransitionId};
 use reshuffle_reduce::reduce_concurrency_from;
 use reshuffle_sg::csc::analyze_csc;
 use reshuffle_sg::nextstate::implied_value;
 use reshuffle_sg::props::speed_independence;
 use reshuffle_sg::restrict::insert_series_pair;
-use reshuffle_sg::{build_state_graph, StateGraph};
+use reshuffle_sg::{build_state_graph, SgError, StateGraph};
 use reshuffle_synth::{
     derive_all_functions, literal_estimate, ConflictPolicy, CoverMemo, CscOptions,
 };
@@ -176,22 +176,6 @@ fn shared_derivation_equals_per_signal_on_the_corpus_and_scaled_specs() {
     assert!(memo.hits() > memo.misses(), "{memo:?}");
 }
 
-/// The candidate the CSC search builds for `(x, y)`: `name+` in series
-/// after `x`, `name-` after `y`, never delaying an input.
-fn insertion(
-    stg: &Stg,
-    name: &str,
-    x: TransitionId,
-    y: TransitionId,
-) -> Option<(Stg, TransitionId, TransitionId)> {
-    let mut cand = stg.clone();
-    let sig = cand.add_signal(name, SignalKind::Internal).ok()?;
-    let keep = |g: &Stg, t: TransitionId| !g.is_input_transition(t);
-    let rise = insert_series_transition(&mut cand, x, sig, Polarity::Rise, keep).ok()?;
-    let fall = insert_series_transition(&mut cand, y, sig, Polarity::Fall, keep).ok()?;
-    Some((cand, rise, fall))
-}
-
 /// Walks the greedy CSC search from `(stg, sg)` as the resolver does,
 /// checking every candidate of every round's ranked pool (the
 /// least-conflict candidates, at most `rank_pool` of them) through
@@ -206,18 +190,15 @@ fn walk_ranked(label: &str, stg: &Stg, sg: &StateGraph, memo: &CoverMemo) -> usi
     while conflicts > 0 && inserted < opts.max_signals {
         let name = format!("csc{inserted}");
         let transitions: Vec<TransitionId> = parent.transitions().collect();
-        let mut feasible: Vec<(usize, Stg, StateGraph)> = Vec::new();
+        let mut feasible: Vec<(usize, TransitionId, TransitionId, StateGraph)> = Vec::new();
         for &x in &transitions {
             for &y in &transitions {
-                let Some((cand, rise, fall)) =
-                    (x != y).then(|| insertion(&parent, &name, x, y)).flatten()
-                else {
-                    continue;
-                };
                 let built = if parent.has_toggle_transitions() {
-                    build_state_graph(&cand)
+                    insert_state_signal(&parent, &name, x, y)
+                        .map_err(SgError::from)
+                        .and_then(|(cand, _, _)| build_state_graph(&cand))
                 } else {
-                    insert_series_pair(&parent_sg, &cand, rise, fall)
+                    insert_series_pair(&parent_sg, &parent, &name, x, y)
                 };
                 let Ok(cand_sg) = built else { continue };
                 if !speed_independence(&cand_sg).is_speed_independent() {
@@ -225,28 +206,28 @@ fn walk_ranked(label: &str, stg: &Stg, sg: &StateGraph, memo: &CoverMemo) -> usi
                 }
                 let c = analyze_csc(&cand_sg).num_csc_conflicts();
                 if c < conflicts {
-                    feasible.push((c, cand, cand_sg));
+                    feasible.push((c, x, y, cand_sg));
                 }
             }
         }
-        feasible.sort_by_key(|(c, _, _)| *c);
-        let Some(best) = feasible.first().map(|(c, _, _)| *c) else {
+        feasible.sort_by_key(|(c, ..)| *c);
+        let Some(best) = feasible.first().map(|(c, ..)| *c) else {
             break;
         };
         let pool: Vec<_> = feasible
             .into_iter()
-            .filter(|(c, _, _)| *c == best)
+            .filter(|(c, ..)| *c == best)
             .take(opts.rank_pool)
             .collect();
-        for (i, (_, _, cand_sg)) in pool.iter().enumerate() {
+        for (i, (.., cand_sg)) in pool.iter().enumerate() {
             check(&format!("{label}: {name} ranked #{i}"), cand_sg, memo);
             ranked += 1;
         }
-        let (c, next, next_sg) = pool
+        let (c, x, y, next_sg) = pool
             .into_iter()
-            .min_by_key(|(_, _, g)| literal_estimate(g))
+            .min_by_key(|(.., g)| literal_estimate(g))
             .expect("the pool holds the best candidate");
-        parent = next;
+        parent = insert_state_signal(&parent, &name, x, y).unwrap().0;
         parent_sg = next_sg;
         conflicts = c;
         inserted += 1;

@@ -12,7 +12,7 @@
 
 use reshuffle_bench::examples;
 use reshuffle_handshake::{expand_handshakes, ExpansionOptions};
-use reshuffle_petri::{parse_g, structural, ReachabilityGraph, Stg};
+use reshuffle_petri::{parse_g, ReachabilityGraph, Stg};
 use reshuffle_reduce::{reduce_concurrency_from, ReduceOptions};
 use reshuffle_sg::conc::concurrent_pairs;
 use reshuffle_sg::restrict::restrict_with_place;
@@ -169,7 +169,7 @@ fn derived_graphs_are_full_builds(name: &str, spec: &Stg) -> [usize; 3] {
                     continue; // the rewrite would be unsafe
                 };
                 let mut stg2 = stg.clone();
-                structural::insert_causal_place(&mut stg2, from_t, to_t).unwrap();
+                stg2.connect(from_t, to_t).unwrap();
                 assert_full_build(&format!("{at}: {from:?} -> {to:?}"), &stg2, &product);
                 checked[1] += 1;
             }

@@ -28,16 +28,16 @@ use std::collections::HashSet;
 use reshuffle::{ExpansionOptions, Pipeline, PipelineOptions, ReduceOptions};
 use reshuffle_bench::examples;
 use reshuffle_handshake::expand_handshakes;
-use reshuffle_petri::structural::{insert_causal_place, insert_series_transition};
-use reshuffle_petri::{parse_g, Polarity, SignalId, SignalKind, Stg, TransitionId};
+use reshuffle_petri::structural::insert_state_signal;
+use reshuffle_petri::{parse_g, Polarity, SignalId, Stg, TransitionId};
 use reshuffle_reduce::reduce_concurrency_from;
 use reshuffle_sg::conc::concurrent_pairs;
 use reshuffle_sg::csc::analyze_csc;
 use reshuffle_sg::nextstate::{implied_value, next_state_tables};
-use reshuffle_sg::props::{all_events_fire, speed_independence};
+use reshuffle_sg::props::{live_and_speed_independent, speed_independence};
 use reshuffle_sg::restrict::{insert_series_pair, restrict_with_place};
 use reshuffle_sg::{
-    build_state_graph, build_state_graph_with, BuildOptions, EventId, StateGraph, StateId,
+    build_state_graph, build_state_graph_with, BuildOptions, EventId, SgError, StateGraph, StateId,
 };
 use reshuffle_synth::{
     check_against_sg, derive_gc_function, literal_estimate, synthesize_complex_gates,
@@ -273,31 +273,14 @@ fn reduce_moves(at: &str, stg: &Stg, sg: &StateGraph, max_moved: usize, tally: &
                     stg.transition_name(to_t)
                 );
                 check(&label, &next, tally.graphs as u64, tally);
-                let live = next.deadlock_states().is_empty() && all_events_fire(&next);
-                if live && speed_independence(&next).is_speed_independent() {
+                if live_and_speed_independent(&next) {
                     let mut stg2 = stg.clone();
-                    insert_causal_place(&mut stg2, from_t, to_t).unwrap();
+                    stg2.connect(from_t, to_t).unwrap();
                     queue.push_back((stg2, next));
                 }
             }
         }
     }
-}
-
-/// The candidate the CSC search builds for `(x, y)`: `name+` in series
-/// after `x`, `name-` after `y`, never delaying an input.
-fn insertion(
-    stg: &Stg,
-    name: &str,
-    x: TransitionId,
-    y: TransitionId,
-) -> Option<(Stg, TransitionId, TransitionId)> {
-    let mut cand = stg.clone();
-    let sig = cand.add_signal(name, SignalKind::Internal).ok()?;
-    let keep = |g: &Stg, t: TransitionId| !g.is_input_transition(t);
-    let rise = insert_series_transition(&mut cand, x, sig, Polarity::Rise, keep).ok()?;
-    let fall = insert_series_transition(&mut cand, y, sig, Polarity::Fall, keep).ok()?;
-    Some((cand, rise, fall))
 }
 
 /// Walks the greedy CSC search from `(stg, sg)` as the resolver does,
@@ -313,18 +296,15 @@ fn csc_walk(label: &str, stg: &Stg, sg: &StateGraph, tally: &mut Tally) {
     while conflicts > 0 && inserted < opts.max_signals {
         let name = format!("csc{inserted}");
         let transitions: Vec<TransitionId> = parent.transitions().collect();
-        let mut feasible: Vec<(usize, Stg, StateGraph)> = Vec::new();
+        let mut feasible: Vec<(usize, TransitionId, TransitionId, StateGraph)> = Vec::new();
         for &x in &transitions {
             for &y in &transitions {
-                let Some((cand, rise, fall)) =
-                    (x != y).then(|| insertion(&parent, &name, x, y)).flatten()
-                else {
-                    continue;
-                };
                 let built = if parent.has_toggle_transitions() {
-                    build_state_graph(&cand)
+                    insert_state_signal(&parent, &name, x, y)
+                        .map_err(SgError::from)
+                        .and_then(|(cand, _, _)| build_state_graph(&cand))
                 } else {
-                    insert_series_pair(&parent_sg, &cand, rise, fall)
+                    insert_series_pair(&parent_sg, &parent, &name, x, y)
                 };
                 let Ok(cand_sg) = built else { continue };
                 let at = format!(
@@ -338,21 +318,21 @@ fn csc_walk(label: &str, stg: &Stg, sg: &StateGraph, tally: &mut Tally) {
                 }
                 let c = analyze_csc(&cand_sg).num_csc_conflicts();
                 if c < conflicts {
-                    feasible.push((c, cand, cand_sg));
+                    feasible.push((c, x, y, cand_sg));
                 }
             }
         }
-        feasible.sort_by_key(|(c, _, _)| *c);
-        let Some(best) = feasible.first().map(|(c, _, _)| *c) else {
+        feasible.sort_by_key(|(c, ..)| *c);
+        let Some(best) = feasible.first().map(|(c, ..)| *c) else {
             break;
         };
-        let (c, next, next_sg) = feasible
+        let (c, x, y, next_sg) = feasible
             .into_iter()
-            .filter(|(c, _, _)| *c == best)
+            .filter(|(c, ..)| *c == best)
             .take(opts.rank_pool)
-            .min_by_key(|(_, _, g)| literal_estimate(g))
+            .min_by_key(|(.., g)| literal_estimate(g))
             .expect("the pool holds the best candidate");
-        parent = next;
+        parent = insert_state_signal(&parent, &name, x, y).unwrap().0;
         parent_sg = next_sg;
         conflicts = c;
         inserted += 1;

@@ -8,7 +8,7 @@
 use reshuffle_bench::examples;
 use reshuffle_handshake::{expand_handshakes, ExpansionOptions};
 use reshuffle_petri::parse_g;
-use reshuffle_petri::structural::{insert_causal_place, signal_automorphisms};
+use reshuffle_petri::structural::signal_automorphisms;
 use reshuffle_reduce::{reduce_concurrency, ReduceOptions};
 use reshuffle_sg::conc::concurrent_pairs;
 use reshuffle_sg::{build_state_graph, csc::analyze_csc, props::speed_independence, StateGraph};
@@ -163,7 +163,7 @@ fn a_serializing_move_can_create_a_symmetry_its_root_lacks() {
         "p2- -> req- is a move the search considers"
     );
     let mut node = root.stg.clone();
-    insert_causal_place(&mut node, p2_fall, req_fall).unwrap();
+    node.connect(p2_fall, req_fall).unwrap();
     let node_sg = build_state_graph(&node).unwrap();
     assert!(speed_independence(&node_sg).is_speed_independent());
     assert!(node_sg.deadlock_states().is_empty());
