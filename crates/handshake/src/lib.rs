@@ -247,8 +247,10 @@ pub fn expand_handshakes_stats(stg: &Stg, opts: &ExpansionOptions) -> Result<Exp
 
     let mut stats = ExpansionStats::default();
     let mut out: Vec<Reshuffling> = Vec::new();
-    // Gate verdicts by graph fingerprint: each distinct graph is gated once.
+    // Gate verdicts by graph fingerprint: each distinct graph is gated
+    // at most once.
     let mut verdicts: HashMap<u64, bool> = HashMap::new();
+    // Choice keys of the kept points.
     let mut seen_keys: HashSet<String> = HashSet::new();
     let mut prefixes = prune::PrefixCache::default();
     for point in &points {
@@ -261,19 +263,32 @@ pub fn expand_handshakes_stats(stg: &Stg, opts: &ExpansionOptions) -> Result<Exp
             stats.infeasible += 1;
             continue;
         };
-        let (live, repeat) = match verdicts.entry(sg.fingerprint()) {
-            Entry::Occupied(v) => (*v.get(), true),
-            Entry::Vacant(v) => (*v.insert(live_and_speed_independent(&sg)), false),
+        let (live, key) = match verdicts.entry(sg.fingerprint()) {
+            Entry::Occupied(v) => (*v.get(), None),
+            Entry::Vacant(v) => {
+                // A new graph whose choice key was kept is a mirror image
+                // of a kept point: the constraint sets differ by a
+                // composition of STG automorphisms, so the graphs are
+                // isomorphic and it passes ungated.
+                let key = prune::canonical_choice_key(&base.stg, &constraints, &autos);
+                let mirror = seen_keys.contains(&key);
+                debug_assert!(
+                    !mirror || live_and_speed_independent(&sg),
+                    "a mirror image of a kept point fails the gate"
+                );
+                let live = mirror || live_and_speed_independent(&sg);
+                (*v.insert(live), Some(key))
+            }
         };
         if !live {
             stats.infeasible += 1;
             continue;
         }
-        if repeat {
+        let Some(key) = key else {
             stats.deduped_graphs += 1;
             continue; // implied orderings: same graph as an earlier point
-        }
-        if !seen_keys.insert(prune::canonical_choice_key(&base.stg, &constraints, &autos)) {
+        };
+        if !seen_keys.insert(key) {
             stats.deduped_symmetry += 1;
             continue; // mirror image of an earlier point
         }

@@ -39,6 +39,19 @@ impl Marking {
         m
     }
 
+    /// A marking over `num_places` places from its bitset words.
+    pub(crate) fn from_words(num_places: usize, words: &[u64]) -> Self {
+        Marking {
+            bits: words.into(),
+            num_places: num_places as u32,
+        }
+    }
+
+    /// The bitset words: place `p` is bit `p % 64` of word `p / 64`.
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.bits
+    }
+
     /// Number of places this marking was sized for.
     pub fn num_places(&self) -> usize {
         self.num_places as usize

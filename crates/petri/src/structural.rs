@@ -844,13 +844,12 @@ mod tests {
     /// the graph is isomorphic.
     fn reach_shape(g: &Stg) -> (usize, usize, Vec<Vec<String>>) {
         let rg = ReachabilityGraph::explore_default(g.net(), &g.initial_marking()).unwrap();
-        let arcs = (0..rg.len() as u32).map(|s| rg.successors(s).len()).sum();
+        let arcs = rg.num_arcs();
         let mut shapes: Vec<Vec<String>> = (0..rg.len() as u32)
             .map(|s| {
                 let mut labels: Vec<String> = rg
                     .successors(s)
-                    .iter()
-                    .map(|&(t, _)| g.transition_name(t).to_string())
+                    .map(|(t, _)| g.transition_name(t).to_string())
                     .collect();
                 labels.sort();
                 labels

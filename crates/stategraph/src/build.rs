@@ -2,18 +2,25 @@
 //! plus binary encoding.
 //!
 //! The build explores the marking graph with one serial breadth-first
-//! pass ([`ReachabilityGraph::explore`]), then labels it with codes in
-//! a second one. A state is a *(marking, parity)* pair, where the
-//! parity is the XOR of the signal bits of every edge fired since the
-//! initial marking (dummies flip nothing), and its code is
-//! `init ^ parity`. Each rise/fall signal's initial value is fixed by
-//! the edges that switch it (`a+` fires at 0, `a-` at 1); edges that
-//! disagree, or a marking reached with two parities of such a signal,
-//! make the STG inconsistent (petrify's semantics). Without toggle
-//! edges, state *i* is therefore marking node *i*. Toggle signals
-//! (`a~`, 2-phase specifications) start at 0, as do signals that never
-//! switch, and a marking reached with two parities of toggle signals
-//! unfolds into one state per parity.
+//! pass ([`ReachabilityGraph::explore`], over flat arrays, its arcs
+//! written as CSR), then labels it with codes in a second one. A state
+//! is a *(marking, parity)* pair, where the parity is the XOR of the
+//! signal bits of every edge fired since the initial marking (dummies
+//! flip nothing), and its code is `init ^ parity`. Each rise/fall
+//! signal's initial value is fixed by the edges that switch it (`a+`
+//! fires at 0, `a-` at 1); edges that disagree, or a marking reached
+//! with two parities of such a signal, make the STG inconsistent
+//! (petrify's semantics). Without toggle edges, state *i* is therefore
+//! marking node *i*, and the graph takes the exploration's offset and
+//! arc arrays by value; the labelling pass only computes codes. Toggle
+//! signals (`a~`, 2-phase specifications) start at 0, as do signals
+//! that never switch, and a marking reached with two parities of toggle
+//! signals unfolds into one state per parity, with arcs of its own.
+//!
+//! Labelling stays a pass of its own, not fused into the exploration,
+//! so that every exploration error (an unsafe firing, the state budget)
+//! comes before every labelling error: a net that is both unsafe and
+//! inconsistent reports [`PetriError::UnsafePlace`].
 
 use std::collections::HashMap;
 
@@ -79,10 +86,11 @@ pub fn build_state_graph(stg: &Stg) -> Result<StateGraph> {
 ///
 /// [`ReachabilityGraph::explore`] numbers the marking graph
 /// breadth-first from the initial marking, successors in ascending
-/// transition order. One breadth-first pass then labels it with codes
-/// (see the module docs), assembling the graph directly into the
-/// compressed CSR layout; markings stay behind in the exploration.
-/// Both passes are serial, so the result is canonical by construction.
+/// transition order, and writes its arcs in the compressed CSR layout.
+/// One breadth-first pass then labels it with codes (see the module
+/// docs); without toggle signals the graph keeps the exploration's
+/// arcs, and markings stay behind in the exploration. Both passes are
+/// serial, so the result is canonical by construction.
 ///
 /// # Errors
 ///
@@ -112,7 +120,8 @@ pub fn build_state_graph_stats(stg: &Stg, opts: &BuildOptions) -> Result<(StateG
         ("peak_frontier", FieldVal::U64(rg.peak_frontier() as u64)),
     ]);
     let sp_encode = opts.span.span("bfs.encode");
-    let (sg, peak_frontier) = label_codes(stg, &rg, opts.state_budget)?;
+    let markings_frontier = rg.peak_frontier();
+    let (sg, peak_frontier) = label_codes(stg, rg, opts.state_budget)?;
     sp_encode.end(&[
         ("states", FieldVal::U64(sg.num_states() as u64)),
         ("arcs", FieldVal::U64(sg.num_arcs() as u64)),
@@ -121,7 +130,7 @@ pub fn build_state_graph_stats(stg: &Stg, opts: &BuildOptions) -> Result<(StateG
     let stats = BuildStats {
         states: sg.num_states(),
         arcs: sg.num_arcs(),
-        peak_frontier: rg.peak_frontier().max(peak_frontier),
+        peak_frontier: markings_frontier.max(peak_frontier),
     };
     Ok((sg, stats))
 }
@@ -130,20 +139,25 @@ pub fn build_state_graph_stats(stg: &Stg, opts: &BuildOptions) -> Result<(StateG
 /// breadth-first pass (see the module docs): states are *(marking
 /// node, parity)* pairs, numbered in discovery order. Also returns the
 /// pass's peak frontier, counted by level.
-fn label_codes(stg: &Stg, rg: &ReachabilityGraph, budget: usize) -> Result<(StateGraph, usize)> {
+///
+/// Without toggle signals state *i* is marking node *i*, so the pass
+/// only computes codes and the graph takes over `rg`'s arc arrays;
+/// with them it writes its own.
+fn label_codes(stg: &Stg, rg: ReachabilityGraph, budget: usize) -> Result<(StateGraph, usize)> {
     let mut toggles = 0u64;
     for t in stg.transitions() {
         if let Some(e) = stg.edge_of(t).filter(|e| e.polarity == Polarity::Toggle) {
             toggles |= 1 << e.signal.index();
         }
     }
+    let unfold = toggles != 0;
     let n = rg.len();
-    let num_arcs = (0..n as u32).map(|m| rg.successors(m).len()).sum();
+    let num_arcs = if unfold { rg.num_arcs() } else { 0 };
     // Per state: its marking node and parity (the code once `init` is
     // applied at the end).
     let mut nodes: Vec<u32> = Vec::with_capacity(n);
     let mut codes: Vec<u64> = Vec::with_capacity(n);
-    let mut succ_offsets: Vec<u32> = Vec::with_capacity(n + 1);
+    let mut succ_offsets: Vec<u32> = Vec::with_capacity(if unfold { n + 1 } else { 0 });
     let mut arc_events: Vec<EventId> = Vec::with_capacity(num_arcs);
     let mut arc_targets: Vec<u32> = Vec::with_capacity(num_arcs);
     // Each marking's first state, and the later states that differ
@@ -166,7 +180,7 @@ fn label_codes(stg: &Stg, rg: &ReachabilityGraph, budget: usize) -> Result<(Stat
         }
         let (m, parity) = (nodes[head], codes[head]);
         head += 1;
-        for &(t, tgt) in rg.successors(m) {
+        for (t, tgt) in rg.successors(m) {
             let mut next = parity;
             if let Some(edge) = stg.edge_of(t) {
                 let bit = 1u64 << edge.signal.index();
@@ -217,19 +231,30 @@ fn label_codes(stg: &Stg, rg: &ReachabilityGraph, budget: usize) -> Result<(Stat
                 nodes.push(tgt);
                 codes.push(next);
             }
-            arc_events.push(EventId(t.0));
-            arc_targets.push(*slot);
+            if unfold {
+                arc_events.push(EventId(t.0));
+                arc_targets.push(*slot);
+            }
         }
-        succ_offsets.push(arc_events.len() as u32);
+        if unfold {
+            succ_offsets.push(arc_events.len() as u32);
+        }
     }
     for code in &mut codes {
         *code ^= init;
     }
-    // Toggle unfoldings grew past the one-state-per-marking sizing.
-    codes.shrink_to_fit();
-    succ_offsets.shrink_to_fit();
-    arc_events.shrink_to_fit();
-    arc_targets.shrink_to_fit();
+    if unfold {
+        // Toggle unfoldings grew past the one-state-per-marking sizing.
+        codes.shrink_to_fit();
+        succ_offsets.shrink_to_fit();
+        arc_events.shrink_to_fit();
+        arc_targets.shrink_to_fit();
+    } else {
+        let fired;
+        (succ_offsets, fired, arc_targets) = rg.into_arcs();
+        // Same layout: the collect reuses the transitions' allocation.
+        arc_events = fired.into_iter().map(|t| EventId(t.0)).collect();
+    }
     let sg = StateGraph::from_csr(
         stg.name.clone(),
         signal_table(stg),

@@ -10,7 +10,7 @@
 
 use reshuffle_petri::SignalEdge;
 
-use crate::sg::{StateGraph, StateId};
+use crate::sg::{EventId, StateGraph, StateId};
 
 /// A determinism violation: two arcs with the same edge label leave one
 /// state towards different targets.
@@ -77,20 +77,37 @@ pub fn nondeterminism_witnesses(sg: &StateGraph) -> Vec<NondeterminismWitness> {
 /// Returns all commutativity violations (empty = commutative).
 ///
 /// For every state with two distinct enabled edges `a`, `b` where both
-/// interleavings exist, the final states must coincide.
+/// interleavings exist, the final states must coincide. A step on an
+/// edge follows the state's first arc, in event order, that carries it
+/// (as [`StateGraph::step_edge`] does).
 pub fn commutativity_witnesses(sg: &StateGraph) -> Vec<CommutativityWitness> {
-    let mut out = Vec::new();
+    // The event of each edge at `3 * signal + polarity`: `NONE`, or
+    // `REPEATED` when instances share it (`a+`, `a+/2`).
+    const NONE: u32 = u32::MAX;
+    const REPEATED: u32 = u32::MAX - 1;
+    let slot = |e: SignalEdge| 3 * e.signal.index() + e.polarity as usize;
+    let mut event_of = [NONE; 3 * 64];
+    for (i, ev) in sg.events().iter().enumerate() {
+        if let Some(edge) = ev.edge {
+            let at = &mut event_of[slot(edge)];
+            *at = if *at == NONE { i as u32 } else { REPEATED };
+        }
+    }
+    let step = |s, edge| match event_of[slot(edge)] {
+        REPEATED => sg.step_edge(s, edge),
+        e => sg.step(s, EventId(e)),
+    };
+    let (mut out, mut steps) = (Vec::new(), Vec::new());
     for s in sg.state_ids() {
-        let mut edges = sg.excitation(s).edges();
-        while let Some(a) = edges.next() {
-            let Some(sa) = sg.step_edge(s, a) else {
-                continue;
-            };
-            for b in edges.clone() {
-                let Some(sb) = sg.step_edge(s, b) else {
-                    continue;
-                };
-                let (Some(sab), Some(sba)) = (sg.step_edge(sa, b), sg.step_edge(sb, a)) else {
+        steps.clear();
+        steps.extend(
+            sg.excitation(s)
+                .edges()
+                .filter_map(|a| Some((a, step(s, a)?))),
+        );
+        for (i, &(a, sa)) in steps.iter().enumerate() {
+            for &(b, sb) in &steps[i + 1..] {
+                let (Some(sab), Some(sba)) = (step(sa, b), step(sb, a)) else {
                     continue;
                 };
                 if sab != sba {

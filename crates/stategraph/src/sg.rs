@@ -405,13 +405,11 @@ impl StateGraph {
         }
     }
 
-    /// The successor of `s` under event `e`, if any.
+    /// The successor of `s` under event `e`, if any (a binary search:
+    /// a state's arcs ascend by event).
     pub fn step(&self, s: StateId, e: EventId) -> Option<StateId> {
         let arcs = self.succ(s);
-        arcs.events
-            .iter()
-            .position(|&ev| ev == e)
-            .map(|i| arcs.targets[i])
+        arcs.events.binary_search(&e).ok().map(|i| arcs.targets[i])
     }
 
     /// The successor of `s` under any event with the given edge label.

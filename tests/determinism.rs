@@ -74,7 +74,7 @@ fn labelled_graph_has_one_state_per_marking() {
         let sg = build_state_graph(stg).unwrap();
         assert_eq!(sg.num_states(), rg.len(), "{name}: states");
         for m in 0..rg.len() as u32 {
-            let arcs = rg.successors(m).iter().map(|&(t, tgt)| (EventId(t.0), tgt));
+            let arcs = rg.successors(m).map(|(t, tgt)| (EventId(t.0), tgt));
             assert!(sg.succ(m).iter().eq(arcs), "{name}: arcs of state {m}");
         }
         states += rg.len();
