@@ -1,31 +1,50 @@
 //! Cover complementation by Shannon expansion.
+//!
+//! One recursion over a single cube buffer: a call replaces the cover
+//! at the buffer's tail by its complement. It weeds the cover, splits
+//! on its most frequent variable `x` (the last one on a tie), writes
+//! each cofactor past the cover and complements it there, then merges
+//! the two halves `x'·f0' + x·f1'` by a two-pointer pass over their
+//! sorted cubes: a cube in both halves is independent of `x` and kept
+//! once. Each half is an antichain (no cube covers another) without
+//! `x`, so no merged cube covers another either, and sorting the merge
+//! leaves what weeding it would. A one-cube cover's complement is one
+//! literal per variable, in variable order.
 
-use crate::cover::Cover;
+use std::ops::Range;
+
+use crate::cover::{weed_from, Cover};
 use crate::cube::{Cube, MAX_VARS};
 
 /// Computes a cover of the complement of `f` over its variable set.
 pub fn complement(f: &Cover) -> Cover {
-    comp_rec(f.clone(), f.num_vars())
+    let mut buf = f.cubes().to_vec();
+    complement_tail(&mut buf, 0);
+    Cover::from_cubes(f.num_vars(), buf)
 }
 
-fn comp_rec(mut f: Cover, num_vars: usize) -> Cover {
-    if f.is_empty() {
-        return Cover::one(num_vars);
+/// Replaces the cover `buf[start..]` by its complement.
+fn complement_tail(buf: &mut Vec<Cube>, start: usize) {
+    if buf.len() == start {
+        buf.push(Cube::top());
+        return;
     }
-    if f.cubes().iter().any(|c| c.is_top()) {
-        return Cover::empty(num_vars);
+    if buf[start..].iter().any(|c| c.is_top()) {
+        buf.truncate(start);
+        return;
     }
-    f.weed();
-    if f.len() == 1 {
-        return complement_cube(f.cubes()[0], num_vars);
+    weed_from(buf, start);
+    if let [c] = buf[start..] {
+        buf.truncate(start);
+        push_complement_cube(buf, c);
+        return;
     }
     // Split on the most frequent variable.
     let mut counts = [0usize; MAX_VARS];
-    for c in f.cubes() {
+    for c in &buf[start..] {
         let mut bits = c.pos | c.neg;
         while bits != 0 {
-            let i = bits.trailing_zeros() as usize;
-            counts[i] += 1;
+            counts[bits.trailing_zeros() as usize] += 1;
             bits &= bits - 1;
         }
     }
@@ -34,39 +53,62 @@ fn comp_rec(mut f: Cover, num_vars: usize) -> Cover {
         .enumerate()
         .max_by_key(|&(_, &c)| c)
         .map(|(i, _)| i)
-        .unwrap();
-    let f0 = comp_rec(f.cofactor(var, false), num_vars);
-    let f1 = comp_rec(f.cofactor(var, true), num_vars);
-    // complement = x'·f0' + x·f1' with single-cube absorption cleanup.
-    let mut out = Cover::empty(num_vars);
-    for &c in f0.cubes() {
-        // If the same cube appears in both halves it is independent of x.
-        if f1.cubes().contains(&c) {
-            out.push(c);
+        .expect("64 variables");
+    let mid = buf.len();
+    push_cofactor_complement(buf, start..mid, var, false);
+    let one = buf.len();
+    push_cofactor_complement(buf, start..mid, var, true);
+    let end = buf.len();
+    // x'·f0' + x·f1', a cube in both halves once and without x.
+    let (mut i, mut j) = (mid, one);
+    let (neg, pos) = (Cube::literal(var, false), Cube::literal(var, true));
+    while i < one || j < end {
+        let cube = if j == end || (i < one && buf[i] < buf[j]) {
+            i += 1;
+            buf[i - 1].intersect(neg)
+        } else if i == one || buf[j] < buf[i] {
+            j += 1;
+            buf[j - 1].intersect(pos)
         } else {
-            out.push(c.intersect(Cube::literal(var, false)));
+            i += 1;
+            j += 1;
+            buf[i - 1]
+        };
+        buf.push(cube);
+    }
+    buf.drain(start..end);
+    buf[start..].sort_unstable();
+}
+
+/// Writes past the buffer's end the complement of the cover
+/// `buf[cover]` cofactored by `var = value`, sorted.
+fn push_cofactor_complement(buf: &mut Vec<Cube>, cover: Range<usize>, var: usize, value: bool) {
+    let half = buf.len();
+    for i in cover {
+        if let Some(c) = buf[i].cofactor(var, value) {
+            buf.push(c);
         }
     }
-    for &c in f1.cubes() {
-        if !f0.cubes().contains(&c) {
-            out.push(c.intersect(Cube::literal(var, true)));
-        }
+    complement_tail(buf, half);
+    buf[half..].sort_unstable();
+}
+
+/// Pushes the complement of the cube `c`: for each of its variables in
+/// ascending order, the opposite literal.
+fn push_complement_cube(buf: &mut Vec<Cube>, c: Cube) {
+    let mut bits = c.pos | c.neg;
+    while bits != 0 {
+        let v = bits.trailing_zeros() as usize;
+        buf.push(Cube::literal(v, c.neg & (1 << v) != 0));
+        bits &= bits - 1;
     }
-    out.weed();
-    out
 }
 
 /// De Morgan complement of a single cube: one cube per literal.
 pub fn complement_cube(c: Cube, num_vars: usize) -> Cover {
-    let mut out = Cover::empty(num_vars);
-    for v in c.vars() {
-        match c.get(v) {
-            Some(true) => out.push(Cube::literal(v, false)),
-            Some(false) => out.push(Cube::literal(v, true)),
-            None => {}
-        }
-    }
-    out
+    let mut out = Vec::new();
+    push_complement_cube(&mut out, c);
+    Cover::from_cubes(num_vars, out)
 }
 
 #[cfg(test)]

@@ -140,23 +140,7 @@ impl Cover {
     /// Removes cubes covered by another single cube of the cover, and
     /// duplicate cubes. Cheap cleanup, not full irredundancy.
     pub fn weed(&mut self) {
-        self.cubes.sort_unstable();
-        self.cubes.dedup();
-        let cubes = std::mem::take(&mut self.cubes);
-        let mut kept: Vec<Cube> = Vec::with_capacity(cubes.len());
-        // Wider cubes (fewer literals) first so narrower ones get culled.
-        let mut sorted = cubes;
-        sorted.sort_by_key(|c| c.num_literals());
-        'outer: for c in sorted {
-            for k in &kept {
-                if k.covers(c) {
-                    continue 'outer;
-                }
-            }
-            kept.push(c);
-        }
-        kept.sort_unstable();
-        self.cubes = kept;
+        weed_from(&mut self.cubes, 0);
     }
 
     /// Exhaustively enumerates covered minterms (for testing; exponential
@@ -188,6 +172,23 @@ impl Cover {
             .collect::<Vec<_>>()
             .join(" + ")
     }
+}
+
+/// [`Cover::weed`] on the cubes `cubes[start..]`: the ones no other
+/// cube there covers, each once, in ascending order.
+pub(crate) fn weed_from(cubes: &mut Vec<Cube>, start: usize) {
+    // Wider cubes (fewer literals) first so narrower ones get culled.
+    cubes[start..].sort_unstable_by_key(|&c| (c.num_literals(), c));
+    let mut kept = start;
+    for i in start..cubes.len() {
+        let c = cubes[i];
+        if !cubes[start..kept].iter().any(|&k| k == c || k.covers(c)) {
+            cubes[kept] = c;
+            kept += 1;
+        }
+    }
+    cubes.truncate(kept);
+    cubes[start..].sort_unstable();
 }
 
 impl fmt::Display for Cover {

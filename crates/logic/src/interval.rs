@@ -80,7 +80,7 @@ pub fn minimize_codes_with_dc(
     let off = bdd.from_codes(off_codes, num_vars);
     let upper = bdd.not(off);
     let (_f, cubes) = bdd.isop(on, upper);
-    let mut cover = Cover::from_cubes(num_vars, expand_cubes(&bdd, off, cubes));
+    let mut cover = Cover::from_cubes(num_vars, expand_cubes(&mut bdd, off, cubes));
     cover.weed();
     irredundant(&mut bdd, on, &mut cover);
     debug_assert!(meets_contract(&mut bdd, num_vars, on, off_codes, &cover));
@@ -104,7 +104,7 @@ fn meets_contract(
 /// EXPAND against the off-set diagram: greedily raise literals while the
 /// cube stays disjoint from `off`. Mirrors the cube-list `expand` of the
 /// espresso loop, with the off-set intersection answered by a BDD walk.
-fn expand_cubes(bdd: &Bdd, off: NodeRef, cubes: Vec<Cube>) -> Vec<Cube> {
+fn expand_cubes(bdd: &mut Bdd, off: NodeRef, cubes: Vec<Cube>) -> Vec<Cube> {
     cubes
         .into_iter()
         .map(|c| {

@@ -8,13 +8,15 @@
 //!   variables, with the usual cube algebra;
 //! * [`tautology`] — tautology/containment via unate reduction and
 //!   Shannon splitting;
-//! * [`complement`] — cover complementation;
+//! * [`complement`] — cover complementation, one Shannon recursion over
+//!   a single cube buffer;
 //! * [`minimize`] — heuristic espresso-style minimization
 //!   (EXPAND/IRREDUNDANT/REDUCE loop);
 //! * [`factor`]/[`Expr`] — algebraic factoring feeding technology
 //!   mapping;
-//! * [`Bdd`] — a small ROBDD package for equivalence checking, with a
-//!   near-linear minterm-list loader and interval ISOP extraction;
+//! * [`Bdd`] — a small ROBDD manager on flat tables (an open-addressing
+//!   unique table, one lossy computed table), with a near-linear
+//!   minterm-list loader and interval ISOP extraction;
 //! * [`minimize_codes`] — BDD-backed minimization for functions given
 //!   as huge minterm lists (million-state next-state tables), where the
 //!   cube-list algorithms above would be quadratic in the state count;

@@ -116,7 +116,16 @@ impl EngineState {
     }
 
     fn begin_shutdown(&self, addr: SocketAddr) {
-        self.stop.store(true, Ordering::SeqCst);
+        // Under the queue lock: a worker reads `stop` under it before it
+        // waits, so it either sees the store or is already waiting when
+        // the notification comes.
+        {
+            let _queue = self
+                .queue
+                .lock()
+                .expect("no thread panics holding the queue");
+            self.stop.store(true, Ordering::SeqCst);
+        }
         self.queue_cv.notify_all();
         // Unblock the acceptor with a throwaway connection.
         let _ = TcpStream::connect(addr);
@@ -675,5 +684,35 @@ mod tests {
         let health = ask("GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n");
         assert_eq!(health.status, 200, "{}", health.body_str());
         engine.join();
+    }
+
+    #[test]
+    fn shutdown_sets_stop_only_under_the_queue_lock() {
+        // A worker reads `stop` under the queue lock and then waits on
+        // `queue_cv`. A store and its notification that landed between
+        // that read and the wait would never wake it. Holding the lock
+        // here stands in for a worker inside that window.
+        let state = Arc::new(EngineState::new(ServerConfig::new()));
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let queue = state.queue.lock().unwrap();
+        let (done, finished) = std::sync::mpsc::channel();
+        let stopper = {
+            let state = Arc::clone(&state);
+            std::thread::spawn(move || {
+                state.begin_shutdown(addr);
+                done.send(()).unwrap();
+            })
+        };
+        assert_eq!(
+            finished.recv_timeout(Duration::from_millis(200)),
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout),
+            "shutdown finished while a worker held the queue lock"
+        );
+        assert!(!state.stop.load(Ordering::SeqCst));
+        drop(queue);
+        finished.recv().unwrap();
+        stopper.join().unwrap();
+        assert!(state.stop.load(Ordering::SeqCst));
     }
 }

@@ -733,3 +733,27 @@ fn stats_stage_rows_equal_the_metrics_stage_histograms() {
     }
     server.stop().unwrap();
 }
+
+#[test]
+fn stop_wakes_a_worker_on_its_way_back_to_the_queue() {
+    // The worker that served the request heads back to the accept queue
+    // while the client calls `stop`. If shutdown set `stop` between the
+    // worker's check and its wait, the worker missed the only wakeup and
+    // parked for good, and `stop` waited on it forever. The window is
+    // narrow, so the cycle repeats; each `stop` runs under a watchdog.
+    for threads in [1, 2] {
+        for cycle in 0..300 {
+            let server = Server::start(ServerConfig::new().with_threads(threads)).unwrap();
+            let (status, _) = get(server.addr(), "/healthz");
+            assert_eq!(status, 200);
+            let (done, stopped) = std::sync::mpsc::channel();
+            let stopper = std::thread::spawn(move || done.send(server.stop().is_ok()));
+            assert_eq!(
+                stopped.recv_timeout(Duration::from_secs(10)),
+                Ok(true),
+                "{threads} worker(s), cycle {cycle}: stop did not return"
+            );
+            stopper.join().unwrap().unwrap();
+        }
+    }
+}
