@@ -16,12 +16,15 @@
 //! *before* starting a pipeline.
 //!
 //! The handle is cheaply cloneable and thread-safe; hit/miss totals
-//! are cumulative over the cache's lifetime, while per-run counts are
+//! are cumulative over the handle's lifetime in this process (a
+//! recovered cache starts them at 0), while per-run counts are
 //! surfaced on [`Diagnostics`](crate::Diagnostics). A cache built
 //! [`with_capacity`](SynthCache::with_capacity) evicts its least
-//! recently used entry when full; caches persist across processes via
-//! [`save_to`](SynthCache::save_to) / [`load_from`](SynthCache::load_from)
-//! and a [`CacheStore`](crate::CacheStore).
+//! recently used entry when full. Caches persist across processes as
+//! a journal in a [`CacheStore`](crate::CacheStore): every insert is
+//! appended once [`attach_journal`](SynthCache::attach_journal) arms
+//! it, [`compact_to`](SynthCache::compact_to) rewrites it to one record
+//! per entry, and [`recover`](SynthCache::recover) replays it.
 //!
 //! [`run`]: crate::Parsed::run
 
@@ -29,6 +32,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::io;
 use std::sync::{Arc, Mutex};
 
 use crate::store::journal_record;
@@ -204,8 +208,8 @@ impl SynthCache {
     /// durable store (like [`FileStore`](crate::FileStore), which
     /// fsyncs each append), a `kill -9` at any point loses no
     /// completed synthesis. Recover the entries with
-    /// [`SynthCache::recover`]; fold the journal back into a snapshot
-    /// with [`SynthCache::compact_to`].
+    /// [`SynthCache::recover`]; rewrite the journal to one record per
+    /// entry with [`SynthCache::compact_to`].
     ///
     /// An append failure never fails the insert (the synthesis result
     /// is still correct and cached in memory); it is counted on
@@ -293,34 +297,35 @@ impl SynthCache {
         inner.evict_to_capacity();
     }
 
-    /// Snapshot of every entry as `(key, recency tick, synthesis)`,
-    /// sorted by key — the deterministic order the binary codec writes.
-    pub(crate) fn export_entries(&self) -> Vec<(u64, u64, Synthesis)> {
+    /// Rewrites `store`'s journal as this cache's entries: one record
+    /// per entry, sorted by key, each with its recency stamp, in one
+    /// atomic [`CacheStore::replace_journal`]. The cache lock is held
+    /// throughout, so an insert racing the compaction lands either in
+    /// the rewrite or as an append after it, never in a journal the
+    /// rewrite then discards.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the store's I/O failure; a rewrite that fails before
+    /// its replace leaves the old journal whole.
+    pub fn compact_to(&self, store: &dyn CacheStore) -> io::Result<()> {
         let inner = self.inner.lock().unwrap();
-        let mut out: Vec<(u64, u64, Synthesis)> = inner
-            .map
-            .iter()
-            .map(|(&k, e)| (k, e.tick, e.synthesis.clone()))
+        let mut entries: Vec<(&u64, &Entry)> = inner.map.iter().collect();
+        entries.sort_unstable_by_key(|&(&key, _)| key);
+        let bytes: Vec<u8> = entries
+            .into_iter()
+            .flat_map(|(&key, e)| journal_record(key, e.tick, &e.synthesis))
             .collect();
-        out.sort_unstable_by_key(|&(k, _, _)| k);
-        out
+        store.replace_journal(&bytes)
     }
 
-    /// Snapshot of the lifetime counters
-    /// `(hits, misses, shared_hits, evictions)`.
-    pub(crate) fn export_counters(&self) -> (u64, u64, u64, u64) {
-        let inner = self.inner.lock().unwrap();
-        (inner.hits, inner.misses, inner.shared_hits, inner.evictions)
-    }
-
-    /// Rebuilds a cache from decoded entries and counters, restoring
-    /// each entry's recency stamp so the LRU order survives a restart.
-    /// The capacity is *not* part of a snapshot: the holder re-applies
-    /// its own bound via [`SynthCache::set_capacity`].
-    pub(crate) fn import(
-        entries: Vec<(u64, u64, Synthesis)>,
-        counters: (u64, u64, u64, u64),
-    ) -> SynthCache {
+    /// Rebuilds a cache from decoded `(key, recency tick, synthesis)`
+    /// entries in journal order: a later entry of a key replaces an
+    /// earlier one, and each keeps its recency stamp, so the LRU order
+    /// survives a restart. The lifetime counters start at 0, and the
+    /// capacity is the holder's to re-apply via
+    /// [`SynthCache::set_capacity`].
+    pub(crate) fn import(entries: Vec<(u64, u64, Synthesis)>) -> SynthCache {
         let tick = entries.iter().map(|&(_, t, _)| t).max().unwrap_or(0);
         let map = entries
             .into_iter()
@@ -330,14 +335,7 @@ impl SynthCache {
             inner: Arc::new(Mutex::new(Inner {
                 map,
                 tick,
-                capacity: None,
-                journal: None,
-                hits: counters.0,
-                misses: counters.1,
-                shared_hits: counters.2,
-                evictions: counters.3,
-                journal_appends: 0,
-                journal_errors: 0,
+                ..Inner::default()
             })),
         }
     }

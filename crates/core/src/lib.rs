@@ -25,8 +25,8 @@
 //! its artifacts, each transition takes that stage's options, a
 //! [`Diagnostics`] record collects per-stage wall times and counters,
 //! and a [`SynthCache`] turns repeated identical runs into O(1)
-//! lookups — and, through a [`CacheStore`], persists them across
-//! processes.
+//! lookups — and, as a journal in a [`CacheStore`], persists them
+//! across processes.
 //!
 //! # Example
 //!
@@ -591,6 +591,19 @@ Go- Req~
     }
 
     #[test]
+    fn a_dummy_in_choice_with_an_output_is_rejected() {
+        // Dummy d withdraws the excited output b+ from choice place p:
+        // the typed SI rejection, not a stalled CSC search later on.
+        let dummy = ".model dummy_choice\n.inputs a\n.outputs b\n.dummy d\n.graph\n\
+             a+ p\np b+ d\nb+ b-\nb- q\nd q\nq a-\na- a+\n\
+             .marking { <a-,a+> }\n.end\n";
+        match run(dummy, &PipelineOptions::default()) {
+            Err(PipelineError::NotSpeedIndependent { violations: 1 }) => {}
+            other => panic!("expected one SI violation, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn parse_errors_are_tagged() {
         match run(".model broken\n.end\n", &PipelineOptions::default()) {
             Err(PipelineError::Parse(_)) => {}
@@ -1032,20 +1045,24 @@ done- go+
 
     #[test]
     fn cache_persists_across_a_store_round_trip() {
-        let store = MemStore::new();
+        use std::sync::Arc;
+
+        let store = Arc::new(MemStore::new());
         let opts = PipelineOptions::default();
         let cache = SynthCache::new();
+        cache.attach_journal(store.clone());
         let first = Pipeline::from_g(XYZ_G)
             .unwrap()
             .with_cache(&cache)
             .run(&opts)
             .unwrap();
-        cache.save_to(&store).unwrap();
+        run_cached(TOGGLE_G, &cache);
 
-        // A fresh handle loaded from the store hits on the same key.
-        let reloaded = SynthCache::load_from(&store).unwrap();
-        assert_eq!(reloaded.len(), 1);
-        assert_eq!(reloaded.misses(), 1, "counters were not persisted");
+        // A fresh handle recovered from the store hits on the same key;
+        // its lifetime counters start over.
+        let reloaded = SynthCache::recover(&*store).unwrap().cache;
+        assert_eq!(reloaded.len(), 2);
+        assert_eq!((reloaded.hits(), reloaded.misses()), (0, 0));
         let replay = Pipeline::from_g(XYZ_G)
             .unwrap()
             .with_cache(&reloaded)
@@ -1057,30 +1074,35 @@ done- go+
             replay.netlist().describe(),
             "reloaded synthesis drifted"
         );
-        // Save → load → save is byte-identical.
-        let bytes = cache.to_bytes();
+        // Compact → recover → compact is byte-identical.
+        let compacted = MemStore::new();
+        reloaded.compact_to(&compacted).unwrap();
+        let bytes = compacted.read_journal().unwrap().unwrap();
+        let again = MemStore::new();
+        SynthCache::recover(&compacted)
+            .unwrap()
+            .cache
+            .compact_to(&again)
+            .unwrap();
         assert_eq!(
+            again.read_journal().unwrap().unwrap(),
             bytes,
-            SynthCache::from_bytes(&bytes).unwrap().to_bytes(),
-            "codec round-trip not byte-identical"
+            "compaction round-trip not byte-identical"
         );
-        // An empty store loads as an empty cache; corrupt bytes error.
-        assert!(SynthCache::load_from(&MemStore::new()).unwrap().is_empty());
-        assert!(SynthCache::from_bytes(b"not a snapshot").is_err());
-        // Version 1 (per-state markings), version 2 (no canonical
-        // numbering) and unknown versions are rejected, not misread.
-        for version in [1u32, 2, 0xFF] {
-            let mut wrong_version = bytes.clone();
-            wrong_version[4..8].copy_from_slice(&version.to_le_bytes());
-            let err = SynthCache::from_bytes(&wrong_version).unwrap_err();
-            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        }
-        let mut truncated = bytes.clone();
-        truncated.pop();
-        assert!(SynthCache::from_bytes(&truncated).is_err());
-        let mut trailing = bytes;
-        trailing.push(0);
-        assert!(SynthCache::from_bytes(&trailing).is_err());
+        // An empty store recovers as an empty cache.
+        assert!(SynthCache::recover(&MemStore::new())
+            .unwrap()
+            .cache
+            .is_empty());
+    }
+
+    /// One default-options run of `src` through `cache`.
+    fn run_cached(src: &str, cache: &SynthCache) {
+        Pipeline::from_g(src)
+            .unwrap()
+            .with_cache(cache)
+            .run(&PipelineOptions::default())
+            .unwrap();
     }
 
     #[test]
@@ -1098,20 +1120,14 @@ done- go+
             .with_cache(&cache)
             .run(&opts)
             .unwrap();
-        Pipeline::from_g(TOGGLE_G)
-            .unwrap()
-            .with_cache(&cache)
-            .run(&opts)
-            .unwrap();
+        run_cached(TOGGLE_G, &cache);
         assert_eq!(cache.journal_appends(), 2);
         assert_eq!(cache.journal_errors(), 0);
         // Simulated kill -9: the cache handle is dropped without ever
-        // writing a snapshot. The journal alone must carry both runs.
+        // compacting. The appended records alone must carry both runs.
         drop(cache);
-        assert!(store.read().unwrap().is_none(), "no snapshot expected");
 
         let recovery = SynthCache::recover(&*store).unwrap();
-        assert_eq!(recovery.snapshot_entries, 0);
         assert_eq!(recovery.journal_entries, 2);
         assert_eq!(recovery.torn_bytes, 0);
         let recovered = recovery.cache;
@@ -1128,35 +1144,124 @@ done- go+
             "journaled synthesis drifted"
         );
 
-        // Compaction folds the journal into a snapshot and clears it.
+        // Compaction rewrites the journal as one record per entry.
         recovered.compact_to(&*store).unwrap();
-        assert!(store.read().unwrap().is_some());
-        assert!(store.read_journal().unwrap().is_none());
         let recompacted = SynthCache::recover(&*store).unwrap();
-        assert_eq!(recompacted.snapshot_entries, 2);
-        assert_eq!(recompacted.journal_entries, 0);
+        assert_eq!(recompacted.journal_entries, 2);
+        assert_eq!(recompacted.cache.len(), 2);
     }
 
     #[test]
     fn replay_is_idempotent_across_the_compaction_crash_window() {
         use std::sync::Arc;
 
-        // A crash *between* the snapshot rename and the journal clear
-        // leaves the same entry in both artifacts; recovery must merge,
-        // not duplicate or fail.
+        // A compaction that fails before its rename leaves the old
+        // journal whole, so recovery replays every entry; a retried
+        // compaction rewrites them.
+        let path = std::env::temp_dir().join(format!(
+            "reshuffle-core-compact-{}.cache",
+            std::process::id()
+        ));
+        let tmp = std::path::PathBuf::from(format!("{}.tmp", path.display()));
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir(&tmp);
+        let store = Arc::new(FileStore::new(&path));
+        let cache = SynthCache::new();
+        cache.attach_journal(store.clone());
+        run_cached(XYZ_G, &cache);
+        run_cached(TOGGLE_G, &cache);
+        let before = std::fs::read(&path).unwrap();
+        // A directory where the rewrite wants its temporary file stops
+        // the rewrite before it renames anything.
+        std::fs::create_dir(&tmp).unwrap();
+        assert!(cache.compact_to(&*store).is_err());
+        assert_eq!(std::fs::read(&path).unwrap(), before, "journal torn");
+        assert_eq!(SynthCache::recover(&*store).unwrap().cache.len(), 2);
+        std::fs::remove_dir(&tmp).unwrap();
+        cache.compact_to(&*store).unwrap();
+        assert!(!tmp.exists(), "the rewrite left its temporary file");
+        let recovery = SynthCache::recover(&*store).unwrap();
+        assert_eq!((recovery.journal_entries, recovery.cache.len()), (2, 2));
+        // Replaying the same records twice changes nothing.
+        store.append(&std::fs::read(&path).unwrap()).unwrap();
+        let doubled = SynthCache::recover(&*store).unwrap();
+        assert_eq!((doubled.journal_entries, doubled.cache.len()), (4, 2));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn two_records_of_one_key_recover_as_the_last() {
+        use std::sync::Arc;
+
+        let opts = PipelineOptions::default();
+        let (xyz, toggle) = (run(XYZ_G, &opts).unwrap(), run(TOGGLE_G, &opts).unwrap());
         let store = Arc::new(MemStore::new());
         let cache = SynthCache::new();
         cache.attach_journal(store.clone());
-        Pipeline::from_g(XYZ_G)
-            .unwrap()
-            .with_cache(&cache)
-            .run(&PipelineOptions::default())
-            .unwrap();
-        cache.save_to(&*store).unwrap(); // snapshot landed, journal did not clear
+        cache.insert(7, xyz);
+        cache.insert(7, toggle.clone());
         let recovery = SynthCache::recover(&*store).unwrap();
-        assert_eq!(recovery.snapshot_entries, 1);
-        assert_eq!(recovery.journal_entries, 1);
-        assert_eq!(recovery.cache.len(), 1, "replay duplicated an entry");
+        assert_eq!((recovery.journal_entries, recovery.cache.len()), (2, 1));
+        let last = recovery.cache.lookup(7).expect("key 7 recovered");
+        assert_eq!(last.netlist.describe(), toggle.netlist.describe());
+        // Compaction keeps the last record alone.
+        recovery.cache.compact_to(&*store).unwrap();
+        assert_eq!(SynthCache::recover(&*store).unwrap().journal_entries, 1);
+    }
+
+    /// An insert, started on another thread, that signals when it is
+    /// done.
+    type Racer = (Box<dyn FnOnce() + Send>, std::sync::mpsc::Receiver<()>);
+
+    /// A journal whose first rewrite starts its racer and waits for the
+    /// insert to finish (or 100 ms, if the compaction locks it out)
+    /// before replacing the journal.
+    #[derive(Default)]
+    struct RacingStore {
+        journal: MemStore,
+        racer: std::sync::Mutex<Option<Racer>>,
+        raced: std::sync::Mutex<Option<std::thread::JoinHandle<()>>>,
+    }
+
+    impl CacheStore for RacingStore {
+        fn append(&self, record: &[u8]) -> std::io::Result<()> {
+            self.journal.append(record)
+        }
+
+        fn read_journal(&self) -> std::io::Result<Option<Vec<u8>>> {
+            self.journal.read_journal()
+        }
+
+        fn replace_journal(&self, bytes: &[u8]) -> std::io::Result<()> {
+            if let Some((insert, inserted)) = self.racer.lock().unwrap().take() {
+                *self.raced.lock().unwrap() = Some(std::thread::spawn(insert));
+                let _ = inserted.recv_timeout(std::time::Duration::from_millis(100));
+            }
+            self.journal.replace_journal(bytes)
+        }
+    }
+
+    #[test]
+    fn an_insert_racing_a_compaction_survives_recovery() {
+        use std::sync::Arc;
+
+        let opts = PipelineOptions::default();
+        let (xyz, toggle) = (run(XYZ_G, &opts).unwrap(), run(TOGGLE_G, &opts).unwrap());
+        let store = Arc::new(RacingStore::default());
+        let cache = SynthCache::new();
+        cache.attach_journal(store.clone());
+        cache.insert(1, xyz);
+        let (racing, (done, inserted)) = (cache.clone(), std::sync::mpsc::channel());
+        let insert = move || {
+            racing.insert(2, toggle);
+            let _ = done.send(());
+        };
+        *store.racer.lock().unwrap() = Some((Box::new(insert), inserted));
+        cache.compact_to(&*store).unwrap();
+        let raced = store.raced.lock().unwrap().take().expect("racer started");
+        raced.join().unwrap();
+        let recovery = SynthCache::recover(&*store).unwrap();
+        assert_eq!(recovery.cache.len(), 2, "the racing insert was lost");
     }
 
     #[test]
@@ -1166,35 +1271,36 @@ done- go+
         let store = Arc::new(MemStore::new());
         let cache = SynthCache::new();
         cache.attach_journal(store.clone());
-        Pipeline::from_g(XYZ_G)
-            .unwrap()
-            .with_cache(&cache)
-            .run(&PipelineOptions::default())
-            .unwrap();
+        run_cached(XYZ_G, &cache);
         let record = store.read_journal().unwrap().unwrap();
 
         // One complete record followed by a torn tail (the partial
-        // write a mid-append kill leaves): replayed and counted.
-        let torn = MemStore::new();
-        torn.append(&record).unwrap();
-        torn.append(&record[..10]).unwrap();
-        let recovery = SynthCache::recover(&torn).unwrap();
-        assert_eq!(recovery.journal_entries, 1);
-        assert_eq!(recovery.torn_bytes, 10);
+        // write a mid-append kill leaves): replayed and counted. A tail
+        // that lacks one byte of its payload, or is one stray byte, is
+        // torn too.
+        for tail in [&record[..10], &record[..record.len() - 1], &[0u8][..]] {
+            let torn = MemStore::new();
+            torn.append(&record).unwrap();
+            torn.append(tail).unwrap();
+            let recovery = SynthCache::recover(&torn).unwrap();
+            assert_eq!(recovery.journal_entries, 1);
+            assert_eq!(recovery.torn_bytes, tail.len());
+        }
 
-        // A complete record whose payload was flipped is corruption,
-        // not a torn tail: the checksum rejects it loudly.
-        let corrupt = MemStore::new();
-        let mut bytes = record.clone();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xFF;
-        corrupt.append(&bytes).unwrap();
-        let err = SynthCache::recover(&corrupt).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        // A complete record whose payload or checksum was flipped is
+        // corruption, not a torn tail: the checksum rejects it loudly.
+        for at in [record.len() - 1, 12] {
+            let corrupt = MemStore::new();
+            let mut bytes = record.clone();
+            bytes[at] ^= 0xFF;
+            corrupt.append(&bytes).unwrap();
+            let err = SynthCache::recover(&corrupt).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "byte {at}");
+        }
 
-        // So is a version-1 record (per-state markings) and a version-2
-        // one (no canonical numbering).
-        for version in [1u32, 2] {
+        // So is a version-1 record (per-state markings), a version-2
+        // one (no canonical numbering) and an unknown version.
+        for version in [1u32, 2, 0xFF] {
             let old = MemStore::new();
             let mut bytes = record.clone();
             bytes[4..8].copy_from_slice(&version.to_le_bytes());
@@ -1208,7 +1314,8 @@ done- go+
         let mut bytes = record.clone();
         bytes[0] = b'X';
         foreign.append(&bytes).unwrap();
-        assert!(SynthCache::recover(&foreign).is_err());
+        let err = SynthCache::recover(&foreign).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     }
 
     #[test]
@@ -1222,14 +1329,10 @@ done- go+
             .join(format!("reshuffle-no-such-dir-{}", std::process::id()))
             .join("cache");
         let store = FileStore::new(&missing);
-        assert!(store.write(b"snapshot").is_err(), "write path error lost");
+        assert!(store.replace_journal(b"journal").is_err(), "error lost");
         let cache = SynthCache::new();
         cache.attach_journal(Arc::new(store));
-        Pipeline::from_g(XYZ_G)
-            .unwrap()
-            .with_cache(&cache)
-            .run(&PipelineOptions::default())
-            .unwrap();
+        run_cached(XYZ_G, &cache);
         assert_eq!(cache.len(), 1, "insert must survive a journal failure");
         assert_eq!(cache.journal_appends(), 0);
         assert_eq!(cache.journal_errors(), 1);
@@ -1241,18 +1344,21 @@ done- go+
             "reshuffle-core-journal-{}.cache",
             std::process::id()
         ));
+        let tmp = std::path::PathBuf::from(format!("{}.tmp", path.display()));
         let store = FileStore::new(&path);
-        let _ = store.clear_journal();
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(store.journal_path(), path);
         assert!(store.read_journal().unwrap().is_none());
         store.append(b"abc").unwrap();
         store.append(b"def").unwrap();
-        assert!(store.journal_path().exists());
         assert_eq!(store.read_journal().unwrap().unwrap(), b"abcdef");
-        store.clear_journal().unwrap();
-        assert!(!store.journal_path().exists());
-        assert!(store.read_journal().unwrap().is_none());
-        store.clear_journal().unwrap(); // clearing an absent journal is fine
-        let _ = std::fs::remove_file(&path);
+        store.replace_journal(b"xy").unwrap();
+        assert!(!tmp.exists(), "the rewrite left its temporary file");
+        store.append(b"z").unwrap();
+        assert_eq!(store.read_journal().unwrap().unwrap(), b"xyz");
+        store.replace_journal(b"").unwrap();
+        assert!(store.read_journal().unwrap().is_none(), "empty is None");
+        std::fs::remove_file(&path).unwrap();
     }
 
     /// Replica of the cache-key option trail. `DefaultHasher` is not

@@ -1,38 +1,35 @@
-//! Persistent storage for [`SynthCache`]: a compact, versioned binary
-//! codec plus the [`CacheStore`] trait that abstracts *where* the
-//! encoded bytes live.
+//! Persistent storage for [`SynthCache`]: a versioned binary journal
+//! plus the [`CacheStore`] trait that abstracts *where* its bytes live.
 //!
 //! The codec is deliberately dependency-free (the build container has
 //! no network, so no serde): little-endian scalars, length-prefixed
 //! strings, and structural records for each cached
 //! [`Synthesis`](crate::Synthesis) — the STG as canonical `.g` text
 //! (the round-trip-pinned writer), the state graph as its codes and
-//! arcs, and the netlist as its node table. Entries are written
-//! sorted by cache key and carry their LRU recency stamps, so
-//! `save → load → save` is **byte-identical** and the eviction order
-//! survives a process restart.
+//! arcs, and the netlist as its node table.
 //!
-//! A store holds two artifacts:
+//! The journal is the cache's one persisted form: a sequence of
+//! self-delimiting records, each holding one entry with its cache key
+//! and LRU recency stamp. Two writers produce it:
 //!
-//! - the **snapshot** — one whole-cache image, replaced atomically by
-//!   [`CacheStore::write`];
-//! - the **journal** — an append-only sequence of per-entry records
-//!   ([`CacheStore::append`]), each made durable before the append
+//! - every insert into a cache with an attached journal appends one
+//!   record ([`CacheStore::append`]), durable before the append
 //!   returns, so a process killed at any point loses no completed
-//!   synthesis. [`SynthCache::recover`] loads `snapshot + journal
-//!   replay`; [`SynthCache::compact_to`] folds the journal into a
-//!   fresh snapshot and clears it. Replay is idempotent (a key present
-//!   in both the snapshot and the journal resolves to the journal's
-//!   record), which is what makes the compaction crash-window safe: a
-//!   crash between the snapshot rename and the journal clear merely
-//!   replays entries the snapshot already holds.
+//!   synthesis;
+//! - [`SynthCache::compact_to`] replaces the whole journal atomically
+//!   ([`CacheStore::replace_journal`]) with one record per live entry,
+//!   sorted by key, so compacting an unchanged cache writes the same
+//!   bytes and a clean shutdown leaves the smallest journal that
+//!   recovers the same cache.
 //!
-//! Every header pins a magic plus a format version; decoding rejects
-//! foreign or future bytes with [`io::ErrorKind::InvalidData`] instead
-//! of misreading them. Journal records additionally carry a checksum:
-//! a torn tail (the one partially written record a mid-append crash
-//! can leave) is detected and dropped, while corruption anywhere else
-//! is an error.
+//! [`SynthCache::recover`] replays the records in order; a key recorded
+//! twice resolves to its last record.
+//!
+//! Every record opens with a magic plus a format version and carries a
+//! checksum: foreign or future bytes are rejected with
+//! [`io::ErrorKind::InvalidData`] instead of being misread. A torn tail
+//! (the one partially written record a mid-append crash can leave) is
+//! detected and dropped, while corruption anywhere else is an error.
 
 use std::fs;
 use std::io::{self, Write as _};
@@ -47,14 +44,13 @@ use reshuffle_synth::{GateType, Netlist, Node, NodeId};
 
 use crate::{SynthCache, Synthesis};
 
-/// Magic bytes opening every snapshot: `RSHC` ("reshuffle cache").
-const MAGIC: &[u8; 4] = b"RSHC";
-/// Magic bytes opening every journal record: `RSHJ` ("… journal").
+/// Magic bytes opening every journal record: `RSHJ` ("reshuffle
+/// journal").
 const JOURNAL_MAGIC: &[u8; 4] = b"RSHJ";
-/// Current snapshot/journal format version. Version 2 dropped the
-/// per-state markings of the embedded state graph, and version 3 its
+/// Current journal format version. Version 2 dropped the per-state
+/// markings of the embedded state graph, and version 3 its
 /// initial-state word: the graph's states are stored in its one
-/// canonical numbering, rooted at state 0. An older file is rejected
+/// canonical numbering, rooted at state 0. An older record is rejected
 /// rather than misread (a version-2 graph was written without the
 /// numbering rule).
 const VERSION: u32 = 3;
@@ -62,16 +58,13 @@ const VERSION: u32 = 3;
 /// magic (4) + version (4) + payload length (4) + checksum (8).
 const JOURNAL_HEADER_BYTES: usize = 20;
 
-/// Where encoded [`SynthCache`] snapshots and journals live.
+/// Where a [`SynthCache`]'s journal lives.
 ///
-/// A store holds at most one snapshot ([`CacheStore::write`] replaces
-/// it atomically, [`CacheStore::read`] returns the last one written,
-/// or `None` when nothing was ever saved) plus one append-only
-/// journal ([`CacheStore::append`] adds a durable record,
-/// [`CacheStore::read_journal`] returns everything appended since the
-/// last [`CacheStore::clear_journal`]). The codecs themselves live on
-/// [`SynthCache`] ([`save_to`](SynthCache::save_to) /
-/// [`load_from`](SynthCache::load_from) /
+/// A store holds one journal: [`CacheStore::append`] adds a durable
+/// record, [`CacheStore::read_journal`] returns every byte,
+/// and [`CacheStore::replace_journal`] swaps in new contents
+/// atomically. The codec itself lives on [`SynthCache`]
+/// ([`attach_journal`](SynthCache::attach_journal) /
 /// [`recover`](SynthCache::recover) /
 /// [`compact_to`](SynthCache::compact_to)); stores only move opaque
 /// bytes, so a new backend (a database blob, an object store) is one
@@ -79,10 +72,13 @@ const JOURNAL_HEADER_BYTES: usize = 20;
 ///
 /// # Worked example
 ///
-/// Fill a cache, persist it, and serve a whole run from the reloaded
-/// copy — the O(1) replay a synthesis service does after a restart:
+/// Journal a cache as it fills, then serve a whole run from the cache
+/// recovered from that journal — what a synthesis service does after a
+/// restart, clean or not:
 ///
 /// ```
+/// use std::sync::Arc;
+///
 /// use reshuffle::{CacheStore, MemStore, Pipeline, PipelineOptions, SynthCache};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -91,15 +87,15 @@ const JOURNAL_HEADER_BYTES: usize = 20;
 ///            .marking { <z-,x+> }\n.end\n";
 /// let opts = PipelineOptions::default();
 ///
-/// // One real run fills the cache; save the snapshot.
+/// // One real run fills the cache and appends its record.
+/// let store = Arc::new(MemStore::new()); // swap in `FileStore` for a real path
 /// let cache = SynthCache::new();
+/// cache.attach_journal(store.clone());
 /// let first = Pipeline::from_g(src)?.with_cache(&cache).run(&opts)?;
-/// let store = MemStore::new(); // swap in `FileStore` for a real path
-/// cache.save_to(&store)?;
-/// assert!(store.read()?.is_some());
+/// assert!(store.read_journal()?.is_some());
 ///
-/// // A fresh process loads the snapshot: the identical key hits.
-/// let reloaded = SynthCache::load_from(&store)?;
+/// // A fresh process replays the journal: the identical key hits.
+/// let reloaded = SynthCache::recover(&*store)?.cache;
 /// assert_eq!(reloaded.len(), 1);
 /// let replay = Pipeline::from_g(src)?.with_cache(&reloaded).run(&opts)?;
 /// assert_eq!(replay.diagnostics().cache_hits, 1);
@@ -107,25 +103,14 @@ const JOURNAL_HEADER_BYTES: usize = 20;
 ///     first.netlist().describe(),
 ///     replay.netlist().describe(),
 /// );
+///
+/// // A clean shutdown rewrites the journal: one record per entry.
+/// reloaded.compact_to(&*store)?;
+/// assert_eq!(SynthCache::recover(&*store)?.journal_entries, 1);
 /// # Ok(())
 /// # }
 /// ```
 pub trait CacheStore {
-    /// Persists one encoded snapshot, replacing any previous one.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the backend's I/O failure.
-    fn write(&self, bytes: &[u8]) -> io::Result<()>;
-
-    /// Returns the last persisted snapshot, or `None` when the store
-    /// has never been written (a missing file is not an error).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the backend's I/O failure.
-    fn read(&self) -> io::Result<Option<Vec<u8>>>;
-
     /// Appends one record to the journal, durably: when this returns
     /// `Ok`, the record survives an immediate process kill or power
     /// loss (for [`FileStore`], the data is fsync'd before returning).
@@ -135,64 +120,57 @@ pub trait CacheStore {
     /// Propagates the backend's I/O failure.
     fn append(&self, record: &[u8]) -> io::Result<()>;
 
-    /// Returns every journal byte appended since the last
-    /// [`clear_journal`](CacheStore::clear_journal), or `None` when
-    /// the journal is empty or was never written.
+    /// Returns every journal byte, or `None` when the journal is empty
+    /// or was never written (a missing file is not an error).
     ///
     /// # Errors
     ///
     /// Propagates the backend's I/O failure.
     fn read_journal(&self) -> io::Result<Option<Vec<u8>>>;
 
-    /// Discards the journal (called after its entries were compacted
-    /// into a snapshot). Clearing an absent journal is not an error.
+    /// Replaces the whole journal with `bytes`, atomically and
+    /// durably: a crash at any point leaves either the old journal or
+    /// the new one, never a mix.
     ///
     /// # Errors
     ///
-    /// Propagates the backend's I/O failure.
-    fn clear_journal(&self) -> io::Result<()>;
+    /// Propagates the backend's I/O failure. A failure before the new
+    /// contents take the journal's place leaves the old journal whole.
+    fn replace_journal(&self, bytes: &[u8]) -> io::Result<()>;
 }
 
-/// A [`CacheStore`] backed by files on disk: the snapshot at the
-/// configured path, the journal at a `.journal` sibling.
+/// A [`CacheStore`] backed by one journal file on disk.
 ///
-/// Snapshot writes go to a `.tmp` sibling first (written and fsync'd),
-/// are moved into place with an atomic rename, and the parent
-/// directory is fsync'd — so a crash or power loss mid-save never
-/// corrupts the previous snapshot *and* a completed save cannot
-/// vanish. Journal appends fsync the journal file before returning
-/// (plus the directory once, when the file is first created). Missing
-/// files read as `None`.
+/// Appends fsync the file before returning (plus the parent directory
+/// once, when the file is first created). A replace writes a `.tmp`
+/// sibling, fsyncs it, renames it over the journal and fsyncs the
+/// directory — so a crash or power loss mid-rewrite leaves the old
+/// journal whole, and a completed rewrite cannot vanish. A missing file
+/// reads as `None`.
 #[derive(Debug, Clone)]
 pub struct FileStore {
     path: PathBuf,
-    /// Whether the parent directory was fsync'd since the journal file
-    /// was (re)created; shared across clones so the once-per-creation
+    /// Whether the parent directory was fsync'd since this store first
+    /// wrote the journal; shared across clones so the once-per-creation
     /// directory sync survives handle cloning.
-    journal_dir_synced: Arc<AtomicBool>,
+    dir_synced: Arc<AtomicBool>,
 }
 
 impl FileStore {
-    /// A store persisting to `path` (journal at `path` with a
-    /// `.journal` extension).
+    /// A store whose journal is the file at `path`.
     pub fn new(path: impl Into<PathBuf>) -> FileStore {
         FileStore {
             path: path.into(),
-            journal_dir_synced: Arc::new(AtomicBool::new(false)),
+            dir_synced: Arc::new(AtomicBool::new(false)),
         }
     }
 
-    /// The snapshot path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// The journal path: the snapshot path with a `.journal` extension.
+    /// The journal file: the path the store was created with.
     pub fn journal_path(&self) -> PathBuf {
-        self.path.with_extension("journal")
+        self.path.clone()
     }
 
-    /// Fsyncs the snapshot's parent directory so renames and newly
+    /// Fsyncs the journal's parent directory so renames and newly
     /// created files are themselves durable, not just their contents.
     fn sync_dir(&self) -> io::Result<()> {
         let dir = match self.path.parent() {
@@ -204,41 +182,23 @@ impl FileStore {
 }
 
 impl CacheStore for FileStore {
-    fn write(&self, bytes: &[u8]) -> io::Result<()> {
-        let tmp = self.path.with_extension("tmp");
-        let mut file = fs::File::create(&tmp)?;
-        file.write_all(bytes)?;
-        file.sync_all()?;
-        drop(file);
-        fs::rename(&tmp, &self.path)?;
-        self.sync_dir()
-    }
-
-    fn read(&self) -> io::Result<Option<Vec<u8>>> {
-        match fs::read(&self.path) {
-            Ok(bytes) => Ok(Some(bytes)),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
-            Err(e) => Err(e),
-        }
-    }
-
     fn append(&self, record: &[u8]) -> io::Result<()> {
         let mut file = fs::OpenOptions::new()
             .append(true)
             .create(true)
-            .open(self.journal_path())?;
+            .open(&self.path)?;
         file.write_all(record)?;
         file.sync_all()?;
-        if !self.journal_dir_synced.swap(true, Ordering::Relaxed) {
-            // First append since creation/clear: make the directory
-            // entry itself durable, or the fsync'd file can vanish.
+        if !self.dir_synced.swap(true, Ordering::Relaxed) {
+            // First append of this store: make the directory entry
+            // itself durable, or the fsync'd file can vanish.
             self.sync_dir()?;
         }
         Ok(())
     }
 
     fn read_journal(&self) -> io::Result<Option<Vec<u8>>> {
-        match fs::read(self.journal_path()) {
+        match fs::read(&self.path) {
             Ok(bytes) if bytes.is_empty() => Ok(None),
             Ok(bytes) => Ok(Some(bytes)),
             Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
@@ -246,22 +206,28 @@ impl CacheStore for FileStore {
         }
     }
 
-    fn clear_journal(&self) -> io::Result<()> {
-        match fs::remove_file(self.journal_path()) {
-            Ok(()) => {
-                self.journal_dir_synced.store(false, Ordering::Relaxed);
-                self.sync_dir()
-            }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
-            Err(e) => Err(e),
+    fn replace_journal(&self, bytes: &[u8]) -> io::Result<()> {
+        let mut tmp = self.path.clone().into_os_string();
+        tmp.push(".tmp");
+        let tmp = PathBuf::from(tmp);
+        let written = fs::File::create(&tmp).and_then(|mut file| {
+            file.write_all(bytes)?;
+            file.sync_all()
+        });
+        if let Err(e) = written {
+            let _ = fs::remove_file(&tmp);
+            return Err(e);
         }
+        fs::rename(&tmp, &self.path)?;
+        self.sync_dir()?;
+        self.dir_synced.store(true, Ordering::Relaxed);
+        Ok(())
     }
 }
 
 /// An in-memory [`CacheStore`] for tests and examples.
 #[derive(Debug, Default)]
 pub struct MemStore {
-    slot: Mutex<Option<Vec<u8>>>,
     journal: Mutex<Vec<u8>>,
 }
 
@@ -273,15 +239,6 @@ impl MemStore {
 }
 
 impl CacheStore for MemStore {
-    fn write(&self, bytes: &[u8]) -> io::Result<()> {
-        *self.slot.lock().unwrap() = Some(bytes.to_vec());
-        Ok(())
-    }
-
-    fn read(&self) -> io::Result<Option<Vec<u8>>> {
-        Ok(self.slot.lock().unwrap().clone())
-    }
-
     fn append(&self, record: &[u8]) -> io::Result<()> {
         self.journal.lock().unwrap().extend_from_slice(record);
         Ok(())
@@ -296,134 +253,49 @@ impl CacheStore for MemStore {
         })
     }
 
-    fn clear_journal(&self) -> io::Result<()> {
-        self.journal.lock().unwrap().clear();
+    fn replace_journal(&self, bytes: &[u8]) -> io::Result<()> {
+        *self.journal.lock().unwrap() = bytes.to_vec();
         Ok(())
     }
 }
 
 impl SynthCache {
-    /// Persists a snapshot of this cache — entries with their LRU
-    /// recency stamps plus the lifetime counters — to `store`.
-    ///
-    /// Entries are written sorted by key, so saving an unchanged cache
-    /// produces byte-identical output (the capacity bound is runtime
-    /// configuration and is *not* part of the snapshot).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the store's I/O failure.
-    pub fn save_to(&self, store: &dyn CacheStore) -> io::Result<()> {
-        store.write(&self.to_bytes())
-    }
-
-    /// Loads the cache last saved to `store`; an empty store yields an
-    /// empty cache. The loaded cache is unbounded — re-apply a bound
-    /// with [`SynthCache::set_capacity`].
-    ///
-    /// # Errors
-    ///
-    /// The store's I/O failure, or [`io::ErrorKind::InvalidData`] when
-    /// the bytes are not a valid snapshot (foreign magic, future
-    /// version, or a corrupt record).
-    pub fn load_from(store: &dyn CacheStore) -> io::Result<SynthCache> {
-        match store.read()? {
-            None => Ok(SynthCache::new()),
-            Some(bytes) => SynthCache::from_bytes(&bytes),
-        }
-    }
-
-    /// Encodes the cache into the versioned binary snapshot format.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let entries = self.export_entries();
-        let (hits, misses, shared_hits, evictions) = self.export_counters();
-        let mut w = Writer::default();
-        w.bytes(MAGIC);
-        w.u32(VERSION);
-        w.u64(hits);
-        w.u64(misses);
-        w.u64(shared_hits);
-        w.u64(evictions);
-        w.u64(entries.len() as u64);
-        for (key, tick, synthesis) in &entries {
-            w.u64(*key);
-            w.u64(*tick);
-            encode_synthesis(&mut w, synthesis);
-        }
-        w.out
-    }
-
-    /// Decodes a snapshot produced by [`SynthCache::to_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// [`io::ErrorKind::InvalidData`] on any malformed byte.
-    pub fn from_bytes(bytes: &[u8]) -> io::Result<SynthCache> {
-        let (entries, counters) = decode_snapshot(bytes)?;
-        Ok(SynthCache::import(entries, counters))
-    }
-
-    /// Loads `snapshot + journal replay` from `store` — the crash-safe
-    /// startup path. The snapshot's entries are loaded first, then
-    /// every journal record is replayed over them (a key present in
-    /// both resolves to the journal's record, so replay after a
-    /// crashed compaction is idempotent). A torn final record — the
-    /// one partial write a mid-append kill can leave — is detected by
-    /// its checksum/length and dropped; its byte count is reported in
+    /// Replays `store`'s journal — the crash-safe startup path. Records
+    /// are applied in order, so a key recorded twice resolves to its
+    /// last record. A torn final record — the one partial write a
+    /// mid-append kill can leave — is detected by its checksum/length
+    /// and dropped; its byte count is reported in
     /// [`Recovery::torn_bytes`].
     ///
-    /// The recovered cache is unbounded and has no journal attached —
-    /// re-apply a bound with [`SynthCache::set_capacity`] and re-arm
-    /// journaling with [`SynthCache::attach_journal`].
+    /// The recovered cache is unbounded, its hit/miss/eviction counters
+    /// start at 0, and it has no journal attached — re-apply a bound
+    /// with [`SynthCache::set_capacity`] and re-arm journaling with
+    /// [`SynthCache::attach_journal`].
     ///
     /// # Errors
     ///
     /// The store's I/O failure, or [`io::ErrorKind::InvalidData`] when
-    /// the snapshot or a complete journal record is corrupt.
+    /// a complete journal record is corrupt, foreign or of another
+    /// version.
     pub fn recover(store: &dyn CacheStore) -> io::Result<Recovery> {
-        let (mut entries, counters) = match store.read()? {
-            None => (Vec::new(), (0, 0, 0, 0)),
-            Some(bytes) => decode_snapshot(&bytes)?,
-        };
-        let snapshot_entries = entries.len();
-        let (replayed, torn_bytes) = match store.read_journal()? {
+        let (entries, torn_bytes) = match store.read_journal()? {
             None => (Vec::new(), 0),
             Some(bytes) => decode_journal(&bytes)?,
         };
-        let journal_entries = replayed.len();
-        entries.extend(replayed);
         Ok(Recovery {
-            cache: SynthCache::import(entries, counters),
-            snapshot_entries,
-            journal_entries,
+            journal_entries: entries.len(),
+            cache: SynthCache::import(entries),
             torn_bytes,
         })
-    }
-
-    /// Compacts this cache into `store`: writes a fresh snapshot (which
-    /// by construction holds every journaled entry still resident),
-    /// then clears the journal. The snapshot replace is atomic and the
-    /// journal is cleared only *after* it lands, so a crash anywhere in
-    /// between loses nothing — [`SynthCache::recover`] simply replays
-    /// entries the new snapshot already contains.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the store's I/O failure.
-    pub fn compact_to(&self, store: &dyn CacheStore) -> io::Result<()> {
-        store.write(&self.to_bytes())?;
-        store.clear_journal()
     }
 }
 
 /// What [`SynthCache::recover`] reassembled from a store.
 #[derive(Debug)]
 pub struct Recovery {
-    /// The recovered cache (`snapshot + journal replay`).
+    /// The recovered cache.
     pub cache: SynthCache,
-    /// Entries loaded from the snapshot.
-    pub snapshot_entries: usize,
-    /// Journal records replayed over the snapshot.
+    /// Journal records replayed (a key recorded twice counts twice).
     pub journal_entries: usize,
     /// Bytes of torn final journal record dropped (0 after any clean
     /// run; nonzero only when the process died mid-append).
@@ -432,35 +304,6 @@ pub struct Recovery {
 
 /// Decoded cache entries: `(key, recency tick, synthesis)` triples.
 type Entries = Vec<(u64, u64, Synthesis)>;
-/// Lifetime counters `(hits, misses, shared_hits, evictions)`.
-type Counters = (u64, u64, u64, u64);
-
-fn decode_snapshot(bytes: &[u8]) -> io::Result<(Entries, Counters)> {
-    let mut r = Reader { buf: bytes, at: 0 };
-    let magic = r.take(4)?;
-    if magic != MAGIC {
-        return Err(bad("not a reshuffle cache snapshot (bad magic)"));
-    }
-    let version = r.u32()?;
-    if version != VERSION {
-        return Err(bad(format!(
-            "unsupported snapshot version {version} (this build reads {VERSION})"
-        )));
-    }
-    let counters = (r.u64()?, r.u64()?, r.u64()?, r.u64()?);
-    let count = r.u64()?;
-    let mut entries = Vec::new();
-    for _ in 0..count {
-        let key = r.u64()?;
-        let tick = r.u64()?;
-        let synthesis = decode_synthesis(&mut r)?;
-        entries.push((key, tick, synthesis));
-    }
-    if r.at != bytes.len() {
-        return Err(bad("trailing bytes after the last entry"));
-    }
-    Ok((entries, counters))
-}
 
 // --- journal records --------------------------------------------------
 
@@ -477,7 +320,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// Encodes one self-delimiting journal record:
 /// `RSHJ · version · payload length · payload checksum · payload`,
-/// with the payload `key · tick · synthesis` in the snapshot codec.
+/// with the payload `key · tick · synthesis`.
 pub(crate) fn journal_record(key: u64, tick: u64, synthesis: &Synthesis) -> Vec<u8> {
     let mut payload = Writer::default();
     payload.u64(key);
@@ -500,7 +343,7 @@ pub(crate) fn journal_record(key: u64, tick: u64, synthesis: &Synthesis) -> Vec<
 /// own header or declared length is silently dropped (and counted),
 /// while a complete record that fails its magic, version, checksum, or
 /// payload decode is real corruption and errors out.
-pub(crate) fn decode_journal(bytes: &[u8]) -> io::Result<(Entries, usize)> {
+fn decode_journal(bytes: &[u8]) -> io::Result<(Entries, usize)> {
     let mut out = Vec::new();
     let mut at = 0usize;
     while at < bytes.len() {
@@ -597,7 +440,7 @@ impl<'a> Reader<'a> {
             .at
             .checked_add(n)
             .filter(|&end| end <= self.buf.len())
-            .ok_or_else(|| bad("truncated snapshot"))?;
+            .ok_or_else(|| bad("truncated journal record"))?;
         let slice = &self.buf[self.at..end];
         self.at = end;
         Ok(slice)
@@ -929,25 +772,37 @@ mod tests {
         w.out.len()
     }
 
-    /// A snapshot of a cache holding one `xyz` entry, that entry, and
-    /// the offset of its state graph: past the snapshot header (magic,
-    /// version, four counters, entry count), the entry's key and tick,
-    /// and the embedded `.g` text.
-    fn xyz_snapshot() -> (Vec<u8>, Synthesis, usize) {
+    /// The journal record of one `xyz` run, its synthesis, and the
+    /// offset of its state graph: past the record header, the entry's
+    /// key and tick, and the embedded `.g` text.
+    fn xyz_record() -> (Vec<u8>, Synthesis, usize) {
+        let store = Arc::new(MemStore::new());
         let cache = SynthCache::new();
+        cache.attach_journal(store.clone());
         Pipeline::from_g(XYZ_G)
             .unwrap()
             .with_cache(&cache)
             .run(&PipelineOptions::default())
             .unwrap();
-        let (_, _, s) = cache.export_entries().remove(0);
-        let sg_at = 4 + 4 + 4 * 8 + 8 + 8 + 8 + encoded(|w| w.str(&write_g(&s.stg)));
-        (cache.to_bytes(), s, sg_at)
+        let record = store.read_journal().unwrap().unwrap();
+        let (_, _, s) = decode_journal(&record).unwrap().0.remove(0);
+        let sg_at = JOURNAL_HEADER_BYTES + 8 + 8 + encoded(|w| w.str(&write_g(&s.stg)));
+        (record, s, sg_at)
+    }
+
+    /// Overwrites the `u32` at `at` and re-seals the record's checksum,
+    /// so the edit reaches the payload decoder.
+    fn edited(record: &[u8], at: usize, value: u32) -> Vec<u8> {
+        let mut out = record.to_vec();
+        out[at..at + 4].copy_from_slice(&value.to_le_bytes());
+        let checksum = fnv1a(&out[JOURNAL_HEADER_BYTES..]);
+        out[12..20].copy_from_slice(&checksum.to_le_bytes());
+        out
     }
 
     #[test]
     fn hostile_counts_are_invalid_data() {
-        let (bytes, s, sg_at) = xyz_snapshot();
+        let (bytes, s, sg_at) = xyz_record();
         let sg = &s.sg;
         let sg_end = sg_at + encoded(|w| encode_sg(w, sg));
         let signals_at = sg_at + encoded(|w| w.str(sg.name()));
@@ -971,9 +826,7 @@ mod tests {
         for (what, at, expected) in counts {
             let found = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
             assert_eq!(found as usize, expected, "{what}: wrong offset {at}");
-            let mut hostile = bytes.clone();
-            hostile[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-            let err = SynthCache::from_bytes(&hostile).unwrap_err();
+            let err = decode_journal(&edited(&bytes, at, u32::MAX)).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
         }
     }
@@ -982,7 +835,7 @@ mod tests {
     fn an_event_edge_past_the_signal_table_is_invalid_data() {
         // The first event's edge names signal 200 of 3: decoded, the
         // graph would index the signal table out of bounds.
-        let (bytes, s, sg_at) = xyz_snapshot();
+        let (bytes, s, sg_at) = xyz_record();
         let sg = &s.sg;
         let first = &sg.events()[0];
         let edge_at = sg_at
@@ -996,9 +849,7 @@ mod tests {
         let found = u32::from_le_bytes(bytes[edge_at..edge_at + 4].try_into().unwrap());
         assert_eq!(Some(found as usize), first.edge.map(|e| e.signal.index()));
         assert_eq!(sg.num_signals(), 3);
-        let mut hostile = bytes;
-        hostile[edge_at..edge_at + 4].copy_from_slice(&200u32.to_le_bytes());
-        let err = SynthCache::from_bytes(&hostile).unwrap_err();
+        let err = decode_journal(&edited(&bytes, edge_at, 200)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
     }
 }

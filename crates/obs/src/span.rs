@@ -329,11 +329,6 @@ pub struct ActiveSpan {
 }
 
 impl ActiveSpan {
-    /// Is this span actually recording?
-    pub fn is_live(&self) -> bool {
-        self.live.is_some()
-    }
-
     /// A child context whose spans will point at this span as parent.
     /// Inert spans hand out a disabled context.
     pub fn ctx(&self) -> SpanCtx {
@@ -425,7 +420,6 @@ mod tests {
         let ctx = SpanCtx::default();
         assert!(!ctx.enabled());
         let span = ctx.span("noop");
-        assert!(!span.is_live());
         let child = span.ctx();
         assert!(!child.enabled());
         span.end(&[("k", FieldVal::U64(1))]);
@@ -469,7 +463,6 @@ mod tests {
         tracer.set_enabled(false);
         assert!(!root.enabled());
         let off = root.span("stage.expand");
-        assert!(!off.is_live());
         assert!(!off.ctx().enabled());
         drop(off);
         assert!(ring.lines().is_empty());

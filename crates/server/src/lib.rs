@@ -7,11 +7,11 @@
 //! 1. **Crash-safe persistent cache** — every run goes through one
 //!    shared [`SynthCache`]; with a configured
 //!    [`cache path`](ServerConfig::with_cache_path) the cache is
-//!    recovered at startup as `snapshot + journal replay`, every newly
-//!    executed synthesis is appended to an fsync'd journal the moment
-//!    it lands, and a clean shutdown compacts the journal into a fresh
-//!    snapshot — so a `kill -9` at any point loses zero completed
-//!    syntheses. An optional
+//!    recovered at startup by replaying the journal at that path,
+//!    every newly executed synthesis is appended to it, fsync'd, the
+//!    moment it lands, and a clean shutdown atomically rewrites it to
+//!    one record per entry — so a `kill -9` at any point loses zero
+//!    completed syntheses. An optional
 //!    [`capacity`](ServerConfig::with_cache_capacity) bounds the cache
 //!    with LRU eviction.
 //! 2. **Keep-alive connections** — one accepted socket serves many
@@ -162,8 +162,10 @@ pub struct ServerConfig {
     /// LRU bound on the synthesis cache (`None` = unbounded). Serve
     /// mode only.
     pub cache_capacity: Option<usize>,
-    /// Snapshot file the cache is loaded from at startup and saved to
-    /// at shutdown (`None` = in-memory only). Serve mode only.
+    /// The cache's journal file: replayed at startup, appended (and
+    /// fsync'd) on every executed synthesis, rewritten to one record
+    /// per entry at a clean shutdown (`None` = in-memory only). Serve
+    /// mode only.
     pub cache_path: Option<PathBuf>,
     /// This backend's shard index in a sharded deployment, reported in
     /// `GET /stats` so a rollup can attribute numbers to backends
@@ -811,16 +813,17 @@ enum Tier {
 
 impl Server {
     /// Binds and spawns the accept thread plus worker pool. A backend
-    /// first recovers its cache (snapshot + journal replay, when a path
-    /// is configured) and arms the fsync'd journal so every executed
+    /// first recovers its cache (journal replay, when a path is
+    /// configured) and arms the fsync'd journal so every executed
     /// synthesis is immediately crash-durable; a router also starts
     /// its background `/healthz` probe loop.
     ///
     /// # Errors
     ///
-    /// Bind failures and unreadable/corrupt cache snapshots or
-    /// journals (a torn final journal record — a crash mid-append —
-    /// is recovered from, not an error). In route mode, an empty
+    /// Bind failures and unreadable/corrupt journals (a torn final
+    /// record — a crash mid-append — is recovered from, not an error:
+    /// the journal is rewritten without it before anything is appended
+    /// after it). In route mode, an empty
     /// backend list or a serve-only setting (cache path, cache
     /// capacity, shard id) is [`io::ErrorKind::InvalidInput`].
     pub fn start(cfg: ServerConfig) -> io::Result<Server> {
@@ -835,6 +838,9 @@ impl Server {
             Some(path) => {
                 let store = FileStore::new(path);
                 let recovery = SynthCache::recover(&store)?;
+                if recovery.torn_bytes > 0 {
+                    recovery.cache.compact_to(&store)?;
+                }
                 recovery.cache.attach_journal(Arc::new(store));
                 recovery.cache
             }
@@ -878,14 +884,14 @@ impl Server {
     }
 
     /// Stops accepting, drains the pool, and compacts a backend's
-    /// cache — a fresh snapshot replacing the journal — when a path is
-    /// configured.
+    /// journal — an atomic rewrite to one record per cache entry — when
+    /// a path is configured.
     ///
     /// # Errors
     ///
-    /// Snapshot write failures; the threads are already down by then
-    /// (and the journal is left in place, so even a failed compaction
-    /// loses nothing).
+    /// Rewrite failures; the threads are already down by then (and the
+    /// old journal is left whole, so even a failed compaction loses
+    /// nothing).
     pub fn stop(mut self) -> io::Result<()> {
         self.join();
         if let Tier::Serve(svc) = &self.tier {
@@ -896,10 +902,10 @@ impl Server {
         Ok(())
     }
 
-    /// Tears the service down *without* the shutdown snapshot — the
+    /// Tears the service down *without* the shutdown compaction — the
     /// crash-simulation path (the in-process analogue of `kill -9`
-    /// minus leaked threads): only the append-only journal survives,
-    /// which is exactly what [`Server::start`] recovers from.
+    /// minus leaked threads): the journal is left as appended, which
+    /// is exactly what [`Server::start`] recovers from.
     pub fn abort(mut self) {
         self.join();
     }

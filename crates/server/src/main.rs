@@ -4,7 +4,7 @@
 //! Two modes share one binary and one transport flag set:
 //!
 //! ```sh
-//! # A backend shard: synthesis, cache, journal.
+//! # A backend shard: synthesis, and a cache kept in one journal file.
 //! reshuffle-server --addr 127.0.0.1:7890 --shard-id 0 \
 //!     --cache /tmp/shard0.cache --cache-capacity 1024 --threads 4
 //!
@@ -25,7 +25,9 @@ fn usage() -> &'static str {
      \x20                       [--timeout-secs N] [--idle-timeout-secs N]\n\
      \x20                       [--max-requests-per-conn N] [--max-body-bytes N]\n\
      \x20                       [--trace-level N] [--trace-file PATH]\n\
-     \x20  serve mode:          [--cache PATH] [--cache-capacity N] [--shard-id N]\n\
+     \x20  serve mode:          [--cache JOURNAL] [--cache-capacity N] [--shard-id N]\n\
+     \x20                       (JOURNAL: the cache's one file, replayed at start,\n\
+     \x20                       appended per synthesis, compacted at shutdown)\n\
      \x20  router mode:         --route BACKEND1,BACKEND2,...\n\
      \x20                       [--backend-retries N] [--connect-timeout-ms N]\n\
      \x20                       [--health-interval-ms N]"

@@ -3,6 +3,9 @@
 //! after a crash, keep-alive connection reuse, the eviction bound, the
 //! 4xx surface, and the `/stats` document (validated with the
 //! hand-rolled JSON parser).
+//!
+//! The cache persists as one journal file, the configured cache path:
+//! no `.journal` sibling, and no `.tmp` sibling once a rewrite is done.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -150,7 +153,7 @@ fn cache_survives_a_restart_and_replays_as_a_hit() {
     let path = temp_path("persist");
     let body = synth_body(XYZ_G);
 
-    // First server: a real execution, snapshot saved on stop.
+    // First server: a real execution, journal compacted on stop.
     let server = Server::start(ServerConfig::new().with_cache_path(&path)).unwrap();
     let (status, first) = post(server.addr(), "/synthesize", &body);
     assert_eq!(status, 200, "{first}");
@@ -161,7 +164,7 @@ fn cache_survives_a_restart_and_replays_as_a_hit() {
     // Second server: same key, O(1) hit, zero executions.
     let server = Server::start(ServerConfig::new().with_cache_path(&path)).unwrap();
     let doc = stats(server.addr());
-    assert_eq!(cache_stat(&doc, "entries"), 1.0, "snapshot not loaded");
+    assert_eq!(cache_stat(&doc, "entries"), 1.0, "journal not replayed");
     let (status, second) = post(server.addr(), "/synthesize", &body);
     assert_eq!(status, 200, "{second}");
     let second = json::parse(&second).unwrap();
@@ -179,7 +182,24 @@ fn cache_survives_a_restart_and_replays_as_a_hit() {
     let doc = stats(server.addr());
     assert_eq!(stat(&doc, "executed"), 0.0, "restart re-ran the pipeline");
     server.stop().unwrap();
+    assert_only_the_journal(&path);
     std::fs::remove_file(&path).unwrap();
+}
+
+/// The cache lives in the one file at `path`: no journal sibling of the
+/// two-file layout, and no temporary file of a rewrite.
+fn assert_only_the_journal(path: &std::path::Path) {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    assert!(path.exists(), "no journal at the cache path");
+    assert!(
+        !path.with_extension("journal").exists(),
+        "a .journal sibling"
+    );
+    assert!(
+        !std::path::Path::new(&tmp).exists(),
+        "a rewrite left its .tmp"
+    );
 }
 
 #[test]
@@ -392,11 +412,10 @@ fn a_half_sent_request_line_gets_408_naming_the_idle_deadline() {
 #[test]
 fn journal_replay_survives_a_crash_with_zero_reexecutions() {
     let path = temp_path("journal");
-    let journal = path.with_extension("journal");
     let bodies = [synth_body(XYZ_G), synth_body(TOGGLE_G)];
 
     // First server: two real executions, then a simulated kill -9 —
-    // no shutdown, no snapshot write.
+    // no shutdown, no compaction.
     let server = Server::start(ServerConfig::new().with_cache_path(&path)).unwrap();
     let mut firsts = Vec::new();
     for body in &bodies {
@@ -407,9 +426,10 @@ fn journal_replay_survives_a_crash_with_zero_reexecutions() {
     let doc = stats(server.addr());
     assert_eq!(cache_stat(&doc, "journal_appends"), 2.0, "{}", doc.render());
     assert_eq!(cache_stat(&doc, "journal_errors"), 0.0);
-    assert!(journal.exists(), "journal not on disk while serving");
+    assert_only_the_journal(&path);
+    let appended = std::fs::read(&path).unwrap();
     server.abort();
-    assert!(!path.exists(), "abort must not write a snapshot");
+    assert_eq!(std::fs::read(&path).unwrap(), appended, "abort rewrote");
 
     // Second server: recovery = journal replay alone. The whole corpus
     // is 100% cache hits — zero pipeline re-executions.
@@ -434,16 +454,69 @@ fn journal_replay_survives_a_crash_with_zero_reexecutions() {
     let doc = stats(server.addr());
     assert_eq!(stat(&doc, "executed"), 0.0, "restart re-ran the pipeline");
 
-    // Clean shutdown compacts: snapshot present, journal gone.
+    // Clean shutdown compacts: the same one file, rewritten.
     server.stop().unwrap();
-    assert!(path.exists(), "compaction wrote no snapshot");
-    assert!(!journal.exists(), "compaction left the journal behind");
+    assert_only_the_journal(&path);
 
-    // Third server: runs from the compacted snapshot alone.
+    // Third server: runs from the compacted journal.
     let server = Server::start(ServerConfig::new().with_cache_path(&path)).unwrap();
     let doc = stats(server.addr());
-    assert_eq!(cache_stat(&doc, "entries"), 2.0, "snapshot not loaded");
+    assert_eq!(cache_stat(&doc, "entries"), 2.0, "journal not replayed");
     server.stop().unwrap();
+    std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
+fn a_torn_journal_tail_is_cut_before_the_next_append() {
+    // A crash mid-append leaves a partial record at the end of the
+    // journal. The restarted server drops it and must not append after
+    // it, or the next recovery would read its records as the torn tail.
+    let path = temp_path("torn");
+    let server = Server::start(ServerConfig::new().with_cache_path(&path)).unwrap();
+    assert_eq!(
+        post(server.addr(), "/synthesize", &synth_body(XYZ_G)).0,
+        200
+    );
+    server.abort();
+    let journal = std::fs::read(&path).unwrap();
+    let mut torn = journal.clone();
+    torn.extend_from_slice(&journal[..30]);
+    std::fs::write(&path, &torn).unwrap();
+
+    let server = Server::start(ServerConfig::new().with_cache_path(&path)).unwrap();
+    assert_eq!(cache_stat(&stats(server.addr()), "entries"), 1.0);
+    assert_eq!(std::fs::read(&path).unwrap(), journal, "torn tail kept");
+    assert_eq!(
+        post(server.addr(), "/synthesize", &synth_body(TOGGLE_G)).0,
+        200
+    );
+    server.abort();
+
+    let server = Server::start(ServerConfig::new().with_cache_path(&path)).unwrap();
+    let doc = stats(server.addr());
+    assert_eq!(cache_stat(&doc, "entries"), 2.0, "an append was lost");
+    server.stop().unwrap();
+    std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
+fn a_cache_snapshot_at_the_cache_path_is_invalid_data() {
+    // Before the journal became the cache's one file, a clean shutdown
+    // left an `RSHC` snapshot at the cache path: magic, version 3, four
+    // lifetime counters and an entry count. It is not a journal, and
+    // starting on it must fail loudly rather than serve an empty cache
+    // or overwrite it.
+    let path = temp_path("snapshot");
+    let mut snapshot = b"RSHC".to_vec();
+    snapshot.extend_from_slice(&3u32.to_le_bytes());
+    snapshot.extend_from_slice(&[0; 5 * 8]);
+    std::fs::write(&path, &snapshot).unwrap();
+    let err = match Server::start(ServerConfig::new().with_cache_path(&path)) {
+        Ok(_) => panic!("a snapshot file was accepted as a journal"),
+        Err(e) => e,
+    };
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    assert_eq!(std::fs::read(&path).unwrap(), snapshot, "snapshot touched");
     std::fs::remove_file(&path).unwrap();
 }
 

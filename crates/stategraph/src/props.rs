@@ -42,10 +42,10 @@ pub struct CommutativityWitness {
 pub struct PersistencyWitness {
     /// The state where both events were enabled.
     pub state: StateId,
-    /// The event that got disabled.
+    /// The edge that got disabled.
     pub disabled: SignalEdge,
-    /// The event whose firing disabled it.
-    pub by: SignalEdge,
+    /// The event whose firing disabled it: a signal edge or a dummy.
+    pub by: EventId,
 }
 
 /// Returns all determinism violations (empty = deterministic).
@@ -127,7 +127,9 @@ pub fn commutativity_witnesses(sg: &StateGraph) -> Vec<CommutativityWitness> {
 ///
 /// Per the paper: every *non-input* event must stay enabled until it
 /// fires, and *input* events may only be disabled by other input events
-/// (the environment's choice), never by the circuit's own events.
+/// (the environment's choice), never by the circuit's own events. A
+/// dummy is not the environment's: one that disables an edge is a
+/// violation.
 pub fn persistency_witnesses(sg: &StateGraph) -> Vec<PersistencyWitness> {
     let inputs = sg.input_signals();
     let is_input = |e: SignalEdge| inputs >> e.signal.index() & 1 == 1;
@@ -135,18 +137,17 @@ pub fn persistency_witnesses(sg: &StateGraph) -> Vec<PersistencyWitness> {
     for s in sg.state_ids() {
         let enabled = sg.excitation(s);
         for (ev, t) in sg.succ(s) {
-            let Some(fired) = sg.event(ev).edge else {
-                continue;
-            };
+            let fired = sg.event(ev).edge;
+            let by_input = fired.is_some_and(is_input);
             for disabled in enabled.minus(&sg.excitation(t)).edges() {
                 // Input events may disable input events.
-                if disabled == fired || (is_input(fired) && is_input(disabled)) {
+                if Some(disabled) == fired || (by_input && is_input(disabled)) {
                     continue;
                 }
                 out.push(PersistencyWitness {
                     state: s,
                     disabled,
-                    by: fired,
+                    by: ev,
                 });
             }
         }
@@ -252,6 +253,35 @@ b- p0
         // Both directions are violations: a+ disables b+ (output killed)
         // and b+ disables a+ (input disabled by an output).
         assert!(w.len() >= 2, "{w:?}");
+    }
+
+    #[test]
+    fn an_output_disabled_by_a_dummy_is_flagged() {
+        // Output b+ and dummy d share the choice place p: firing d
+        // withdraws the excited b+.
+        let src = "\
+.model dummy_choice
+.inputs a
+.outputs b
+.dummy d
+.graph
+a+ p
+p b+ d
+b+ b-
+b- q
+d q
+q a-
+a- a+
+.marking { <a-,a+> }
+.end
+";
+        let sg = build_state_graph(&parse_g(src).unwrap()).unwrap();
+        let d = sg.event_by_label("d").expect("the dummy is an event");
+        let b_rise = sg.event(sg.event_by_label("b+").unwrap()).edge.unwrap();
+        let w = persistency_witnesses(&sg);
+        assert_eq!(w.len(), 1, "{w:?}");
+        assert_eq!((w[0].disabled, w[0].by), (b_rise, d));
+        assert!(!live_and_speed_independent(&sg));
     }
 
     #[test]

@@ -353,22 +353,6 @@ impl StateGraph {
             .map(|i| EventId(i as u32))
     }
 
-    /// True if the event is an edge of an input signal.
-    pub fn is_input_event(&self, e: EventId) -> bool {
-        match self.events[e.index()].edge {
-            Some(edge) => self.signals[edge.signal.index()].kind == SignalKind::Input,
-            None => false,
-        }
-    }
-
-    /// True if the event is an edge of an output or internal signal.
-    pub fn is_noninput_event(&self, e: EventId) -> bool {
-        match self.events[e.index()].edge {
-            Some(edge) => self.signals[edge.signal.index()].kind.is_noninput(),
-            None => false,
-        }
-    }
-
     /// The initial state: always 0, the root of the numbering.
     pub fn initial(&self) -> StateId {
         0
@@ -569,8 +553,6 @@ pub(crate) mod tests {
         assert!(g.value(3, SignalId(0)));
         assert_eq!(g.step(0, EventId(0)), Some(1));
         assert_eq!(g.step(1, EventId(0)), None);
-        assert!(g.is_input_event(EventId(0)));
-        assert!(g.is_noninput_event(EventId(1)));
         assert_eq!(g.deadlock_states(), vec![3]);
         assert_eq!(g.event_by_label("b+"), Some(EventId(1)));
     }

@@ -1,4 +1,4 @@
-//! The gate library: areas and delays used for technology mapping.
+//! The gate library: areas used for technology mapping.
 //!
 //! The paper reports areas "in units" of its standard-cell library and
 //! never publishes the cells; this library substitutes areas roughly
@@ -33,7 +33,7 @@ impl GateType {
     }
 }
 
-/// Area and delay numbers for every primitive.
+/// Area numbers for every primitive.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Library {
     /// Area of an inverter.
@@ -44,10 +44,6 @@ pub struct Library {
     pub c2_area: f64,
     /// Area of the set/reset latch core of a generalized C-element.
     pub gc_core_area: f64,
-    /// Delay of a combinational gate (in time units).
-    pub comb_delay: f64,
-    /// Delay of a sequential gate.
-    pub seq_delay: f64,
 }
 
 impl Library {
@@ -59,30 +55,19 @@ impl Library {
             GateType::C2 => self.c2_area,
         }
     }
-
-    /// Delay of one gate.
-    pub fn delay(&self, g: GateType) -> f64 {
-        if g.is_sequential() {
-            self.seq_delay
-        } else {
-            self.comb_delay
-        }
-    }
 }
 
 impl Default for Library {
     /// The default library: inverter 16, 2-input gates 32, C-element 48,
     /// gC latch core 32 — areas in the same spirit as the paper's units
-    /// (wire = 0). Delays default to the Table 1/2 model (every gate
-    /// network counts 1; see `reshuffle-timing` for event-level models).
+    /// (wire = 0). Delays are not the library's: see `reshuffle-timing`
+    /// for the event-level models.
     fn default() -> Self {
         Library {
             inv_area: 16.0,
             and2_area: 32.0,
             c2_area: 48.0,
             gc_core_area: 32.0,
-            comb_delay: 1.0,
-            seq_delay: 1.5,
         }
     }
 }
@@ -101,7 +86,5 @@ mod tests {
         assert!(!GateType::And2.is_sequential());
         assert_eq!(GateType::Inv.arity(), 1);
         assert_eq!(GateType::C2.arity(), 2);
-        assert_eq!(lib.delay(GateType::C2), 1.5);
-        assert_eq!(lib.delay(GateType::Inv), 1.0);
     }
 }

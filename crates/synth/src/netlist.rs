@@ -221,32 +221,6 @@ impl Netlist {
         }
     }
 
-    /// Worst-case propagation delay of the network driving `s`, with
-    /// combinational gates costing `lib.comb_delay` and sequential ones
-    /// `lib.seq_delay`. Wires cost 0.
-    pub fn network_delay(&self, s: SignalId, lib: &Library) -> f64 {
-        match self.drivers[s.index()] {
-            None => 0.0,
-            Some(n) => self.node_delay(n, lib),
-        }
-    }
-
-    fn node_delay(&self, n: NodeId, lib: &Library) -> f64 {
-        match &self.nodes[n.0 as usize] {
-            Node::SignalRef(_) | Node::Const(_) => 0.0,
-            Node::Gate(g, ins) => {
-                lib.delay(*g)
-                    + ins
-                        .iter()
-                        .map(|&i| self.node_delay(i, lib))
-                        .fold(0.0, f64::max)
-            }
-            Node::GcLatch { set, reset, .. } => {
-                lib.seq_delay + self.node_delay(*set, lib).max(self.node_delay(*reset, lib))
-            }
-        }
-    }
-
     /// Human-readable structural summary, one line per driven signal.
     pub fn describe(&self) -> String {
         let mut out = String::new();
@@ -357,7 +331,6 @@ mod tests {
         assert_eq!(nl.area(&lib), lib.inv_area + lib.gc_core_area);
         // Latch depth includes its networks.
         assert_eq!(nl.depth(SignalId(1)), 2);
-        assert!(nl.network_delay(SignalId(1), &lib) > lib.seq_delay);
     }
 
     #[test]

@@ -99,12 +99,12 @@ pub fn persistency_witnesses(sg: &StateGraph) -> Vec<PersistencyWitness> {
     for s in sg.state_ids() {
         let edges = enabled_edges(sg, s);
         for (ev, t) in sg.succ(s) {
-            let Some(fired) = sg.event(ev).edge else {
-                continue;
-            };
-            let fired_is_input = sg.signal(fired.signal).kind == SignalKind::Input;
+            // A dummy fires no edge, and it is not an input.
+            let fired = sg.event(ev).edge;
+            let fired_is_input =
+                fired.is_some_and(|f| sg.signal(f.signal).kind == SignalKind::Input);
             for &other in &edges {
-                if other == fired {
+                if Some(other) == fired {
                     continue;
                 }
                 let other_is_input = sg.signal(other.signal).kind == SignalKind::Input;
@@ -116,7 +116,7 @@ pub fn persistency_witnesses(sg: &StateGraph) -> Vec<PersistencyWitness> {
                     out.push(PersistencyWitness {
                         state: s,
                         disabled: other,
-                        by: fired,
+                        by: ev,
                     });
                 }
             }
